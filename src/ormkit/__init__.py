@@ -68,7 +68,6 @@ from .wp import (
     Oracle,
     OracleBudget,
     Unknown,
-    canonical_rep,
     equal_bounded,
     equal_via_compression,
     neighbors,

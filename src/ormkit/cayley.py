@@ -16,9 +16,11 @@ vectors.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
@@ -92,6 +94,14 @@ class CayleyBall:
         return self.membership.get(tuple(w))
 
 
+def _compressing_words(P: Presentation) -> list[Word]:
+    """compressing_words(P), raising NotCompressible when there are none."""
+    cands = compressing_words(P)
+    if not cands:
+        raise NotCompressible(P.describe())
+    return cands
+
+
 def _ball_word_count(k: int, max_len: int) -> int:
     if k == 1:
         return max_len + 1
@@ -135,19 +145,27 @@ def enumerate_classes(
                     if len(m) <= max_len:
                         assign.setdefault(m, idx)
                 continue
-            placed = False
-            for i, r in enumerate(reps):
-                verdict = equal_bounded(P, tup, r, b)
-                if isinstance(verdict, Equal):
-                    assign[tup] = i
-                    placed = True
-                    break
-                if isinstance(verdict, Unknown):
-                    approximate = True
-            if not placed:
-                assign[tup] = len(reps)
+            idx, unknown = _pairwise(P, tup, reps, b)
+            approximate = approximate or unknown
+            if idx is None:
+                idx = len(reps)
                 reps.append(tup)
+            assign[tup] = idx
     return tuple(reps), assign, approximate
+
+
+def _pairwise(P: Presentation, w: Word, reps: Sequence[Word],
+              b: OracleBudget) -> tuple[int | None, bool]:
+    """Index of the first representative proven Equal to w, or None, and
+    whether any verdict along the way was Unknown."""
+    unknown = False
+    for i, r in enumerate(reps):
+        verdict = equal_bounded(P, w, r, b)
+        if isinstance(verdict, Equal):
+            return i, unknown
+        if isinstance(verdict, Unknown):
+            unknown = True
+    return None, unknown
 
 
 def _locate(P: Presentation, w: Word, assign: dict[Word, int],
@@ -165,14 +183,7 @@ def _locate(P: Presentation, w: Word, assign: dict[Word, int],
         return min(hits), len(hits) > 1
     if saturated:
         return None, False
-    unknown = False
-    for i, r in enumerate(reps):
-        verdict = equal_bounded(P, w, r, b)
-        if isinstance(verdict, Equal):
-            return i, unknown
-        if isinstance(verdict, Unknown):
-            unknown = True
-    return None, unknown
+    return _pairwise(P, w, reps, b)
 
 
 def build_ball(P: Presentation, radius: int,
@@ -238,10 +249,7 @@ def attach_cells(ball: CayleyBall, variant: CellVariant) -> CayleyBall:
     """
     P = ball.presentation
     if variant is CellVariant.COMPRESSED_IDEAL:
-        cands = compressing_words(P)
-        if not cands:
-            raise NotCompressible(P.describe())
-        z = cands[-1]
+        z = _compressing_words(P)[-1]
         side_u, side_v = P.u[len(z):], P.v[len(z):]
         bases = [i for i, rep in enumerate(ball.vertices)
                  if ends_with(rep, z)]
@@ -401,8 +409,11 @@ class CheckReport:
     notes: tuple[str, ...] = ()
 
 
-def _text(w: Word) -> str:
-    return "".join(w) if w else "ε"
+@lru_cache(maxsize=1)
+def _ball_classes(P: Presentation, radius: int, b: OracleBudget):
+    """enumerate_classes(P, radius, b), kept for the next call: both psi
+    checks read the same ball.  Callers must not mutate the result."""
+    return enumerate_classes(P, radius, b)
 
 
 def _all_words(alphabet: tuple[str, ...], max_len: int):
@@ -423,13 +434,13 @@ def _free_product_key(C: CompressionData, m: tuple[DeltaLetter, ...],
             run.append(d.name)
         else:
             rep = oracle.rep(tuple(run))
-            if isinstance(rep, Unknown):
+            if rep is None:
                 return None
             key.append(rep)
             key.append(d.name)
             run = []
     rep = oracle.rep(tuple(run))
-    if isinstance(rep, Unknown):
+    if rep is None:
         return None
     key.append(rep)
     return tuple(key)
@@ -437,10 +448,8 @@ def _free_product_key(C: CompressionData, m: tuple[DeltaLetter, ...],
 
 def _check_psi_well_defined(P: Presentation, b: OracleBudget,
                             radius: int) -> CheckReport:
-    cands = compressing_words(P)
-    if not cands:
-        raise NotCompressible(P.describe())
-    _, assign, _ = enumerate_classes(P, radius, b)
+    cands = _compressing_words(P)
+    _, assign, _ = _ball_classes(P, radius, b)
     classes: dict[int, list[Word]] = defaultdict(list)
     for w, idx in assign.items():
         classes[idx].append(w)
@@ -460,20 +469,20 @@ def _check_psi_well_defined(P: Presentation, b: OracleBudget,
             for m, img in zip(members[1:], images[1:]):
                 checked += 1
                 if type(img) is not type(first):
-                    failures.append(f"{_text(members[0])} vs {_text(m)}: "
+                    failures.append(f"{P.text(members[0])} vs {P.text(m)}: "
                                     "mixed star and pair images")
                     continue
                 if isinstance(first, Star):
                     continue
                 if img.base != first.base:
-                    failures.append(f"{_text(members[0])} vs {_text(m)}: "
+                    failures.append(f"{P.text(members[0])} vs {P.text(m)}: "
                                     "bases differ")
                     continue
                 key = _free_product_key(C, img.tail, oracle)
                 if key0 is None or key is None:
                     skipped += 1
                 elif key != key0:
-                    failures.append(f"{_text(members[0])} vs {_text(m)}: "
+                    failures.append(f"{P.text(members[0])} vs {P.text(m)}: "
                                     "tails differ")
     return CheckReport(CheckKind.PSI_WELL_DEFINED, not failures, checked,
                        skipped, tuple(failures))
@@ -481,10 +490,8 @@ def _check_psi_well_defined(P: Presentation, b: OracleBudget,
 
 def _check_psi_injective(P: Presentation, b: OracleBudget,
                          radius: int) -> CheckReport:
-    cands = compressing_words(P)
-    if not cands:
-        raise NotCompressible(P.describe())
-    reps, _, _ = enumerate_classes(P, radius, b)
+    cands = _compressing_words(P)
+    reps, _, _ = _ball_classes(P, radius, b)
     checked = skipped = 0
     failures: list[str] = []
     for r in cands:
@@ -503,19 +510,16 @@ def _check_psi_injective(P: Presentation, b: OracleBudget,
                 if k1 is None or k2 is None:
                     skipped += 1
                 elif k1 == k2:
-                    failures.append(f"{_text(w1)} and {_text(w2)} collide")
+                    failures.append(f"{P.text(w1)} and {P.text(w2)} collide")
     return CheckReport(CheckKind.PSI_INJECTIVE_ON_IDEAL, not failures,
                        checked, skipped, tuple(failures))
 
 
 def _check_basis_freeness(P: Presentation, b: OracleBudget,
                           radius: int) -> CheckReport:
-    cands = compressing_words(P)
-    if not cands:
-        raise NotCompressible(P.describe())
     checked = skipped = 0
     failures: list[str] = []
-    for r in cands:
+    for r in _compressing_words(P):
         basis = [w for w in _all_words(P.alphabet, radius)
                  if find_occurrences(w + r, r) == [len(w)]]
         oracle = Oracle(P, b)
@@ -523,23 +527,20 @@ def _check_basis_freeness(P: Presentation, b: OracleBudget,
         for i, (y1, k1) in enumerate(keyed):
             for y2, k2 in keyed[i + 1:]:
                 checked += 1
-                if isinstance(k1, Unknown) or isinstance(k2, Unknown):
+                if k1 is None or k2 is None:
                     skipped += 1
                 elif k1 == k2:
-                    failures.append(f"{_text(y1)}·{_text(r)} = "
-                                    f"{_text(y2)}·{_text(r)}")
+                    failures.append(f"{P.text(y1)}·{P.text(r)} = "
+                                    f"{P.text(y2)}·{P.text(r)}")
     return CheckReport(CheckKind.BASIS_FREENESS, not failures, checked,
                        skipped, tuple(failures))
 
 
 def _check_local_divisor(P: Presentation, b: OracleBudget,
                          radius: int) -> CheckReport:
-    cands = compressing_words(P)
-    if not cands:
-        raise NotCompressible(P.describe())
     checked = skipped = 0
     failures: list[str] = []
-    for r in cands:
+    for r in _compressing_words(P):
         C = compress_step(P, r)
         inner = Oracle(C.compressed, b)
         outer = Oracle(P, b)
@@ -553,12 +554,11 @@ def _check_local_divisor(P: Presentation, b: OracleBudget,
         for i, (w1, m1, l1) in enumerate(keyed):
             for w2, m2, l2 in keyed[i + 1:]:
                 checked += 1
-                if isinstance(m1, Unknown) or isinstance(m2, Unknown) \
-                        or l1 is None or l2 is None:
+                if m1 is None or m2 is None or l1 is None or l2 is None:
                     skipped += 1
                     continue
                 if (m1 == m2) != (l1 == l2):
-                    failures.append(f"{_text(w1)} vs {_text(w2)}: monoid "
+                    failures.append(f"{P.text(w1)} vs {P.text(w2)}: monoid "
                                     f"says {m1 == m2}, local divisor says "
                                     f"{l1 == l2}")
     return CheckReport(CheckKind.LOCAL_DIVISOR_ISO, not failures, checked,
@@ -576,12 +576,12 @@ def _check_regularity(P: Presentation, b: OracleBudget) -> CheckReport:
     verdict = equal_bounded(P, power, P.v, b)
     if isinstance(verdict, Unknown):
         return CheckReport(CheckKind.REGULARITY_WITNESS, False, 1, 1,
-                           (), (f"k={k}", f"y={_text(y)}", "undecided"))
+                           (), (f"k={k}", f"y={P.text(y)}", "undecided"))
     passed = isinstance(verdict, Equal)
-    failures = () if passed else (f"[{_text(power)}] differs from "
-                                  f"[{_text(P.v)}]",)
+    failures = () if passed else (f"[{P.text(power)}] differs from "
+                                  f"[{P.text(P.v)}]",)
     return CheckReport(CheckKind.REGULARITY_WITNESS, passed, 1, 0,
-                       failures, (f"k={k}", f"y={_text(y)}"))
+                       failures, (f"k={k}", f"y={P.text(y)}"))
 
 
 def _check_r_trivial(P: Presentation, b: OracleBudget,
@@ -601,21 +601,19 @@ def _check_r_trivial(P: Presentation, b: OracleBudget,
             if isinstance(verdict, Unknown):
                 skipped += 1
             elif isinstance(verdict, Equal):
-                failures.append(f"[{_text(w)}] = [{_text(w + extra)}]")
+                failures.append(f"[{P.text(w)}] = [{P.text(w + extra)}]")
     return CheckReport(CheckKind.R_TRIVIAL, not failures, checked, skipped,
                        tuple(failures))
 
 
 def _check_kernel_inclusion(P: Presentation, b: OracleBudget) -> CheckReport:
-    cands = compressing_words(P)
-    if not cands:
-        raise NotCompressible(P.describe())
-    sof = cands[0]
+    sof = _compressing_words(P)[0]
     head_u = P.u[:len(P.u) - len(sof)]
     head_v = P.v[:len(P.v) - len(sof)]
     verdict = equal_bounded(P, head_u + sof, head_v + sof, b)
     passed = isinstance(verdict, Equal)
-    note = (f"[{_text(head_u)}·{_text(sof)}] = [{_text(head_v)}·{_text(sof)}]",)
+    note = (f"[{P.text(head_u)}·{P.text(sof)}] = "
+            f"[{P.text(head_v)}·{P.text(sof)}]",)
     failures = () if passed else note
     return CheckReport(CheckKind.KERNEL_INCLUSION, passed, 1,
                        int(isinstance(verdict, Unknown)),
@@ -647,13 +645,6 @@ def structure_checks(P: Presentation, check: CheckKind,
 # --------------------------------------------------------------- exports
 
 
-def _vertex_text(P: Presentation, w: Word) -> str:
-    if not w:
-        return "ε"
-    sep = "" if all(len(a) == 1 for a in P.alphabet) else " "
-    return sep.join(w)
-
-
 def to_dot(ball: CayleyBall) -> str:
     """DOT digraph: vertex label is the canonical representative, edge
     label the multiplied letter, interior vertices doubly circled."""
@@ -661,7 +652,7 @@ def to_dot(ball: CayleyBall) -> str:
     lines = ["digraph cayley_ball {", "  rankdir=LR;"]
     for i, rep in enumerate(ball.vertices):
         shape = " peripheries=2" if ball.interior_mask[i] else ""
-        lines.append(f'  v{i} [label="{_vertex_text(P, rep)}"{shape}];')
+        lines.append(f'  v{i} [label="{P.text(rep)}"{shape}];')
     for src, letter, dst in ball.edges:
         lines.append(f'  v{src} -> v{dst} [label="{letter}"];')
     lines.append("}")
@@ -674,7 +665,7 @@ def to_json_dict(ball: CayleyBall) -> dict:
     return {
         "radius": ball.radius,
         "approximate": ball.approximate,
-        "vertices": [_vertex_text(P, w) if w else "" for w in ball.vertices],
+        "vertices": [P.text(w) if w else "" for w in ball.vertices],
         "edges": [[s, x, t] for s, x, t in ball.edges],
         "interior": list(ball.interior_mask),
         "cells": [

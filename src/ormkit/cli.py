@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -45,7 +44,14 @@ from .squier import (
     relation_edge,
 )
 from .words import Presentation, Word, make_presentation, spell
-from .wp import Distinct, Equal, OracleBudget, Unknown, equal_bounded
+from .wp import (
+    BudgetTooShort,
+    Distinct,
+    Equal,
+    OracleBudget,
+    Unknown,
+    equal_bounded,
+)
 
 FORMATS = ("json", "text", "dot", "csv")
 
@@ -246,30 +252,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type for radii and counts."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _budget(ns) -> OracleBudget:
-    kwargs = {}
-    if getattr(ns, "budget_words", None) is not None:
+    kwargs = {"max_len": ns.budget_len}
+    if ns.budget_words is not None:
         if ns.budget_words < 1:
             raise UsageError("--budget-words must be positive")
         kwargs["max_words"] = ns.budget_words
-    if getattr(ns, "budget_len", None) is not None:
-        if ns.budget_len < 0:
-            raise UsageError("--budget-len must be nonnegative")
-        kwargs["max_len"] = ns.budget_len
     return OracleBudget(**kwargs)
-
-
-def _threads() -> int:
-    raw = os.environ.get("ORMKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _budget_info(b: OracleBudget) -> dict:
-    return {"maxWords": b.max_words, "maxLen": b.max_len,
-            "threads": _threads()}
 
 
 def _load(path: str) -> tuple[Presentation, str]:
@@ -289,17 +286,7 @@ def _parse_word(text: str, P: Presentation) -> Word:
     return letters
 
 
-def _word_text(P: Presentation, w: Word) -> str:
-    sep = "" if all(len(a) == 1 for a in P.alphabet) else " "
-    return sep.join(w)
-
-
-def _cells_variant(name: str) -> CellVariant:
-    return (CellVariant.FULL_RELATION if name == "full"
-            else CellVariant.COMPRESSED_IDEAL)
-
-
-def _ball_renders(P: Presentation, ball: CayleyBall) -> dict[str, str]:
+def _ball_renders(ball: CayleyBall) -> dict[str, str]:
     per_matrix = matrices_csv(ball)
     rows = ["matrix,row,col,value"]
     for name in ("d1", "d2"):
@@ -318,11 +305,14 @@ def _step_dict(data) -> dict:
     }
 
 
-def _cmd_classify(ns) -> tuple[int, Report]:
-    P, digest = _load(ns.file)
+# Each handler takes the parsed flags, the loaded presentation and the
+# budget, and returns (exit code, payload, verdict counts, extra Report
+# fields); dispatch assembles the Report.
+
+
+def _cmd_classify(ns, P, b):
     c = classify_full(P)
     payload = {
-        "presentation": P.describe(),
         "caseTag": c.case.value,
         "torsion": c.torsion,
         "compressing": [spell(r) for r in c.compressing],
@@ -332,119 +322,100 @@ def _cmd_classify(ns) -> tuple[int, Report]:
         "gdRight": list(c.gd_right.as_pair()),
         "asphericity": c.asphericity.value,
     }
-    return 0, Report("classify", digest, payload, {c.case.value: 1}, (),
-                     _budget_info(_budget(ns)), False)
+    return 0, payload, {c.case.value: 1}, {}
 
 
-def _cmd_compress(ns) -> tuple[int, Report]:
-    P, digest = _load(ns.file)
-    payload: dict = {"presentation": P.describe()}
+def _cmd_compress(ns, P, b):
     if ns.by is not None:
-        r = _parse_word(ns.by, P)
         try:
-            data = compress_step(P, r)
+            data = compress_step(P, _parse_word(ns.by, P))
         except NotCompressing as e:
             raise UsageError(str(e))
-        payload["step"] = _step_dict(data)
-        counts = {"steps": 1}
-    else:
-        strategy = (Strategy.SHORTEST_FIRST if ns.chain == "shortest-first"
-                    else Strategy.LONGEST_FIRST)
-        chain = compress_chain(P, strategy)
-        payload["strategy"] = ns.chain
-        payload["steps"] = [_step_dict(d) for d in chain.steps]
-        payload["terminal"] = chain.terminal.describe()
-        counts = {"steps": len(chain.steps)}
-    return 0, Report("compress", digest, payload, counts, (),
-                     _budget_info(_budget(ns)), False)
+        return 0, {"step": _step_dict(data)}, {"steps": 1}, {}
+    strategy = (Strategy.SHORTEST_FIRST if ns.chain == "shortest-first"
+                else Strategy.LONGEST_FIRST)
+    chain = compress_chain(P, strategy)
+    payload = {
+        "strategy": ns.chain,
+        "steps": [_step_dict(d) for d in chain.steps],
+        "terminal": chain.terminal.describe(),
+    }
+    return 0, payload, {"steps": len(chain.steps)}, {}
 
 
-def _cmd_wp(ns) -> tuple[int, Report]:
-    P, digest = _load(ns.file)
-    b = _budget(ns)
+def _cmd_wp(ns, P, b):
     w1 = _parse_word(ns.w1, P)
     w2 = _parse_word(ns.w2, P)
-    try:
-        verdict = equal_bounded(P, w1, w2, b)
-    except ValueError as e:
-        raise UsageError(str(e))
+    verdict = equal_bounded(P, w1, w2, b)
     payload: dict = {
-        "presentation": P.describe(),
-        "w1": _word_text(P, w1),
-        "w2": _word_text(P, w2),
+        "w1": P.text(w1) if w1 else "",
+        "w2": P.text(w2) if w2 else "",
         "verdict": type(verdict).__name__,
     }
     code = 0
     if isinstance(verdict, Equal):
-        payload["path"] = [_word_text(P, w) for w in verdict.path]
+        payload["path"] = [P.text(w) if w else "" for w in verdict.path]
         payload["pathLength"] = verdict.path_length
     elif isinstance(verdict, Distinct):
         payload["certificate"] = verdict.certificate
     elif isinstance(verdict, Unknown):
         payload["reason"] = verdict.reason
         code = 3
-    return code, Report("wp", digest, payload,
-                        {payload["verdict"]: 1}, (), _budget_info(b), False)
+    return code, payload, {payload["verdict"]: 1}, {}
 
 
-def _build_complex(ns, P) -> CayleyBall:
-    ball = build_ball(P, ns.radius, _budget(ns))
-    if getattr(ns, "cells", None):
+def _build_complex(ns, P, b) -> CayleyBall:
+    ball = build_ball(P, ns.radius, b)
+    if ns.cells:
+        variant = (CellVariant.FULL_RELATION if ns.cells == "full"
+                   else CellVariant.COMPRESSED_IDEAL)
         try:
-            ball = attach_cells(ball, _cells_variant(ns.cells))
+            ball = attach_cells(ball, variant)
         except NotCompressible as e:
             raise UsageError(str(e))
     return ball
 
 
-def _cmd_ball(ns) -> tuple[int, Report]:
-    P, digest = _load(ns.file)
-    ball = _build_complex(ns, P)
+def _cmd_ball(ns, P, b):
+    ball = _build_complex(ns, P, b)
     payload = {
-        "presentation": P.describe(),
         "radius": ns.radius,
         "cells": ns.cells,
         "graph": to_json_dict(ball),
     }
     counts = {"vertices": len(ball.vertices), "edges": len(ball.edges),
               "cells": len(ball.cells)}
-    return 0, Report("ball", digest, payload, counts, (),
-                     _budget_info(_budget(ns)), ball.approximate,
-                     renders=_ball_renders(P, ball))
+    return 0, payload, counts, {"approximate": ball.approximate,
+                                "renders": _ball_renders(ball)}
 
 
-def _cmd_homology(ns) -> tuple[int, Report]:
-    P, digest = _load(ns.file)
-    ball = _build_complex(ns, P)
+def _cmd_homology(ns, P, b):
+    ball = _build_complex(ns, P, b)
     basis = two_cycle_basis(ball)
     rendered = []
     for vec in basis:
-        rendered.append([
-            {"cellIndex": i,
-             "base": _word_text(P, ball.vertices[ball.cells[i].base_vertex]),
-             "variant": ball.cells[i].variant.value,
-             "coeff": vec[i]}
-            for i in sorted(vec)
-        ])
+        rendered.append([])
+        for i in sorted(vec):
+            base = ball.vertices[ball.cells[i].base_vertex]
+            rendered[-1].append({"cellIndex": i,
+                                 "base": P.text(base) if base else "",
+                                 "variant": ball.cells[i].variant.value,
+                                 "coeff": vec[i]})
     payload = {
-        "presentation": P.describe(),
         "radius": ns.radius,
         "cells": ns.cells,
         "basisSize": len(basis),
         "basis": rendered,
     }
-    return 0, Report("homology", digest, payload, {"cycles": len(basis)}, (),
-                     _budget_info(_budget(ns)), ball.approximate,
-                     renders={"csv": _ball_renders(P, ball)["csv"]})
+    return 0, payload, {"cycles": len(basis)}, {
+        "approximate": ball.approximate,
+        "renders": {"csv": _ball_renders(ball)["csv"]}}
 
 
-def _cmd_squier_check(ns) -> tuple[int, Report]:
-    P, digest = _load(ns.file)
-    b = _budget(ns)
+def _cmd_squier_check(ns, P, b):
     walk = random_walk_check(P, (relation_edge(),), ns.walk_steps,
                              seed=ns.seed, budget=b)
     payload = {
-        "presentation": P.describe(),
         "seed": walk.seed,
         "requested": walk.requested,
         "applied": walk.applied,
@@ -454,14 +425,10 @@ def _cmd_squier_check(ns) -> tuple[int, Report]:
     }
     counts = {"applied": walk.applied,
               "violations": 0 if walk.passed else 1}
-    return (0 if walk.passed else 1), Report("squier-check", digest, payload,
-                                             counts, (ns.seed,),
-                                             _budget_info(b), False)
+    return (0 if walk.passed else 1), payload, counts, {"seeds": (ns.seed,)}
 
 
-def _cmd_inject_check(ns) -> tuple[int, Report]:
-    P, digest = _load(ns.file)
-    b = _budget(ns)
+def _cmd_inject_check(ns, P, b):
     try:
         rep = injectivity_harness(P, samples=ns.samples,
                                   max_support=ns.max_support, seed=ns.seed,
@@ -469,7 +436,6 @@ def _cmd_inject_check(ns) -> tuple[int, Report]:
     except ValueError as e:
         raise UsageError(str(e))
     payload = {
-        "presentation": P.describe(),
         "samples": rep.samples,
         "skipped": rep.skipped,
         "violations": list(rep.violations),
@@ -485,21 +451,19 @@ def _cmd_inject_check(ns) -> tuple[int, Report]:
     }
     counts = {"violations": len(rep.violations) + len(rep.singleton_violations),
               "skipped": rep.skipped + rep.singleton_skipped}
-    return (0 if rep.passed else 1), Report("inject-check", digest, payload,
-                                            counts, (ns.seed,),
-                                            _budget_info(b), False)
+    return (0 if rep.passed else 1), payload, counts, {"seeds": (ns.seed,)}
 
 
-def _cmd_structure_check(ns) -> tuple[int, Report]:
-    P, digest = _load(ns.file)
-    b = _budget(ns)
+def _cmd_structure_check(ns, P, b):
     kinds = ([CheckKind(ns.check)] if ns.check else list(CheckKind))
     entries = []
     passed = failed = inapplicable = 0
     for kind in kinds:
         try:
             rep = structure_checks(P, kind, b, ns.radius)
-        except (ValueError, NotCompressible, NotCompressing) as e:
+        except BudgetTooShort:
+            raise
+        except (ValueError, NotCompressible) as e:
             if ns.check:
                 raise UsageError(str(e))
             entries.append({"check": kind.value, "applicable": False,
@@ -519,12 +483,10 @@ def _cmd_structure_check(ns) -> tuple[int, Report]:
             passed += 1
         else:
             failed += 1
-    payload = {"presentation": P.describe(), "radius": ns.radius,
-               "checks": entries}
+    payload = {"radius": ns.radius, "checks": entries}
     counts = {"passed": passed, "failed": failed,
               "inapplicable": inapplicable}
-    return (1 if failed else 0), Report("structure-check", digest, payload,
-                                        counts, (), _budget_info(b), False)
+    return (1 if failed else 0), payload, counts, {}
 
 
 _HANDLERS = {
@@ -551,7 +513,7 @@ def _parser() -> _Parser:
         sp.add_argument("file", help="presentation file (.orm)")
         sp.add_argument("--format", choices=FORMATS, default="json")
         sp.add_argument("--budget-words", type=int, default=None)
-        sp.add_argument("--budget-len", type=int, default=None)
+        sp.add_argument("--budget-len", type=_nonnegative, default=None)
         return sp
 
     add("classify", help="case tag, torsion, dimension bounds")
@@ -568,27 +530,27 @@ def _parser() -> _Parser:
     sp.add_argument("w2")
 
     sp = add("ball", help="Cayley graph ball, optionally with 2-cells")
-    sp.add_argument("--radius", type=int, default=4)
+    sp.add_argument("--radius", type=_nonnegative, default=4)
     sp.add_argument("--cells", choices=["full", "ideal"], default=None)
 
     sp = add("homology", help="interior 2-cycle basis of the complex")
-    sp.add_argument("--radius", type=int, default=4)
+    sp.add_argument("--radius", type=_nonnegative, default=4)
     sp.add_argument("--cells", choices=["full", "ideal"], default="full")
 
     sp = add("squier-check", help="random-walk parity invariance check")
-    sp.add_argument("--walk-steps", type=int, default=200)
+    sp.add_argument("--walk-steps", type=_nonnegative, default=200)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("inject-check", help="sampled formal-sum injectivity harness")
-    sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument("--samples", type=_nonnegative, default=100)
     sp.add_argument("--max-support", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--radius", type=int, default=6)
+    sp.add_argument("--radius", type=_nonnegative, default=6)
 
     sp = add("structure-check", help="oracle-backed structural checks")
     sp.add_argument("check", nargs="?", default=None,
                     choices=[k.value for k in CheckKind])
-    sp.add_argument("--radius", type=int, default=6)
+    sp.add_argument("--radius", type=_nonnegative, default=6)
 
     return p
 
@@ -604,18 +566,23 @@ def dispatch(argv: list[str]) -> tuple[int, Report]:
     try:
         ns = _parser().parse_args(argv)
         command = ns.command
-        return _HANDLERS[command](ns)
-    except UsageError as e:
+        P, digest = _load(ns.file)
+        b = _budget(ns)
+        code, payload, counts, extra = _HANDLERS[command](ns, P, b)
+    except (UsageError, PresentationSyntaxError, OSError,
+            BudgetTooShort) as e:
         return 2, _error_report(command or "usage", str(e))
-    except PresentationSyntaxError as e:
-        return 2, _error_report(command, str(e))
-    except OSError as e:
-        return 2, _error_report(command, str(e))
     except BudgetExceeded as e:
         return 3, _error_report(command, f"budget exhausted: {e}")
     except UndecidableClass as e:
         return 3, _error_report(command,
                                 f"class not saturated within budget: {e}")
+    return code, Report(command, digest,
+                        {"presentation": P.describe(), **payload}, counts,
+                        extra.get("seeds", ()),
+                        {"maxWords": b.max_words, "maxLen": b.max_len},
+                        extra.get("approximate", False),
+                        extra.get("renders", {}))
 
 
 def _requested_format(argv: list[str]) -> str:

@@ -155,15 +155,6 @@ class CompressionData:
     lambda_r: frozenset[DeltaLetter]
     compressed: Presentation
 
-    def letter(self, name: str) -> DeltaLetter:
-        for d in self.lambda_r:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
-    def spelling_map(self) -> dict[str, Word]:
-        return {d.name: d.spelling for d in self.lambda_r}
-
 
 def compress_step(P: Presentation, r: Word) -> CompressionData:
     """Compress P by the sealing word r.
@@ -180,9 +171,7 @@ def compress_step(P: Presentation, r: Word) -> CompressionData:
     u_factors = delta_factorize(r, u_prime)
     v_factors = delta_factorize(r, v_prime)
     lam = frozenset(u_factors) | frozenset(v_factors)
-    key = {a: i for i, a in enumerate(P.alphabet)}
-    ordered = sorted(lam, key=lambda d: (len(d.spelling),
-                                         tuple(key[x] for x in d.spelling)))
+    ordered = sorted(lam, key=lambda d: P.shortlex_key(d.spelling))
     alphabet = tuple(d.name for d in ordered)
     compressed = make_presentation(alphabet,
                                    tuple(d.name for d in u_factors),

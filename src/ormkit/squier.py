@@ -337,7 +337,7 @@ def injectivity_harness(P: Presentation, samples: int, max_support: int,
         if isinstance(verdict, Unknown):
             singleton_skipped += 1
         elif isinstance(verdict, Equal):
-            singleton_violations.append("".join(w) or "ε")
+            singleton_violations.append(P.text(w))
 
     rng = random.Random(seed)
     skipped = 0
@@ -365,7 +365,7 @@ def injectivity_harness(P: Presentation, samples: int, max_support: int,
         sum_u = {k2: v for k2, v in sum_u.items() if v}
         sum_v = {k2: v for k2, v in sum_v.items() if v}
         if sum_u == sum_v:
-            terms = " + ".join(f"{z}·[{''.join(w) or 'ε'}]"
+            terms = " + ".join(f"{z}·[{P.text(w)}]"
                                for w, z in zip(support, weights))
             violations.append(terms)
 

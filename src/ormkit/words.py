@@ -14,7 +14,7 @@ self-overlap-free, and they drive the whole compression calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 Word = tuple[str, ...]
 
@@ -65,10 +65,13 @@ class Presentation:
     alphabet: tuple[str, ...]
     u: Word
     v: Word
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate letters in alphabet")
+        object.__setattr__(self, "_index",
+                           {a: i for i, a in enumerate(self.alphabet)})
         used = set(self.u) | set(self.v)
         missing = used - set(self.alphabet)
         if missing:
@@ -76,21 +79,24 @@ class Presentation:
         if self.shortlex_key(self.u) < self.shortlex_key(self.v):
             raise ValueError("presentation not normalized: need u >= v in shortlex")
 
-    def letter_index(self, letter: str) -> int:
-        return self.alphabet.index(letter)
-
     def shortlex_key(self, w: Word) -> tuple:
-        idx = {a: i for i, a in enumerate(self.alphabet)}
+        idx = self._index
         return (len(w), tuple(idx[x] for x in w))
 
     def letter_counts(self, w: Word) -> tuple[int, ...]:
         return tuple(w.count(a) for a in self.alphabet)
 
-    def describe(self) -> str:
+    def text(self, w: Word) -> str:
+        """w for display; the empty word is ε."""
+        if not w:
+            return "ε"
         # multi-character letter names would be ambiguous when flattened
         sep = "" if all(len(a) == 1 for a in self.alphabet) else " "
-        lhs = sep.join(self.u) if self.u else "1"
-        rhs = sep.join(self.v) if self.v else "1"
+        return sep.join(w)
+
+    def describe(self) -> str:
+        lhs = self.text(self.u) if self.u else "1"
+        rhs = self.text(self.v) if self.v else "1"
         return f"<{' '.join(self.alphabet)} | {lhs} = {rhs}>"
 
 
@@ -98,15 +104,12 @@ def make_presentation(alphabet: tuple[str, ...] | list[str],
                       lhs: Word, rhs: Word) -> Presentation:
     """Normalize and build a presentation from an unordered relation pair."""
     alphabet = tuple(alphabet)
-    idx = {a: i for i, a in enumerate(alphabet)}
     for w in (lhs, rhs):
         for x in w:
-            if x not in idx:
+            if x not in alphabet:
                 raise ValueError(f"letter {x!r} not declared in alphabet")
-
-    def key(w: Word) -> tuple:
-        return (len(w), tuple(idx[x] for x in w))
-
+    # the trivial relation on the alphabet supplies its shortlex order
+    key = Presentation(alphabet, EMPTY, EMPTY).shortlex_key
     if key(lhs) >= key(rhs):
         return Presentation(alphabet, tuple(lhs), tuple(rhs))
     return Presentation(alphabet, tuple(rhs), tuple(lhs))

@@ -78,6 +78,10 @@ class Unknown:
 Verdict = Equal | Distinct | Unknown
 
 
+class BudgetTooShort(ValueError):
+    """A length cap is below the length of a word the query must explore."""
+
+
 @dataclass(frozen=True)
 class OracleBudget:
     """Exploration caps.  max_len defaults per query to
@@ -89,7 +93,7 @@ class OracleBudget:
     def cap_for(self, P: Presentation, *ws: Word) -> int:
         if self.max_len is not None:
             if ws and self.max_len < max(len(w) for w in ws):
-                raise ValueError("max_len below input word length")
+                raise BudgetTooShort("max_len below input word length")
             return self.max_len
         slack = 4 * max(len(P.u), len(P.v), 1)
         if len(ws) >= 2:
@@ -267,40 +271,28 @@ def equal_bounded(P: Presentation, w1: Word, w2: Word,
     return Unknown("length cap pruned both closures")
 
 
-def canonical_rep(P: Presentation, w: Word,
-                  budget: OracleBudget | None = None) -> Word | Unknown:
-    """Shortlex-least member of the congruence class of w.
-
-    Total whenever |u| = |v| (classes are finite); otherwise Unknown when
-    the class closure cannot be completed within budget.
-    """
-    b = budget or DEFAULT_BUDGET
-    w = tuple(w)
-    parent, saturated = closure(P, w, b.cap_for(P, w), b.max_words)
-    if not saturated:
-        return Unknown("class closure not saturated within budget")
-    return min(parent, key=P.shortlex_key)
-
-
 # ---------------------------------------------------------------- Oracle
 
 
 class Oracle:
-    """Memoizing front end over the closure engine, for bulk callers.
+    """Memoizing class store over the closure engine, for bulk callers.
 
-    Results are identical to the pure functions; only repeated work is
-    shared.  Saturated class closures are cached and indexed by every
-    member, so equality within a cached class is a dictionary lookup.
+    Each saturated class is stored once, as its closure parent map and
+    its shortlex-least member, and indexed by every member, so equality
+    within a stored class is a dictionary lookup.  A class whose closure
+    does not saturate within budget is undecided: class_of and rep
+    return None for it.
     """
 
     def __init__(self, P: Presentation, budget: OracleBudget | None = None):
         self.P = P
         self.budget = budget or DEFAULT_BUDGET
-        self._classes: dict[Word, tuple[frozenset[Word], dict[Word, Word | None]]] = {}
+        self._classes: dict[Word, tuple[dict[Word, Word | None], Word]] = {}
         self._unsaturated: set[Word] = set()
-        self.unknown_seen = 0
 
-    def class_of(self, w: Word) -> tuple[frozenset[Word], dict[Word, Word | None]] | None:
+    def class_of(self, w: Word) -> tuple[dict[Word, Word | None], Word] | None:
+        """(parent map, representative) of the class of w, or None when
+        its closure does not saturate within budget."""
         w = tuple(w)
         hit = self._classes.get(w)
         if hit is not None:
@@ -312,36 +304,27 @@ class Oracle:
         if not saturated:
             self._unsaturated.add(w)
             return None
-        entry = (frozenset(parent), parent)
+        entry = (parent, min(parent, key=self.P.shortlex_key))
         for m in parent:
             self._classes[m] = entry
         return entry
 
     def rep(self, w: Word) -> Word | None:
+        """Shortlex-least member of the class of w; None when undecided."""
         got = self.class_of(w)
-        if got is None:
-            return None
-        return min(got[0], key=self.P.shortlex_key)
+        return None if got is None else got[1]
 
     def equal(self, w1: Word, w2: Word) -> Verdict:
         w1, w2 = tuple(w1), tuple(w2)
         if w1 == w2:
             return Equal((w1,))
         got = self.class_of(w1)
-        if got is not None:
-            members, parent = got
-            if w2 in members:
-                return Equal(self._join(parent, w1, w2))
-            if _abelian_mismatch(self.P, w1, w2):
-                return Distinct(CERT_ABELIAN)
-            cert = _ideal_certificate(self.P, w1, w2)
-            if cert:
-                return Distinct(cert)
-            return Distinct(CERT_EXHAUSTED)
-        verdict = equal_bounded(self.P, w1, w2, self.budget)
-        if isinstance(verdict, Unknown):
-            self.unknown_seen += 1
-        return verdict
+        if got is None:
+            return equal_bounded(self.P, w1, w2, self.budget)
+        parent, _ = got
+        if w2 in parent:
+            return Equal(self._join(parent, w1, w2))
+        return Distinct(CERT_EXHAUSTED)
 
     @staticmethod
     def _join(parent: dict[Word, Word | None], w1: Word, w2: Word) -> tuple[Word, ...]:

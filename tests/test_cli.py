@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,7 +29,8 @@ from ormkit.cli import (
 )
 from ormkit.words import make_presentation, word
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def fx(name: str) -> str:
@@ -203,6 +207,28 @@ def test_structure_check_all():
     assert "PsiWellDefined" in names and "RTrivial" in names
 
 
+@pytest.mark.parametrize("name", ["abab-ab.orm", "babab-b.orm"])
+def test_structure_check_undecided_pairs_are_skips(name):
+    # both fixtures have classes the oracle cannot saturate at the
+    # default budget; pairs of them must count as skips, never as equal
+    code, report = dispatch(["structure-check", fx(name)])
+    assert code == 0
+    assert report.verdict_counts["failed"] == 0
+    for entry in report.payload["checks"]:
+        assert entry.get("failures", []) == []
+
+
+def test_structure_check_small_budget_skips():
+    code, report = dispatch(["structure-check", fx("aba-aca.orm"),
+                             "LocalDivisorIso", "--radius", "4",
+                             "--budget-words", "1"])
+    assert code == 0
+    entry = report.payload["checks"][0]
+    assert entry["passed"] is True
+    assert entry["failures"] == []
+    assert 0 < entry["skipped"] <= entry["checked"]
+
+
 def test_structure_check_single():
     code, report = dispatch(["structure-check", fx("aa-a.orm"),
                              "RegularityWitness"])
@@ -227,6 +253,32 @@ def test_exit_2_usage_and_parse_errors(tmp_path):
     code, report = dispatch(["classify", str(bad)])
     assert code == 2
     assert "undeclared" in report.payload["error"]
+
+
+@pytest.mark.parametrize("command", [
+    "ball", "homology", "squier-check", "inject-check", "structure-check",
+])
+def test_exit_2_budget_len_below_explored_word(command):
+    # the walk on aba-aca only meets the empty left context
+    name = "babab-b.orm" if command == "squier-check" else "aba-aca.orm"
+    code, report = dispatch([command, fx(name), "--budget-len", "2"])
+    assert code == 2
+    assert report.payload["error"] == "max_len below input word length"
+
+
+@pytest.mark.parametrize("args", [
+    ["ball", fx("aa-a.orm"), "--radius", "-2"],
+    ["homology", fx("aa-a.orm"), "--radius", "-1"],
+    ["structure-check", fx("aa-a.orm"), "--radius", "-1"],
+    ["squier-check", fx("aba-aca.orm"), "--walk-steps", "-5"],
+    ["inject-check", fx("aba-aca.orm"), "--radius", "-1"],
+    ["inject-check", fx("aba-aca.orm"), "--samples", "-3"],
+    ["ball", fx("aa-a.orm"), "--budget-len", "-1"],
+])
+def test_exit_2_negative_counts(args):
+    code, report = dispatch(args)
+    assert code == 2
+    assert "nonnegative" in report.payload["error"]
 
 
 def test_exit_3_budget_exhaustion():
@@ -264,6 +316,20 @@ def test_emit_json_deterministic():
     assert obj["budgets"]["maxWords"] == 200000
 
 
+def test_emit_json_deterministic_across_processes():
+    # closure iterates sets, whose order depends on the string hash seed
+    args = [sys.executable, "-m", "ormkit.cli", "ball", fx("babab-b.orm"),
+            "--radius", "5"]
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(args, env=env, capture_output=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["approximate"] is True
+
+
 def test_emit_dot_and_csv_deterministic():
     args = ["ball", fx("aa-a.orm"), "--radius", "3", "--cells", "full"]
     a = emit(dispatch(args)[1], "dot")
@@ -299,15 +365,6 @@ def test_main_writes_report_and_returns_code(capsysbinary):
     assert code == 2
     obj = json.loads(capsysbinary.readouterr().out)
     assert "error" in obj["payload"]
-
-
-def test_threads_env_recorded(monkeypatch):
-    monkeypatch.setenv("ORMKIT_THREADS", "7")
-    assert dispatch(["classify", fx("aa-a.orm")])[1].budgets["threads"] == 7
-    monkeypatch.setenv("ORMKIT_THREADS", "0")
-    assert dispatch(["classify", fx("aa-a.orm")])[1].budgets["threads"] == 1
-    monkeypatch.setenv("ORMKIT_THREADS", "soon")
-    assert dispatch(["classify", fx("aa-a.orm")])[1].budgets["threads"] == 1
 
 
 def test_report_is_plain_data():

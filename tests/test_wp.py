@@ -28,7 +28,6 @@ from ormkit.wp import (
     Oracle,
     OracleBudget,
     Unknown,
-    canonical_rep,
     closure,
     equal_bounded,
     equal_via_compression,
@@ -180,32 +179,34 @@ def test_closure_stays_in_suffix_ideal():
                 assert member[-len(r):] == r
 
 
-# ---------------------------------------------------------- canonical_rep
+# ------------------------------------------------------------- Oracle.rep
 
 
-def test_canonical_rep_examples():
+def test_oracle_rep_examples():
     P = aba_aca()
-    assert canonical_rep(P, word("abaca")) == word("ababa")
+    assert Oracle(P).rep(word("abaca")) == word("ababa")
     parents, saturated = closure(P, word("abaca"), 10, 1000)
     assert saturated
     assert set(parents) == {word("ababa"), word("abaca"),
                             word("acaba"), word("acaca")}
-    assert canonical_rep(P, EMPTY) == EMPTY
-    assert canonical_rep(P, word("bcb")) == word("bcb")
+    assert Oracle(P).rep(EMPTY) == EMPTY
+    assert Oracle(P).rep(word("bcb")) == word("bcb")
 
 
-def test_canonical_rep_unknown_for_growing_class():
+def test_oracle_rep_none_for_growing_class():
     P = make_presentation(("a",), word("aa"), word("a"))
-    assert isinstance(canonical_rep(P, word("a")), Unknown)
+    oracle = Oracle(P)
+    assert oracle.class_of(word("a")) is None
+    assert oracle.rep(word("a")) is None
 
 
-def test_canonical_rep_is_class_invariant_and_least():
+def test_oracle_rep_is_class_invariant_and_least():
     P = aba_aca()
     for length in (4, 5):
         uf = brute_partition(P, length)
         reps = {}
         for w in product(P.alphabet, repeat=length):
-            r = canonical_rep(P, w)
+            r = Oracle(P).rep(w)
             root = uf.find(w)
             reps.setdefault(root, set()).add(r)
             assert P.shortlex_key(r) <= P.shortlex_key(w)
