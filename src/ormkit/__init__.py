@@ -71,6 +71,7 @@ from .wp import (
     equal_bounded,
     equal_via_compression,
     neighbors,
+    normal_form,
     replay,
 )
 

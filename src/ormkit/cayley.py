@@ -2,14 +2,16 @@
 integer 2-cycle bases, the vertex compression map, and structural checks.
 
 A ball collects the congruence classes of all words up to a length
-bound.  Classes are merged only on certified Equal verdicts, so a ball
-is never over-merged; if any needed verdict comes back Unknown the ball
-is marked approximate instead of guessing.  Cells can be attached two
-ways: one cell per vertex tracing the full relation, or cells only at
-vertices whose representative ends in the longest compressing word,
-tracing the relation with that word stripped from the front of both
-sides.  Boundary matrices are sparse integer dictionaries and kernels
-are computed exactly over rationals, then scaled to primitive integer
+bound.  When the rule u -> v is complete, every word goes to the class
+of its normal form and the ball is exact.  Otherwise classes are merged
+only on certified Equal verdicts, so a ball is never over-merged; if
+any needed verdict comes back Unknown the ball is marked approximate
+instead of guessing.  Cells can be attached two ways: one cell per
+vertex tracing the full relation, or cells only at vertices whose
+representative ends in the longest compressing word, tracing the
+relation with that word stripped from the front of both sides.
+Boundary matrices are sparse integer dictionaries and kernels are
+computed exactly over rationals, then scaled to primitive integer
 vectors.
 """
 
@@ -36,6 +38,7 @@ from .compress import (
     t_membership,
 )
 from .words import (
+    EMPTY,
     Presentation,
     Word,
     compressing_words,
@@ -51,6 +54,7 @@ from .wp import (
     Unknown,
     closure,
     equal_bounded,
+    normal_form,
 )
 
 
@@ -98,7 +102,7 @@ def _compressing_words(P: Presentation) -> list[Word]:
     """compressing_words(P), raising NotCompressible when there are none."""
     cands = compressing_words(P)
     if not cands:
-        raise NotCompressible(P.describe())
+        raise NotCompressible(f"{P.describe()} has no compressing word")
     return cands
 
 
@@ -115,8 +119,10 @@ def enumerate_classes(
     classes.
 
     Words are visited in shortlex order, so each class representative is
-    its class's shortlex-least in-ball member.  A saturated closure
-    assigns the whole class at once; otherwise membership falls back to
+    its class's shortlex-least in-ball member.  When normal forms decide
+    the word problem, a word opens a new class exactly when it is its own
+    normal form, and the partition is exact.  Otherwise a saturated
+    closure assigns the whole class at once, membership falls back to
     pairwise oracle verdicts against existing representatives, and any
     Unknown verdict flips the approximate flag.
     """
@@ -125,32 +131,42 @@ def enumerate_classes(
         raise BudgetExceeded(f"{len(P.alphabet)} letters at radius {max_len}")
     reps: list[Word] = []
     assign: dict[Word, int] = {}
+    if normal_form(P, EMPTY) is not None:
+        b.cap_for(P, P.alphabet[:1] * max_len)  # the longest ball word
+        for tup in _all_words(P.alphabet, max_len):
+            nf = normal_form(P, tup)
+            if nf == tup:
+                assign[tup] = len(reps)
+                reps.append(tup)
+            else:
+                # shortlex order visits the least class member first
+                assign[tup] = assign[nf]
+        return tuple(reps), assign, False
     approximate = False
-    for n in range(max_len + 1):
-        for tup in product(P.alphabet, repeat=n):
-            if tup in assign:
-                continue
-            parents, saturated = closure(P, tup, b.cap_for(P, tup),
-                                         b.max_words)
-            if saturated:
-                existing = {assign[m] for m in parents if m in assign}
-                if len(existing) > 1:
-                    approximate = True
-                if existing:
-                    idx = min(existing)
-                else:
-                    idx = len(reps)
-                    reps.append(tup)
-                for m in parents:
-                    if len(m) <= max_len:
-                        assign.setdefault(m, idx)
-                continue
-            idx, unknown = _pairwise(P, tup, reps, b)
-            approximate = approximate or unknown
-            if idx is None:
+    for tup in _all_words(P.alphabet, max_len):
+        if tup in assign:
+            continue
+        parents, saturated = closure(P, tup, b.cap_for(P, tup),
+                                     b.max_words)
+        if saturated:
+            existing = {assign[m] for m in parents if m in assign}
+            if len(existing) > 1:
+                approximate = True
+            if existing:
+                idx = min(existing)
+            else:
                 idx = len(reps)
                 reps.append(tup)
-            assign[tup] = idx
+            for m in parents:
+                if len(m) <= max_len:
+                    assign.setdefault(m, idx)
+            continue
+        idx, unknown = _pairwise(P, tup, reps, b)
+        approximate = approximate or unknown
+        if idx is None:
+            idx = len(reps)
+            reps.append(tup)
+        assign[tup] = idx
     return tuple(reps), assign, approximate
 
 
@@ -174,10 +190,16 @@ def _locate(P: Presentation, w: Word, assign: dict[Word, int],
 
     Returns (index or None, sawUnknown).  None means no in-ball class
     member was found; with sawUnknown False that is a proof of absence.
+    A normal form is the shortest member of its class, so when it lies
+    outside the ball, so does the whole class.
     """
     if w in assign:
         return assign[w], False
-    parents, saturated = closure(P, w, b.cap_for(P, w), b.max_words)
+    cap = b.cap_for(P, w)  # a max_len below |w| is a usage error either way
+    nf = normal_form(P, w)
+    if nf is not None:
+        return assign.get(nf), False
+    parents, saturated = closure(P, w, cap, b.max_words)
     hits = {assign[m] for m in parents if m in assign}
     if hits:
         return min(hits), len(hits) > 1

@@ -555,32 +555,40 @@ def _parser() -> _Parser:
     return p
 
 
-def _error_report(command: str, message: str) -> Report:
-    return Report(command, "", {"error": message}, {"error": 1}, (), {},
-                  False)
+def _error_report(command: str, message: str, digest: str,
+                  budgets: dict) -> Report:
+    return Report(command, digest, {"error": message}, {"error": 1}, (),
+                  budgets, False)
 
 
 def dispatch(argv: list[str]) -> tuple[int, Report]:
-    """Run one command; never raises for user-input problems."""
-    command = ""
+    """Run one command; never raises for user-input problems.
+
+    An error report keeps the input digest once the file is loaded and
+    the budgets once they are built, so it says which caps were in force.
+    """
+    command = digest = ""
+    budgets: dict = {}
     try:
         ns = _parser().parse_args(argv)
         command = ns.command
         P, digest = _load(ns.file)
         b = _budget(ns)
+        budgets = {"maxWords": b.max_words, "maxLen": b.max_len}
         code, payload, counts, extra = _HANDLERS[command](ns, P, b)
     except (UsageError, PresentationSyntaxError, OSError,
             BudgetTooShort) as e:
-        return 2, _error_report(command or "usage", str(e))
+        return 2, _error_report(command or "usage", str(e), digest, budgets)
     except BudgetExceeded as e:
-        return 3, _error_report(command, f"budget exhausted: {e}")
+        return 3, _error_report(command, f"budget exhausted: {e}", digest,
+                                budgets)
     except UndecidableClass as e:
         return 3, _error_report(command,
-                                f"class not saturated within budget: {e}")
+                                f"class not saturated within budget: {e}",
+                                digest, budgets)
     return code, Report(command, digest,
                         {"presentation": P.describe(), **payload}, counts,
-                        extra.get("seeds", ()),
-                        {"maxWords": b.max_words, "maxLen": b.max_len},
+                        extra.get("seeds", ()), budgets,
                         extra.get("approximate", False),
                         extra.get("renders", {}))
 
@@ -603,7 +611,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out = emit(report, fmt)
     except UsageError as e:
-        out = emit(_error_report(report.command, str(e)))
+        out = emit(_error_report(report.command, str(e),
+                                 report.input_digest, report.budgets))
         code = 2
     sys.stdout.buffer.write(out)
     sys.stdout.buffer.flush()

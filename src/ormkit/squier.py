@@ -180,7 +180,7 @@ def _parity(oracle: Oracle, path: SquierPath) -> dict[Word, int]:
             continue
         rep = oracle.rep(e.w1)
         if rep is None:
-            raise UndecidableClass("".join(e.w1))
+            raise UndecidableClass(oracle.P.text(e.w1))
         bits[rep] = bits.get(rep, 0) ^ 1
     return {k: v for k, v in bits.items() if v}
 

@@ -5,26 +5,29 @@ concrete rewrite path (each consecutive pair differs by one application
 of the relation), so it can be replayed; Distinct always names a sound
 separation certificate; Unknown only ever means a budget ran out.
 
-Two independent deciders are provided.  equal_bounded runs a
-bidirectional shortlex-ordered closure with cheap invariant certificates
-checked first: for every compressing word r, membership in the
-words-ending-in-r ideal and in the words-starting-with-r ideal are
-congruence invariants, and after those the letter-count difference must
-be an integer multiple of the relation's count vector.  A side whose
-closure saturates without meeting the other word proves distinctness
-outright.  equal_via_compression instead peels one compression level:
-words split around their last and first occurrence of the longest
-compressing word, equality reduces to literal equality of the outer
-parts plus equality of Delta-letter sequences in a free product, whose
-syllables are compared recursively in the compressed presentation.
-Equal paths found downstairs are lifted back upstairs through the
-factorizations, so replayability survives the recursion.
+Two independent deciders are provided.  equal_bounded checks cheap
+invariant certificates first: for every compressing word r, membership
+in the words-ending-in-r ideal and in the words-starting-with-r ideal
+are congruence invariants, and after those the letter-count difference
+must be an integer multiple of the relation's count vector.  When the
+shortlex-oriented rule u -> v is complete it then decides exactly by
+normal forms; otherwise it runs a bidirectional shortlex-ordered
+closure, where a side whose closure saturates without meeting the other
+word proves distinctness outright.  equal_via_compression instead peels
+one compression level: words split around their last and first
+occurrence of the longest compressing word, equality reduces to literal
+equality of the outer parts plus equality of Delta-letter sequences in
+a free product, whose syllables are compared recursively in the
+compressed presentation.  Equal paths found downstairs are lifted back
+upstairs through the factorizations, so replayability survives the
+recursion.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .compress import (
     CompressionData,
@@ -52,6 +55,7 @@ CERT_EXHAUSTED = "ExhaustedFiniteClasses"
 CERT_RIGHT_TAIL = "RightTailMismatch"
 CERT_LEFT_PREFIX = "LeftPrefixMismatch"
 CERT_SYLLABLE = "SyllableMismatch"
+CERT_NORMAL_FORM = "NormalFormMismatch"
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,70 @@ def replay(P: Presentation, path: tuple[Word, ...]) -> bool:
     return all(is_single_application(P, a, b) for a, b in zip(path, path[1:]))
 
 
+# --------------------------------------------------------- normal forms
+
+
+def _reduce(P: Presentation, w: Word, trail: list[Word] | None = None) -> Word:
+    """An irreducible descendant of w under the rule u -> v.
+
+    One left-to-right stack pass: letters move from the input to the
+    output, and whenever the output ends in u, u is popped and v pushed
+    back onto the input.  The output never contains u, so each new
+    occurrence ends at its top.  The rule is shortlex-decreasing, so the
+    pass terminates.  When trail is given, every intermediate word is
+    appended to it; consecutive words differ by one application of the
+    relation.
+    """
+    u, v = P.u, P.v
+    if u == v:
+        return w
+    n, last = len(u), u[-1]
+    out: list[str] = []
+    todo = list(reversed(w))
+    while todo:
+        x = todo.pop()
+        out.append(x)
+        if x == last and len(out) >= n and tuple(out[-n:]) == u:
+            del out[-n:]
+            todo.extend(reversed(v))
+            if trail is not None:
+                trail.append(tuple(out) + tuple(reversed(todo)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _complete(P: Presentation) -> bool:
+    """True when the single rule u -> v is a complete rewriting system.
+
+    With one rule the only critical pairs come from the proper
+    self-overlaps of u: u[:k] == u[-k:] makes u + u[k:] rewrite at either
+    occurrence of u.  The rule terminates, so it is confluent exactly when
+    every such pair reaches one normal form (Newman's lemma).  The
+    degenerate relation u = v is complete with no rule at all.
+    """
+    u, v = P.u, P.v
+    return u == v or all(_reduce(P, v + u[k:]) == _reduce(P, u[:-k] + v)
+                         for k in range(1, len(u)) if u[-k:] == u[:k])
+
+
+def normal_form(P: Presentation, w: Word) -> Word | None:
+    """Normal form of w under u -> v, which is the shortlex-least member
+    of its congruence class; None when the rule is not complete, so
+    normal forms do not decide the word problem."""
+    return _reduce(P, tuple(w)) if _complete(P) else None
+
+
+def _join(c1: list[Word], c2: list[Word]) -> tuple[Word, ...]:
+    """Path from c1[0] to c2[0] through the common last word of both
+    chains, shared tail trimmed so the path has no immediate
+    backtracking."""
+    i1, i2 = len(c1) - 1, len(c2) - 1
+    while i1 > 0 and i2 > 0 and c1[i1 - 1] == c2[i2 - 1]:
+        i1 -= 1
+        i2 -= 1
+    return tuple(c1[: i1 + 1]) + tuple(reversed(c2[:i2]))
+
+
 # --------------------------------------------------------- certificates
 
 
@@ -218,10 +286,11 @@ def closure(P: Presentation, w: Word, max_len: int,
 
 def equal_bounded(P: Presentation, w1: Word, w2: Word,
                   budget: OracleBudget | None = None) -> Verdict:
-    """Bidirectional certified search.
+    """Certified equality: normal forms when u -> v is complete,
+    bidirectional search otherwise.
 
-    Always total when |u| = |v| with default budgets, since congruence
-    classes are then finite.
+    The search is always total when |u| = |v| with default budgets,
+    since congruence classes are then finite.
     """
     b = budget or DEFAULT_BUDGET
     w1, w2 = tuple(w1), tuple(w2)
@@ -233,6 +302,12 @@ def equal_bounded(P: Presentation, w1: Word, w2: Word,
         return Distinct(cert)
     if _abelian_mismatch(P, w1, w2):
         return Distinct(CERT_ABELIAN)
+    if _complete(P):
+        # each chain runs from its word to its normal form
+        c1, c2 = [w1], [w2]
+        if _reduce(P, w1, c1) != _reduce(P, w2, c2):
+            return Distinct(CERT_NORMAL_FORM)
+        return Equal(_join(c1, c2))
 
     key = P.shortlex_key
     sides = (_Side(key, w1), _Side(key, w2))
@@ -323,20 +398,9 @@ class Oracle:
             return equal_bounded(self.P, w1, w2, self.budget)
         parent, _ = got
         if w2 in parent:
-            return Equal(self._join(parent, w1, w2))
+            # both chains run to the closure root
+            return Equal(_join(_chain(parent, w1), _chain(parent, w2)))
         return Distinct(CERT_EXHAUSTED)
-
-    @staticmethod
-    def _join(parent: dict[Word, Word | None], w1: Word, w2: Word) -> tuple[Word, ...]:
-        """Path w1 -> w2 through their common closure root, shared suffix
-        trimmed so the path has no immediate backtracking."""
-        c1 = _chain(parent, w1)  # w1 .. root
-        c2 = _chain(parent, w2)  # w2 .. root
-        i1, i2 = len(c1) - 1, len(c2) - 1
-        while i1 > 0 and i2 > 0 and c1[i1 - 1] == c2[i2 - 1]:
-            i1 -= 1
-            i2 -= 1
-        return tuple(c1[: i1 + 1]) + tuple(reversed(c2[:i2]))
 
 
 # ------------------------------------------- compression-based decider

@@ -149,6 +149,27 @@ def test_ball_matches_brute_partition():
             assert same_ball == (uf.find(w1) == uf.find(w2))
 
 
+def test_incomplete_ball_matches_brute_partition():
+    # bb -> ab is not complete, so classes and edges come from the search
+    P = make_presentation(("a", "b"), word("bb"), word("ab"))
+    radius = 5
+    ball = build_ball(P, radius)
+    uf = brute_partition(P, radius)
+    words = [w for n in range(radius + 1)
+             for w in product(P.alphabet, repeat=n)]
+    assert not ball.approximate
+    assert len(ball.vertices) == len({uf.find(w) for w in words})
+    for w1 in words:
+        for w2 in words:
+            same_ball = ball.vertex_of(w1) == ball.vertex_of(w2)
+            assert same_ball == (uf.find(w1) == uf.find(w2))
+    expected = {(uf.find(w), x, uf.find(w + (x,)))
+                for w in words if len(w) < radius for x in P.alphabet}
+    got = {(uf.find(ball.vertices[s]), x, uf.find(ball.vertices[t]))
+           for s, x, t in ball.edges}
+    assert got == expected
+
+
 def test_ball_edges_match_brute_edges():
     P = aba_aca()
     radius = 4

@@ -133,6 +133,14 @@ def test_wp_empty_word_spelled_as_one():
     assert report.payload["verdict"] == "Distinct"
 
 
+def test_wp_decides_infinite_classes_by_normal_forms():
+    # bbbaaa is irreducible under ab -> 1, so no search can reach it
+    code, report = dispatch(["wp", fx("special-ab.orm"), "bbbaaa", "1"])
+    assert code == 0
+    assert report.payload["verdict"] == "Distinct"
+    assert report.payload["certificate"] == "NormalFormMismatch"
+
+
 def test_compress_by_examples():
     code, report = dispatch(["compress", fx("ababbaba-ababa.orm"),
                              "--by", "a"])
@@ -176,6 +184,20 @@ def test_ball_command_and_renders():
     assert report.verdict_counts["vertices"] == 2
     assert "dot" in report.renders and "csv" in report.renders
     assert report.renders["csv"].startswith("matrix,row,col,value\n")
+
+
+def test_ball_is_exact_on_a_complete_relation():
+    # the 21 normal forms of length at most 5 are the words b^i a^j
+    code, report = dispatch(["ball", fx("special-ab.orm"), "--radius", "5"])
+    assert code == 0
+    assert report.approximate is False
+    assert report.verdict_counts["vertices"] == 21
+
+
+def test_ideal_cells_without_compressing_word_is_usage_error():
+    code, report = dispatch(["ball", fx("ab-c.orm"), "--cells", "ideal"])
+    assert code == 2
+    assert report.payload["error"] == "<a b c | ab = c> has no compressing word"
 
 
 def test_squier_check_command():
@@ -286,9 +308,17 @@ def test_exit_3_budget_exhaustion():
                              "--budget-words", "1000"])
     assert code == 3
     assert "budget" in report.payload["error"]
+    assert report.budgets["maxWords"] == 1000
+    assert report.input_digest.startswith("sha256:")
     code, report = dispatch(["squier-check", fx("aa-a.orm"),
                              "--walk-steps", "10", "--seed", "0"])
     assert code == 3
+
+
+def test_exit_3_names_the_empty_word_class():
+    code, report = dispatch(["squier-check", fx("special-ab.orm")])
+    assert code == 3
+    assert report.payload["error"] == "class not saturated within budget: ε"
 
 
 def test_exit_1_property_violation(tmp_path, monkeypatch):
@@ -316,10 +346,13 @@ def test_emit_json_deterministic():
     assert obj["budgets"]["maxWords"] == 200000
 
 
-def test_emit_json_deterministic_across_processes():
-    # closure iterates sets, whose order depends on the string hash seed
-    args = [sys.executable, "-m", "ormkit.cli", "ball", fx("babab-b.orm"),
-            "--radius", "5"]
+def test_emit_json_deterministic_across_processes(tmp_path):
+    # closure iterates sets, whose order depends on the string hash seed;
+    # aba -> ab is not complete, so this ball is built by closure search
+    path = tmp_path / "aba-ab.orm"
+    path.write_text("alphabet: a b\nrelation: aba = ab\n")
+    args = [sys.executable, "-m", "ormkit.cli", "ball", str(path),
+            "--radius", "4"]
     outputs = []
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
@@ -328,6 +361,8 @@ def test_emit_json_deterministic_across_processes():
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["approximate"] is True
+    code, report = dispatch(["ball", fx("babab-b.orm"), "--radius", "5"])
+    assert code == 0 and report.approximate is False
 
 
 def test_emit_dot_and_csv_deterministic():

@@ -8,18 +8,21 @@ checked against it exhaustively on small words.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ormkit.cli import parse_presentation
 from ormkit.compress import DeltaLetter, compress_step
-from ormkit.words import EMPTY, make_presentation, word
+from ormkit.words import EMPTY, find_occurrences, make_presentation, word
 from ormkit.wp import (
     CERT_ABELIAN,
     CERT_EXHAUSTED,
     CERT_LEFT_PREFIX,
+    CERT_NORMAL_FORM,
     CERT_RIGHT_TAIL,
     CERT_SUFFIX,
     CERT_SYLLABLE,
@@ -33,8 +36,12 @@ from ormkit.wp import (
     equal_via_compression,
     freeproduct_equal,
     neighbors,
+    normal_form,
     replay,
 )
+
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures")
+                  .glob("*.orm"))
 
 
 def aba_aca():
@@ -43,6 +50,13 @@ def aba_aca():
 
 def big_example():
     return make_presentation(("a", "b"), word("ababbaba"), word("ababa"))
+
+
+def incomplete():
+    """Length-preserving, so its classes are finite, but the rule
+    bb -> ab leaves the critical pair of bbb unresolved: normal forms
+    do not decide it and equal_bounded must search."""
+    return make_presentation(("a", "b"), word("bb"), word("ab"))
 
 
 def all_words(alphabet, max_len):
@@ -107,6 +121,9 @@ def test_equal_bounded_examples():
     assert replay(P, v.path)
 
     v = equal_bounded(P, word("ab"), word("ac"))
+    assert v == Distinct(CERT_NORMAL_FORM)
+
+    v = equal_bounded(incomplete(), word("ab"), word("ba"))
     assert v == Distinct(CERT_EXHAUSTED)
 
     v = equal_bounded(big_example(), word("baa"), word("bab"))
@@ -150,20 +167,22 @@ def test_equal_bounded_budget_unknown():
 
 
 def test_equal_bounded_exhaustive_against_union_find():
-    P = aba_aca()
-    for length in (3, 4, 5):
-        uf = brute_partition(P, length)
-        words = list(product(P.alphabet, repeat=length))
-        for i, w1 in enumerate(words):
-            for w2 in words[i + 1:]:
-                verdict = equal_bounded(P, w1, w2)
-                expected = uf.find(w1) == uf.find(w2)
-                if expected:
-                    assert isinstance(verdict, Equal), (w1, w2)
-                    assert replay(P, verdict.path)
-                    assert verdict.path[0] == w1 and verdict.path[-1] == w2
-                else:
-                    assert isinstance(verdict, Distinct), (w1, w2)
+    # aba-aca takes the normal-form path, the incomplete relation the search
+    for P in (aba_aca(), incomplete()):
+        for length in (3, 4, 5):
+            uf = brute_partition(P, length)
+            words = list(product(P.alphabet, repeat=length))
+            for i, w1 in enumerate(words):
+                for w2 in words[i + 1:]:
+                    verdict = equal_bounded(P, w1, w2)
+                    expected = uf.find(w1) == uf.find(w2)
+                    if expected:
+                        assert isinstance(verdict, Equal), (P, w1, w2)
+                        assert replay(P, verdict.path)
+                        assert verdict.path[0] == w1
+                        assert verdict.path[-1] == w2
+                    else:
+                        assert isinstance(verdict, Distinct), (P, w1, w2)
 
 
 def test_closure_stays_in_suffix_ideal():
@@ -177,6 +196,59 @@ def test_closure_stays_in_suffix_ideal():
             assert saturated
             for member in parents:
                 assert member[-len(r):] == r
+
+
+# ----------------------------------------------------------- normal_form
+
+
+def test_normal_form_on_every_fixture_and_alphabet_order():
+    for path in FIXTURES:
+        P = parse_presentation(path.read_text())
+        for order in permutations(P.alphabet):
+            Q = make_presentation(order, P.u, P.v)
+            for w in all_words(order, 4):
+                nf = normal_form(Q, w)
+                assert nf is not None, (Q, w)
+                assert Q.shortlex_key(nf) <= Q.shortlex_key(w)
+                assert normal_form(Q, nf) == nf
+                if Q.u != Q.v:
+                    assert not find_occurrences(nf, Q.u)
+
+
+def test_normal_form_none_when_incomplete():
+    for lhs, rhs in (("bb", "ab"), ("aba", "ab"), ("aa", "b")):
+        P = make_presentation(("a", "b"), word(lhs), word(rhs))
+        assert normal_form(P, word("ab")) is None
+        assert normal_form(P, EMPTY) is None
+
+
+def test_normal_form_examples():
+    degenerate = make_presentation(("a", "b"), word("ab"), word("ab"))
+    assert normal_form(degenerate, word("abab")) == word("abab")
+    bicyclic = make_presentation(("a", "b"), word("ab"), EMPTY)
+    assert normal_form(bicyclic, word("aabbba")) == word("ba")
+    assert normal_form(bicyclic, word("bbbaaa")) == word("bbbaaa")
+    assert normal_form(aba_aca(), word("acaca")) == word("ababa")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_equal_bounded_agrees_with_saturated_classes(data):
+    P = parse_presentation(data.draw(st.sampled_from(FIXTURES)).read_text())
+    letters = st.sampled_from(P.alphabet)
+    w1 = data.draw(st.lists(letters, max_size=6).map(tuple))
+    got = Oracle(P, OracleBudget(max_words=2000)).class_of(w1)
+    if got is not None and data.draw(st.booleans()):
+        w2 = data.draw(st.sampled_from(sorted(got[0])))
+    else:
+        w2 = data.draw(st.lists(letters, max_size=6).map(tuple))
+    verdict = equal_bounded(P, w1, w2)
+    if got is not None:
+        assert isinstance(verdict, Equal) == (w2 in got[0]), (P, w1, w2)
+    assert not isinstance(verdict, Unknown), (P, w1, w2)
+    if isinstance(verdict, Equal):
+        assert verdict.path[0] == w1 and verdict.path[-1] == w2
+        assert replay(P, verdict.path)
 
 
 # ------------------------------------------------------------- Oracle.rep
