@@ -1,18 +1,21 @@
 """Finite balls of the right Cayley graph, 2-cell attachment, exact
 integer 2-cycle bases, the vertex compression map, and structural checks.
 
-A ball collects the congruence classes of all words up to a length
-bound.  When the rule u -> v is complete, every word goes to the class
-of its normal form and the ball is exact.  Otherwise classes are merged
-only on certified Equal verdicts, so a ball is never over-merged; if
-any needed verdict comes back Unknown the ball is marked approximate
-instead of guessing.  Cells can be attached two ways: one cell per
-vertex tracing the full relation, or cells only at vertices whose
-representative ends in the longest compressing word, tracing the
-relation with that word stripped from the front of both sides.
-Boundary matrices are sparse integer dictionaries and kernels are
-computed exactly over rationals, then scaled to primitive integer
-vectors.
+Every class lookup here (ball vertices, edge targets, and the keys of
+the structure checks) asks one question: the class's shortlex-least
+member, which is the normal form when the rule u -> v is complete, else
+the representative of a saturated closure in the Oracle store, else
+undecided.  A ball collects the classes of all words up to a length
+bound; undecided words are merged only on certified Equal verdicts, so
+a ball is never over-merged, and if any needed verdict comes back
+Unknown the ball is marked approximate instead of guessing.  Structure
+checks count pairs with an undecided key as skipped.  Cells can be
+attached two ways: one cell per vertex tracing the full relation, or
+cells only at vertices whose representative ends in the longest
+compressing word, tracing the relation with that word stripped from the
+front of both sides.  Boundary matrices are sparse integer dictionaries
+and kernels are computed exactly over rationals, then scaled to
+primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .compress import (
     t_membership,
 )
 from .words import (
-    EMPTY,
     Presentation,
     Word,
     compressing_words,
@@ -52,7 +54,7 @@ from .wp import (
     Oracle,
     OracleBudget,
     Unknown,
-    closure,
+    _syllables,
     equal_bounded,
     normal_form,
 )
@@ -112,61 +114,50 @@ def _ball_word_count(k: int, max_len: int) -> int:
     return (k ** (max_len + 1) - 1) // (k - 1)
 
 
+def _rep(oracle: Oracle, w: Word) -> Word | None:
+    """Shortlex-least member of the class of w, or None when undecided.
+
+    The one class lookup of this module: the normal form when the rule
+    u -> v is complete, otherwise the oracle's saturated closure.  A
+    length cap below |w| is a usage error either way.
+    """
+    oracle.budget.cap_for(oracle.P, w)
+    nf = normal_form(oracle.P, w)
+    return oracle.rep(w) if nf is None else nf
+
+
 def enumerate_classes(
     P: Presentation, max_len: int, budget: OracleBudget | None = None,
 ) -> tuple[tuple[Word, ...], dict[Word, int], bool]:
     """Partition all words of length at most max_len into congruence
     classes.
 
-    Words are visited in shortlex order, so each class representative is
-    its class's shortlex-least in-ball member.  When normal forms decide
-    the word problem, a word opens a new class exactly when it is its own
-    normal form, and the partition is exact.  Otherwise a saturated
-    closure assigns the whole class at once, membership falls back to
+    Words are visited in shortlex order, so each class's least member,
+    its representative, comes first.  A word whose representative is
+    decided (see _rep) opens a new class when it is that representative
+    and otherwise joins the representative's class; the partition is
+    exact when every class is decided.  An undecided word falls back to
     pairwise oracle verdicts against existing representatives, and any
     Unknown verdict flips the approximate flag.
     """
     b = budget or DEFAULT_BUDGET
     if _ball_word_count(len(P.alphabet), max_len) > b.max_words:
         raise BudgetExceeded(f"{len(P.alphabet)} letters at radius {max_len}")
+    oracle = Oracle(P, b)
     reps: list[Word] = []
     assign: dict[Word, int] = {}
-    if normal_form(P, EMPTY) is not None:
-        b.cap_for(P, P.alphabet[:1] * max_len)  # the longest ball word
-        for tup in _all_words(P.alphabet, max_len):
-            nf = normal_form(P, tup)
-            if nf == tup:
-                assign[tup] = len(reps)
-                reps.append(tup)
-            else:
-                # shortlex order visits the least class member first
-                assign[tup] = assign[nf]
-        return tuple(reps), assign, False
     approximate = False
-    for tup in _all_words(P.alphabet, max_len):
-        if tup in assign:
-            continue
-        parents, saturated = closure(P, tup, b.cap_for(P, tup),
-                                     b.max_words)
-        if saturated:
-            existing = {assign[m] for m in parents if m in assign}
-            if len(existing) > 1:
-                approximate = True
-            if existing:
-                idx = min(existing)
-            else:
-                idx = len(reps)
-                reps.append(tup)
-            for m in parents:
-                if len(m) <= max_len:
-                    assign.setdefault(m, idx)
-            continue
-        idx, unknown = _pairwise(P, tup, reps, b)
-        approximate = approximate or unknown
+    for w in _all_words(P.alphabet, max_len):
+        rep = _rep(oracle, w)
+        if rep is None:
+            idx, unknown = _pairwise(P, w, reps, b)
+            approximate = approximate or unknown
+        else:
+            idx = assign.get(rep)  # None exactly when rep == w
         if idx is None:
             idx = len(reps)
-            reps.append(tup)
-        assign[tup] = idx
+            reps.append(w)
+        assign[w] = idx
     return tuple(reps), assign, approximate
 
 
@@ -184,28 +175,21 @@ def _pairwise(P: Presentation, w: Word, reps: Sequence[Word],
     return None, unknown
 
 
-def _locate(P: Presentation, w: Word, assign: dict[Word, int],
-            reps: tuple[Word, ...], b: OracleBudget) -> tuple[int | None, bool]:
+def _locate(oracle: Oracle, w: Word, assign: dict[Word, int],
+            reps: tuple[Word, ...]) -> tuple[int | None, bool]:
     """Vertex index of a word just outside the enumerated ball.
 
     Returns (index or None, sawUnknown).  None means no in-ball class
     member was found; with sawUnknown False that is a proof of absence.
-    A normal form is the shortest member of its class, so when it lies
-    outside the ball, so does the whole class.
+    A decided representative is the shortest member of its class, so
+    when it lies outside the ball, so does the whole class.
     """
     if w in assign:
         return assign[w], False
-    cap = b.cap_for(P, w)  # a max_len below |w| is a usage error either way
-    nf = normal_form(P, w)
-    if nf is not None:
-        return assign.get(nf), False
-    parents, saturated = closure(P, w, cap, b.max_words)
-    hits = {assign[m] for m in parents if m in assign}
-    if hits:
-        return min(hits), len(hits) > 1
-    if saturated:
-        return None, False
-    return _pairwise(P, w, reps, b)
+    rep = _rep(oracle, w)
+    if rep is not None:
+        return assign.get(rep), False
+    return _pairwise(oracle.P, w, reps, oracle.budget)
 
 
 def build_ball(P: Presentation, radius: int,
@@ -218,10 +202,11 @@ def build_ball(P: Presentation, radius: int,
     """
     b = budget or DEFAULT_BUDGET
     reps, assign, approximate = enumerate_classes(P, radius, b)
+    oracle = Oracle(P, b)
     edges: list[tuple[int, str, int]] = []
     for i, rep in enumerate(reps):
         for letter in P.alphabet:
-            j, unknown = _locate(P, rep + (letter,), assign, reps, b)
+            j, unknown = _locate(oracle, rep + (letter,), assign, reps)
             approximate = approximate or unknown
             if j is not None:
                 edges.append((i, letter, j))
@@ -449,22 +434,13 @@ def _free_product_key(C: CompressionData, m: tuple[DeltaLetter, ...],
     separator letters verbatim, maximal compressed-letter runs replaced
     by their class representative.  None when a run cannot be decided.
     """
-    key: list = []
-    run: list[str] = []
-    for d in m:
-        if d in C.lambda_r:
-            run.append(d.name)
-        else:
-            rep = oracle.rep(tuple(run))
-            if rep is None:
-                return None
-            key.append(rep)
-            key.append(d.name)
-            run = []
-    rep = oracle.rep(tuple(run))
-    if rep is None:
-        return None
-    key.append(rep)
+    runs, seps = _syllables(C, m)
+    key: list = [d.name for d in seps]
+    for run in runs:
+        rep = _rep(oracle, tuple(d.name for d in run))
+        if rep is None:
+            return None
+        key.append(rep)
     return tuple(key)
 
 
@@ -545,7 +521,7 @@ def _check_basis_freeness(P: Presentation, b: OracleBudget,
         basis = [w for w in _all_words(P.alphabet, radius)
                  if find_occurrences(w + r, r) == [len(w)]]
         oracle = Oracle(P, b)
-        keyed = [(y, oracle.rep(y + r)) for y in basis]
+        keyed = [(y, _rep(oracle, y + r)) for y in basis]
         for i, (y1, k1) in enumerate(keyed):
             for y2, k2 in keyed[i + 1:]:
                 checked += 1
@@ -570,7 +546,7 @@ def _check_local_divisor(P: Presentation, b: OracleBudget,
                    if t_membership(r, w)]
         keyed = []
         for w in members:
-            mk = outer.rep(r + w)
+            mk = _rep(outer, r + w)
             lk = _free_product_key(C, tuple(delta_factorize(r, w)), inner)
             keyed.append((w, mk, lk))
         for i, (w1, m1, l1) in enumerate(keyed):

@@ -6,8 +6,11 @@ right context.  Paths compose edges; the three homotopy moves are
 insertion and deletion of a cancelling pair and the exchange of two
 adjacent edges acting on disjoint parts of the word.  The parity vector
 counts, modulo two, the rightmost edges of a path per congruence class
-of their left context; it is invariant under all three moves, which the
-seeded random walk exercises move by move.
+of their left context.  When both relation sides are nonempty it is
+invariant under all three moves, which the seeded random walk exercises
+move by move.  With an empty side it is not: in <a b | ab = 1> one
+exchange turns the path (ab,-,ε) (ab,-,ab) (ab,+,ab) (ab,+,ε) (ε,+,ε),
+with three rightmost edges in the class of ε, into one with four.
 """
 
 from __future__ import annotations
@@ -259,6 +262,8 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
                       base_word: Word | None = None) -> WalkReport:
     """Apply random homotopy moves and assert parity invariance each step.
 
+    The invariant holds only when both relation sides are nonempty; with
+    an empty side a reported parity change need not be a fault.
     Move kinds are sampled uniformly among the applicable kinds, then a
     uniform instance of the chosen kind.  base_word anchors insertions
     when the path is empty; it defaults to the first relation side.

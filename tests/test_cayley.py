@@ -74,11 +74,16 @@ class UnionFind:
             self.parent[ra] = rb
 
 
-def brute_partition(P, radius):
-    """Exact in-ball congruence for length-preserving relations."""
-    assert len(P.u) == len(P.v)
+def brute_partition(P, radius, reach=None):
+    """Union-find over the words of length at most reach (default radius).
+
+    Exact on the ball when congruent ball words are joined through words
+    of length at most reach, as they are with reach = radius for
+    length-preserving relations.
+    """
+    assert reach is not None or len(P.u) == len(P.v)
     uf = UnionFind()
-    for n in range(radius + 1):
+    for n in range((radius if reach is None else reach) + 1):
         for w in product(P.alphabet, repeat=n):
             uf.find(w)
             for m in neighbors(P, w):
@@ -149,22 +154,31 @@ def test_ball_matches_brute_partition():
             assert same_ball == (uf.find(w1) == uf.find(w2))
 
 
-def test_incomplete_ball_matches_brute_partition():
-    # bb -> ab is not complete, so classes and edges come from the search
-    P = make_presentation(("a", "b"), word("bb"), word("ab"))
-    radius = 5
+@pytest.mark.parametrize("lhs,rhs,radius,reach,size", [
+    ("bb", "ab", 5, 5, 21),
+    ("bbb", "bab", 5, 5, 47),
+    # b = aa: every word of weight n <= 10 meets a^n within length 10
+    ("aa", "b", 5, 10, 11),
+], ids=["bb-ab", "bbb-bab", "aa-b"])
+def test_incomplete_ball_matches_brute_partition(lhs, rhs, radius, reach,
+                                                 size):
+    # none of these rules is complete, so classes and edges come from the
+    # closure store and the pairwise search
+    P = make_presentation(("a", "b"), word(lhs), word(rhs))
     ball = build_ball(P, radius)
-    uf = brute_partition(P, radius)
+    uf = brute_partition(P, radius, reach)
     words = [w for n in range(radius + 1)
              for w in product(P.alphabet, repeat=n)]
+    roots = {uf.find(w) for w in words}
     assert not ball.approximate
-    assert len(ball.vertices) == len({uf.find(w) for w in words})
+    assert len(ball.vertices) == len(roots) == size
     for w1 in words:
         for w2 in words:
             same_ball = ball.vertex_of(w1) == ball.vertex_of(w2)
             assert same_ball == (uf.find(w1) == uf.find(w2))
     expected = {(uf.find(w), x, uf.find(w + (x,)))
-                for w in words if len(w) < radius for x in P.alphabet}
+                for w in words for x in P.alphabet}
+    expected = {e for e in expected if e[2] in roots}
     got = {(uf.find(ball.vertices[s]), x, uf.find(ball.vertices[t]))
            for s, x, t in ball.edges}
     assert got == expected

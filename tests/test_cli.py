@@ -229,26 +229,34 @@ def test_structure_check_all():
     assert "PsiWellDefined" in names and "RTrivial" in names
 
 
-@pytest.mark.parametrize("name", ["abab-ab.orm", "babab-b.orm"])
-def test_structure_check_undecided_pairs_are_skips(name):
-    # both fixtures have classes the oracle cannot saturate at the
-    # default budget; pairs of them must count as skips, never as equal
+@pytest.mark.parametrize("name", ["aa-a.orm", "abab-ab.orm", "babab-b.orm"])
+def test_structure_check_decides_by_normal_forms(name):
+    # the closure store cannot saturate some classes of these fixtures at
+    # the default budget, but each rule is complete, so normal forms
+    # decide every pair and nothing is skipped
     code, report = dispatch(["structure-check", fx(name)])
     assert code == 0
     assert report.verdict_counts["failed"] == 0
-    for entry in report.payload["checks"]:
-        assert entry.get("failures", []) == []
+    applicable = [e for e in report.payload["checks"] if e["applicable"]]
+    assert applicable
+    for entry in applicable:
+        assert entry["failures"] == []
+        assert entry["skipped"] == 0
 
 
-def test_structure_check_small_budget_skips():
-    code, report = dispatch(["structure-check", fx("aba-aca.orm"),
+def test_structure_check_small_budget_skips(tmp_path):
+    # bbb -> bab is not complete, so classes come from closures, and a
+    # one-word budget saturates none of the nontrivial ones
+    path = tmp_path / "bbb-bab.orm"
+    path.write_text("alphabet: a b\nrelation: bbb = bab\n")
+    code, report = dispatch(["structure-check", str(path),
                              "LocalDivisorIso", "--radius", "4",
                              "--budget-words", "1"])
     assert code == 0
     entry = report.payload["checks"][0]
     assert entry["passed"] is True
     assert entry["failures"] == []
-    assert 0 < entry["skipped"] <= entry["checked"]
+    assert (entry["checked"], entry["skipped"]) == (120, 105)
 
 
 def test_structure_check_single():

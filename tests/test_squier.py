@@ -9,6 +9,7 @@ the canonical representative is computable by exhaustion.
 from __future__ import annotations
 
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from ormkit.squier import (
     PullUpPushDown,
     SquierEdge,
     UndecidableClass,
+    _parity,
     apply_move,
     edge_source,
     edge_target,
@@ -34,6 +36,7 @@ from ormkit.squier import (
     validate_path,
 )
 from ormkit.words import EMPTY, make_presentation, word
+from ormkit.wp import normal_form
 
 
 def aba_aca():
@@ -245,6 +248,23 @@ def test_parity_invariant_under_each_move():
     grown = apply_move(P, path, InsertCancelPair(0, SquierEdge(EMPTY, 1, word("aca"))))
     assert parity_vector(P, grown) == before
     assert parity_vector(P, apply_move(P, grown, DeleteCancelPair(0))) == before
+
+
+def test_parity_not_invariant_with_empty_side():
+    # With v empty a swap can change the rightmost-edge count of a class,
+    # so exact class keys (normal forms of the complete rule ab -> 1)
+    # see the parity flip; the invariant needs both sides nonempty.
+    P = make_presentation(("a", "b"), word("ab"), EMPTY)
+    ab = word("ab")
+    path = (SquierEdge(ab, -1, EMPTY), SquierEdge(ab, -1, ab),
+            SquierEdge(ab, 1, ab), SquierEdge(ab, 1, EMPTY),
+            SquierEdge(EMPTY, 1, EMPTY))
+    validate_path(P, path)
+    exact = SimpleNamespace(P=P, rep=lambda w: normal_form(P, w))
+    assert _parity(exact, path) == {EMPTY: 1}
+    swapped = apply_move(P, path, PullUpPushDown(2))
+    assert validate_path(P, swapped) == validate_path(P, path)
+    assert _parity(exact, swapped) == {}
 
 
 def test_parity_undecidable_class():
