@@ -2,12 +2,11 @@
 integer 2-cycle bases, the vertex compression map, and structural checks.
 
 Every class lookup here (ball vertices, edge targets, and the keys of
-the structure checks) asks one question: the class's shortlex-least
-member, which is the normal form when the rule u -> v is complete, else
-the representative of a saturated closure in the Oracle store, else
-undecided.  A ball collects the classes of all words up to a length
-bound; undecided words are merged only on certified Equal verdicts, so
-a ball is never over-merged, and if any needed verdict comes back
+the structure checks) asks one Oracle per presentation: rep for the
+class's shortlex-least member, None when undecided, and equal for a
+certified verdict.  A ball collects the classes of all words up to a
+length bound; undecided words are merged only on Equal verdicts, so a
+ball is never over-merged, and if any needed verdict comes back
 Unknown the ball is marked approximate instead of guessing.  Structure
 checks count pairs with an undecided key as skipped.  Cells can be
 attached two ways: one cell per vertex tracing the full relation, or
@@ -56,7 +55,6 @@ from .wp import (
     Unknown,
     _syllables,
     equal_bounded,
-    normal_form,
 )
 
 
@@ -114,43 +112,30 @@ def _ball_word_count(k: int, max_len: int) -> int:
     return (k ** (max_len + 1) - 1) // (k - 1)
 
 
-def _rep(oracle: Oracle, w: Word) -> Word | None:
-    """Shortlex-least member of the class of w, or None when undecided.
-
-    The one class lookup of this module: the normal form when the rule
-    u -> v is complete, otherwise the oracle's saturated closure.  A
-    length cap below |w| is a usage error either way.
-    """
-    oracle.budget.cap_for(oracle.P, w)
-    nf = normal_form(oracle.P, w)
-    return oracle.rep(w) if nf is None else nf
-
-
 def enumerate_classes(
-    P: Presentation, max_len: int, budget: OracleBudget | None = None,
+    oracle: Oracle, max_len: int,
 ) -> tuple[tuple[Word, ...], dict[Word, int], bool]:
     """Partition all words of length at most max_len into congruence
-    classes.
+    classes of oracle.P.
 
     Words are visited in shortlex order, so each class's least member,
-    its representative, comes first.  A word whose representative is
-    decided (see _rep) opens a new class when it is that representative
+    its representative, comes first.  A word whose representative
+    oracle.rep decides opens a new class when it is that representative
     and otherwise joins the representative's class; the partition is
     exact when every class is decided.  An undecided word falls back to
     pairwise oracle verdicts against existing representatives, and any
     Unknown verdict flips the approximate flag.
     """
-    b = budget or DEFAULT_BUDGET
-    if _ball_word_count(len(P.alphabet), max_len) > b.max_words:
+    P = oracle.P
+    if _ball_word_count(len(P.alphabet), max_len) > oracle.budget.max_words:
         raise BudgetExceeded(f"{len(P.alphabet)} letters at radius {max_len}")
-    oracle = Oracle(P, b)
     reps: list[Word] = []
     assign: dict[Word, int] = {}
     approximate = False
     for w in _all_words(P.alphabet, max_len):
-        rep = _rep(oracle, w)
+        rep = oracle.rep(w)
         if rep is None:
-            idx, unknown = _pairwise(P, w, reps, b)
+            idx, unknown = _pairwise(oracle, w, reps)
             approximate = approximate or unknown
         else:
             idx = assign.get(rep)  # None exactly when rep == w
@@ -161,13 +146,13 @@ def enumerate_classes(
     return tuple(reps), assign, approximate
 
 
-def _pairwise(P: Presentation, w: Word, reps: Sequence[Word],
-              b: OracleBudget) -> tuple[int | None, bool]:
+def _pairwise(oracle: Oracle, w: Word,
+              reps: Sequence[Word]) -> tuple[int | None, bool]:
     """Index of the first representative proven Equal to w, or None, and
     whether any verdict along the way was Unknown."""
     unknown = False
     for i, r in enumerate(reps):
-        verdict = equal_bounded(P, w, r, b)
+        verdict = oracle.equal(w, r)
         if isinstance(verdict, Equal):
             return i, unknown
         if isinstance(verdict, Unknown):
@@ -186,10 +171,10 @@ def _locate(oracle: Oracle, w: Word, assign: dict[Word, int],
     """
     if w in assign:
         return assign[w], False
-    rep = _rep(oracle, w)
+    rep = oracle.rep(w)
     if rep is not None:
         return assign.get(rep), False
-    return _pairwise(oracle.P, w, reps, oracle.budget)
+    return _pairwise(oracle, w, reps)
 
 
 def build_ball(P: Presentation, radius: int,
@@ -200,9 +185,8 @@ def build_ball(P: Presentation, radius: int,
     whenever both endpoint classes are present.  Cells start empty; see
     attach_cells.
     """
-    b = budget or DEFAULT_BUDGET
-    reps, assign, approximate = enumerate_classes(P, radius, b)
-    oracle = Oracle(P, b)
+    oracle = Oracle(P, budget)
+    reps, assign, approximate = enumerate_classes(oracle, radius)
     edges: list[tuple[int, str, int]] = []
     for i, rep in enumerate(reps):
         for letter in P.alphabet:
@@ -383,7 +367,7 @@ def psi_map(P: Presentation, r: Word, w: Word) -> PsiImage:
     of the compressing word r to a single point."""
     r, w = tuple(r), tuple(w)
     if r not in compressing_words(P):
-        raise NotCompressing(f"{''.join(r)!r} does not seal both sides")
+        raise NotCompressing(f"{P.text(r)!r} does not seal both sides")
     if not find_occurrences(w, r):
         return Star()
     y, _ = right_canonical(r, w)
@@ -418,9 +402,9 @@ class CheckReport:
 
 @lru_cache(maxsize=1)
 def _ball_classes(P: Presentation, radius: int, b: OracleBudget):
-    """enumerate_classes(P, radius, b), kept for the next call: both psi
+    """enumerate_classes of P's ball, kept for the next call: both psi
     checks read the same ball.  Callers must not mutate the result."""
-    return enumerate_classes(P, radius, b)
+    return enumerate_classes(Oracle(P, b), radius)
 
 
 def _all_words(alphabet: tuple[str, ...], max_len: int):
@@ -437,7 +421,7 @@ def _free_product_key(C: CompressionData, m: tuple[DeltaLetter, ...],
     runs, seps = _syllables(C, m)
     key: list = [d.name for d in seps]
     for run in runs:
-        rep = _rep(oracle, tuple(d.name for d in run))
+        rep = oracle.rep(tuple(d.name for d in run))
         if rep is None:
             return None
         key.append(rep)
@@ -515,13 +499,13 @@ def _check_psi_injective(P: Presentation, b: OracleBudget,
 
 def _check_basis_freeness(P: Presentation, b: OracleBudget,
                           radius: int) -> CheckReport:
+    oracle = Oracle(P, b)
     checked = skipped = 0
     failures: list[str] = []
     for r in _compressing_words(P):
         basis = [w for w in _all_words(P.alphabet, radius)
                  if find_occurrences(w + r, r) == [len(w)]]
-        oracle = Oracle(P, b)
-        keyed = [(y, _rep(oracle, y + r)) for y in basis]
+        keyed = [(y, oracle.rep(y + r)) for y in basis]
         for i, (y1, k1) in enumerate(keyed):
             for y2, k2 in keyed[i + 1:]:
                 checked += 1
@@ -536,17 +520,17 @@ def _check_basis_freeness(P: Presentation, b: OracleBudget,
 
 def _check_local_divisor(P: Presentation, b: OracleBudget,
                          radius: int) -> CheckReport:
+    outer = Oracle(P, b)
     checked = skipped = 0
     failures: list[str] = []
     for r in _compressing_words(P):
         C = compress_step(P, r)
         inner = Oracle(C.compressed, b)
-        outer = Oracle(P, b)
         members = [w for w in _all_words(P.alphabet, radius)
                    if t_membership(r, w)]
         keyed = []
         for w in members:
-            mk = _rep(outer, r + w)
+            mk = outer.rep(r + w)
             lk = _free_product_key(C, tuple(delta_factorize(r, w)), inner)
             keyed.append((w, mk, lk))
         for i, (w1, m1, l1) in enumerate(keyed):

@@ -165,7 +165,7 @@ def compress_step(P: Presentation, r: Word) -> CompressionData:
     """
     r = tuple(r)
     if not r or not (seals(r, P.u) and seals(r, P.v)):
-        raise NotCompressing(f"{''.join(r)!r} does not seal both relation sides")
+        raise NotCompressing(f"{P.text(r)!r} does not seal both relation sides")
     u_prime = P.u[len(r):]
     v_prime = P.v[len(r):]
     u_factors = delta_factorize(r, u_prime)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .cayley import enumerate_classes
 from .classify import Asphericity, asphericity_certificate
 from .words import Presentation, Word, compressing_words, find_occurrences
-from .wp import DEFAULT_BUDGET, Equal, Oracle, OracleBudget, Unknown
+from .wp import Equal, Oracle, OracleBudget, Unknown
 
 
 class NonComposable(Exception):
@@ -177,14 +177,17 @@ def apply_move(P: Presentation, path: SquierPath, move: Move) -> SquierPath:
 
 
 def _parity(oracle: Oracle, path: SquierPath) -> dict[Word, int]:
+    """Keys are closure-store representatives (class_of), not rep: with
+    an empty relation side, where parity is not invariant, normal forms
+    would turn the undecided walks into reported violations."""
     bits: dict[Word, int] = {}
     for e in path:
         if not is_rightmost(e):
             continue
-        rep = oracle.rep(e.w1)
-        if rep is None:
+        got = oracle.class_of(e.w1)
+        if got is None:
             raise UndecidableClass(oracle.P.text(e.w1))
-        bits[rep] = bits.get(rep, 0) ^ 1
+        bits[got[1]] = bits.get(got[1], 0) ^ 1
     return {k: v for k, v in bits.items() if v}
 
 
@@ -196,7 +199,7 @@ def parity_vector(P: Presentation, path: SquierPath,
     so the empty dict is the zero vector.
     """
     validate_path(P, path)
-    return _parity(Oracle(P, budget or DEFAULT_BUDGET), path)
+    return _parity(Oracle(P, budget), path)
 
 
 # ----------------------------------------------------------- random walk
@@ -246,12 +249,11 @@ def _swap_candidates(P: Presentation,
     return out
 
 
-def _describe(move: Move) -> str:
+def _describe(P: Presentation, move: Move) -> str:
     if isinstance(move, InsertCancelPair):
         e = move.edge
         sign = "+" if e.sign == 1 else "-"
-        return (f"insert@{move.pos} ({''.join(e.w1)},{sign},"
-                f"{''.join(e.w2)})")
+        return f"insert@{move.pos} ({P.text(e.w1)},{sign},{P.text(e.w2)})"
     if isinstance(move, DeleteCancelPair):
         return f"delete@{move.pos}"
     return f"swap@{move.pos}"
@@ -269,7 +271,7 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     when the path is empty; it defaults to the first relation side.
     """
     validate_path(P, start)
-    oracle = Oracle(P, budget or DEFAULT_BUDGET)
+    oracle = Oracle(P, budget)
     base = tuple(base_word) if base_word is not None else P.u
     rng = random.Random(seed)
     path = tuple(start)
@@ -283,7 +285,7 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
             break
         move = rng.choice(rng.choice(pools))
         path = apply_move(P, path, move)
-        log.append(_describe(move))
+        log.append(_describe(P, move))
         found = _parity(oracle, path)
         if found != expected:
             return WalkReport(seed, steps, len(log), False, tuple(log),
@@ -330,10 +332,9 @@ def injectivity_harness(P: Presentation, samples: int, max_support: int,
         raise ValueError("relation sides must share their last letter")
     if max_support < 1:
         raise ValueError("max_support must be at least 1")
-    b = budget or DEFAULT_BUDGET
     head_u, head_v = P.u[:-1], P.v[:-1]
-    reps, _, _ = enumerate_classes(P, radius, b)
-    oracle = Oracle(P, b)
+    oracle = Oracle(P, budget)
+    reps, _, _ = enumerate_classes(oracle, radius)
 
     singleton_skipped = 0
     singleton_violations: list[str] = []

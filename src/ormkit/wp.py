@@ -20,7 +20,7 @@ equality of the outer parts plus equality of Delta-letter sequences in
 a free product, whose syllables are compared recursively in the
 compressed presentation.  Equal paths found downstairs are lifted back
 upstairs through the factorizations, so replayability survives the
-recursion.
+recursion.  Bulk callers ask Oracle, the one class interface.
 """
 
 from __future__ import annotations
@@ -350,7 +350,9 @@ def equal_bounded(P: Presentation, w1: Word, w2: Word,
 
 
 class Oracle:
-    """Memoizing class store over the closure engine, for bulk callers.
+    """Class interface: rep and equal answer by normal forms when u -> v
+    is complete, else from a memoizing closure store, which class_of
+    alone reads on any rule.
 
     Each saturated class is stored once, as its closure parent map and
     its shortlex-least member, and indexed by every member, so equality
@@ -385,11 +387,17 @@ class Oracle:
         return entry
 
     def rep(self, w: Word) -> Word | None:
-        """Shortlex-least member of the class of w; None when undecided."""
+        """Shortlex-least member of the class of w; None when undecided.
+        A length cap below |w| is a usage error."""
+        if _complete(self.P):
+            self.budget.cap_for(self.P, w)
+            return _reduce(self.P, w)
         got = self.class_of(w)
         return None if got is None else got[1]
 
     def equal(self, w1: Word, w2: Word) -> Verdict:
+        if _complete(self.P):
+            return equal_bounded(self.P, w1, w2, self.budget)
         w1, w2 = tuple(w1), tuple(w2)
         if w1 == w2:
             return Equal((w1,))

@@ -35,7 +35,7 @@ from ormkit.cayley import (
 )
 from ormkit.compress import DeltaLetter, NotCompressing
 from ormkit.words import EMPTY, make_presentation, word
-from ormkit.wp import OracleBudget, neighbors
+from ormkit.wp import Oracle, OracleBudget, neighbors
 
 
 def aba_aca():
@@ -442,7 +442,7 @@ def test_matrices_csv_shape():
 
 def test_enumerate_classes_membership_is_total():
     P = aba_aca()
-    reps, assign, approx = enumerate_classes(P, 3)
+    reps, assign, approx = enumerate_classes(Oracle(P), 3)
     assert not approx
     total = sum(3 ** n for n in range(4))
     assert len(assign) == total

@@ -209,6 +209,16 @@ def test_squier_check_command():
     assert report.seeds == (11,)
 
 
+def test_squier_check_log_renders_empty_contexts():
+    code, report = dispatch(["squier-check", fx("aba-aca.orm"),
+                             "--walk-steps", "5", "--seed", "0"])
+    assert code == 0
+    inserts = [m for m in report.payload["log"] if m.startswith("insert")]
+    assert inserts
+    for move in inserts:
+        assert move.endswith((" (ε,+,ε)", " (ε,-,ε)"))
+
+
 def test_inject_check_command():
     code, report = dispatch(["inject-check", fx("aba-aca.orm"),
                              "--samples", "10", "--radius", "3",
@@ -217,6 +227,19 @@ def test_inject_check_command():
     assert report.payload["passed"] is True
     assert report.payload["violations"] == []
     assert report.seeds == (2,)
+
+
+@pytest.mark.parametrize("name", ["aa-a.orm", "abab-ab.orm", "babab-b.orm"])
+def test_inject_check_decides_by_normal_forms(name):
+    # the closure store cannot saturate the translated classes of these
+    # fixtures, but each rule is complete, so every sample is decided;
+    # the statement's preconditions fail here, so violations are expected
+    code, report = dispatch(["inject-check", fx(name), "--samples", "50"])
+    assert code == 1
+    assert report.payload["skipped"] == 0
+    assert report.payload["singletonSkipped"] == 0
+    assert report.payload["violations"]
+    assert not all(report.payload["preconditions"].values())
 
 
 def test_structure_check_all():
@@ -276,6 +299,9 @@ def test_exit_2_usage_and_parse_errors(tmp_path):
     assert dispatch(["classify", fx("missing.orm")])[0] == 2
     assert dispatch(["wp", fx("aba-aca.orm"), "axa", "aca"])[0] == 2
     assert dispatch(["compress", fx("aba-aca.orm"), "--by", "b"])[0] == 2
+    code, report = dispatch(["compress", fx("aba-aca.orm"), "--by", "1"])
+    assert code == 2
+    assert report.payload["error"] == "'ε' does not seal both relation sides"
     assert dispatch(["structure-check", fx("aba-aca.orm"),
                      "RegularityWitness"])[0] == 2
     bad = tmp_path / "bad.orm"

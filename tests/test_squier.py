@@ -260,7 +260,7 @@ def test_parity_not_invariant_with_empty_side():
             SquierEdge(ab, 1, ab), SquierEdge(ab, 1, EMPTY),
             SquierEdge(EMPTY, 1, EMPTY))
     validate_path(P, path)
-    exact = SimpleNamespace(P=P, rep=lambda w: normal_form(P, w))
+    exact = SimpleNamespace(P=P, class_of=lambda w: (None, normal_form(P, w)))
     assert _parity(exact, path) == {EMPTY: 1}
     swapped = apply_move(P, path, PullUpPushDown(2))
     assert validate_path(P, swapped) == validate_path(P, path)

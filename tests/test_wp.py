@@ -265,11 +265,15 @@ def test_oracle_rep_examples():
     assert Oracle(P).rep(word("bcb")) == word("bcb")
 
 
-def test_oracle_rep_none_for_growing_class():
+def test_oracle_class_of_none_for_growing_class():
+    # class_of is the closure store alone; rep answers by the normal form
+    # when u -> v is complete and is undecided only on incomplete rules
     P = make_presentation(("a",), word("aa"), word("a"))
     oracle = Oracle(P)
     assert oracle.class_of(word("a")) is None
-    assert oracle.rep(word("a")) is None
+    assert oracle.rep(word("a")) == word("a")
+    Q = make_presentation(("a", "b"), word("aba"), word("ab"))
+    assert Oracle(Q).rep(word("ab")) is None
 
 
 def test_oracle_rep_is_class_invariant_and_least():
