@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from .words import (
     Presentation,
     Word,
-    common_affixes,
     compressing_words,
     ends_with,
-    ovl,
     proper_power_root,
     starts_with,
 )
@@ -97,16 +95,16 @@ def has_torsion(P: Presentation) -> bool:
 def asphericity_certificate(P: Presentation) -> Asphericity:
     """Certify strict asphericity when a sound criterion applies.
 
-    Two sufficient criteria for non-subspecial presentations with
-    nonempty v: the longest common suffix and prefix of the relation
-    sides do not overlap, or the presentation is incompressible.
+    The criterion: P is not subspecial, v is nonempty, and no word
+    compresses P.  This equals the overlap criterion, that the longest
+    common suffix rho of u and v does not overlap their longest common
+    prefix lambda.  A nonempty suffix of rho that is a prefix of lambda
+    is a prefix and a suffix of both sides, so it compresses P; a
+    compressing word is a common prefix and a common suffix of u and v,
+    so it is a prefix of lambda and a suffix of rho.
     """
-    if not is_subspecial(P) and len(P.v) >= 1:
-        lam, rho = common_affixes(P.u, P.v)
-        if not ovl(rho, lam):
-            return Asphericity.PROVEN_STRICTLY_ASPHERICAL
-        if not compressing_words(P):
-            return Asphericity.PROVEN_STRICTLY_ASPHERICAL
+    if not is_subspecial(P) and P.v and not compressing_words(P):
+        return Asphericity.PROVEN_STRICTLY_ASPHERICAL
     return Asphericity.UNKNOWN
 
 

@@ -73,9 +73,9 @@ def is_rightmost(e: SquierEdge) -> bool:
     return not e.w2
 
 
-def relation_edge(sign: int = 1) -> SquierEdge:
-    """The edge rewriting one bare relation side to the other."""
-    return SquierEdge((), sign, ())
+def relation_edge() -> SquierEdge:
+    """The edge rewriting the bare relation side u to v."""
+    return SquierEdge((), 1, ())
 
 
 SquierPath = tuple[SquierEdge, ...]
@@ -112,35 +112,34 @@ class DeleteCancelPair:
 @dataclass(frozen=True)
 class PullUpPushDown:
     pos: int
-    direction: str | None = None
 
 
 Move = InsertCancelPair | DeleteCancelPair | PullUpPushDown
 
 
-def _swap_disjoint(P: Presentation, first: SquierEdge,
-                   second: SquierEdge,
-                   direction: str | None) -> tuple[SquierEdge, SquierEdge]:
+def _swap_disjoint(
+    P: Presentation, first: SquierEdge, second: SquierEdge,
+) -> tuple[SquierEdge, SquierEdge] | None:
     """Exchange two adjacent edges rewriting disjoint parts of the word.
 
     The second edge's site is either entirely right or entirely left of
     the word the first edge wrote; in both cases the same two sites are
-    rewritten in the other order.
+    rewritten in the other order.  None when the sites overlap.
     """
     a1, e1, b1 = first.w1, first.sign, first.w2
     a2, e2, b2 = second.w1, second.sign, second.w2
     out_first = _side(P, -e1)
-    if direction in (None, "right") and len(a2) >= len(a1) + len(out_first):
+    if len(a2) >= len(a1) + len(out_first):
         gap = a2[len(a1) + len(out_first):]
         if a2 == a1 + out_first + gap and b1 == gap + _side(P, e2) + b2:
             return (SquierEdge(a1 + _side(P, e1) + gap, e2, b2),
                     SquierEdge(a1, e1, gap + _side(P, -e2) + b2))
-    if direction in (None, "left") and len(a2) + len(_side(P, e2)) <= len(a1):
+    if len(a2) + len(_side(P, e2)) <= len(a1):
         gap = a1[len(a2) + len(_side(P, e2)):]
         if a1 == a2 + _side(P, e2) + gap and b2 == gap + out_first + b1:
             return (SquierEdge(a2, e2, gap + _side(P, e1) + b1),
                     SquierEdge(a2 + _side(P, -e2) + gap, e1, b1))
-    raise NotApplicable("edges do not rewrite disjoint sites")
+    return None
 
 
 def apply_move(P: Presentation, path: SquierPath, move: Move) -> SquierPath:
@@ -167,8 +166,9 @@ def apply_move(P: Presentation, path: SquierPath, move: Move) -> SquierPath:
     if isinstance(move, PullUpPushDown):
         if not 0 <= move.pos < n - 1:
             raise NotApplicable("swap position out of range")
-        swapped = _swap_disjoint(P, path[move.pos], path[move.pos + 1],
-                                 move.direction)
+        swapped = _swap_disjoint(P, path[move.pos], path[move.pos + 1])
+        if swapped is None:
+            raise NotApplicable("edges do not rewrite disjoint sites")
         return path[:move.pos] + swapped + path[move.pos + 2:]
     raise NotApplicable(f"unknown move {move!r}")
 
@@ -215,15 +215,15 @@ class WalkReport:
     violation: str | None = None
 
 
-def _insert_candidates(P: Presentation, path: SquierPath,
-                       base_word: Word) -> list[InsertCancelPair]:
+def _insert_candidates(P: Presentation,
+                       path: SquierPath) -> list[InsertCancelPair]:
     out: list[InsertCancelPair] = []
     for pos in range(len(path) + 1):
         if path:
             carrier = (edge_source(P, path[pos]) if pos < len(path)
                        else edge_target(P, path[-1]))
         else:
-            carrier = base_word
+            carrier = P.u
         for sign in (1, -1):
             side = _side(P, sign)
             for i in find_occurrences(carrier, side):
@@ -239,14 +239,8 @@ def _delete_candidates(path: SquierPath) -> list[DeleteCancelPair]:
 
 def _swap_candidates(P: Presentation,
                      path: SquierPath) -> list[PullUpPushDown]:
-    out = []
-    for i in range(len(path) - 1):
-        try:
-            _swap_disjoint(P, path[i], path[i + 1], None)
-        except NotApplicable:
-            continue
-        out.append(PullUpPushDown(i))
-    return out
+    return [PullUpPushDown(i) for i in range(len(path) - 1)
+            if _swap_disjoint(P, path[i], path[i + 1]) is not None]
 
 
 def _describe(P: Presentation, move: Move) -> str:
@@ -260,25 +254,24 @@ def _describe(P: Presentation, move: Move) -> str:
 
 
 def random_walk_check(P: Presentation, start: SquierPath, steps: int,
-                      seed: int, budget: OracleBudget | None = None,
-                      base_word: Word | None = None) -> WalkReport:
+                      seed: int,
+                      budget: OracleBudget | None = None) -> WalkReport:
     """Apply random homotopy moves and assert parity invariance each step.
 
     The invariant holds only when both relation sides are nonempty; with
     an empty side a reported parity change need not be a fault.
     Move kinds are sampled uniformly among the applicable kinds, then a
-    uniform instance of the chosen kind.  base_word anchors insertions
-    when the path is empty; it defaults to the first relation side.
+    uniform instance of the chosen kind.  When the path is empty,
+    insertions anchor on the relation side u.
     """
     validate_path(P, start)
     oracle = Oracle(P, budget)
-    base = tuple(base_word) if base_word is not None else P.u
     rng = random.Random(seed)
     path = tuple(start)
     expected = _parity(oracle, path)
     log: list[str] = []
     for _ in range(steps):
-        pools = [p for p in (_insert_candidates(P, path, base),
+        pools = [p for p in (_insert_candidates(P, path),
                              _delete_candidates(path),
                              _swap_candidates(P, path)) if p]
         if not pools:
@@ -315,18 +308,17 @@ class HarnessReport:
 
 def injectivity_harness(P: Presentation, samples: int, max_support: int,
                         seed: int, budget: OracleBudget | None = None,
-                        radius: int = 6,
-                        coeff_bound: int = 3) -> HarnessReport:
+                        radius: int = 6) -> HarnessReport:
     """Probe injectivity of the relation-module boundary on formal sums.
 
     Each sample draws up to max_support distinct ball classes with
-    nonzero integer coefficients and compares the two translated formal
-    sums obtained by appending each relation side minus its last letter.
-    The preconditions of the underlying statement are recorded, not
-    enforced, except for the shared last letter which the construction
-    needs.  A violation on a presentation with all three flags set would
-    refute the statement rather than the sample, so violations are
-    reported verbatim for inspection.
+    nonzero integer coefficients from -3 to 3 and compares the two
+    translated formal sums obtained by appending each relation side
+    minus its last letter.  The preconditions of the underlying
+    statement are recorded, not enforced, except for the shared last
+    letter which the construction needs.  A violation on a presentation
+    with all three flags set would refute the statement rather than the
+    sample, so violations are reported verbatim for inspection.
     """
     if not P.u or not P.v or P.u[-1] != P.v[-1]:
         raise ValueError("relation sides must share their last letter")
@@ -348,7 +340,7 @@ def injectivity_harness(P: Presentation, samples: int, max_support: int,
     rng = random.Random(seed)
     skipped = 0
     violations: list[str] = []
-    coeffs = [z for z in range(-coeff_bound, coeff_bound + 1) if z]
+    coeffs = [z for z in range(-3, 4) if z]
     for _ in range(samples):
         k = rng.randint(1, min(max_support, len(reps)))
         support = rng.sample(reps, k)

@@ -115,24 +115,10 @@ def make_presentation(alphabet: tuple[str, ...] | list[str],
     return Presentation(alphabet, tuple(rhs), tuple(lhs))
 
 
-def ovl(x: Word, y: Word) -> set[Word]:
-    """Nonempty words that are simultaneously a suffix of x and a prefix of y.
-
-    A word may overlap itself completely, so ovl(w, w) always contains w
-    for nonempty w.
-    """
-    out: set[Word] = set()
-    for k in range(1, min(len(x), len(y)) + 1):
-        if x[-k:] == y[:k]:
-            out.add(y[:k])
-    return out
-
-
 def is_sof(r: Word) -> bool:
     """True when no proper nonempty prefix of r is also a suffix of r.
 
-    Equivalently ovl(r, r) == {r}.  Raises on the empty word, for which
-    the notion is not defined.
+    Raises on the empty word, for which the notion is not defined.
     """
     if not r:
         raise ValueError("self-overlap-freeness is undefined for the empty word")
@@ -163,19 +149,6 @@ def compressing_words(P: Presentation) -> list[Word]:
         if seals(r, P.u) and seals(r, P.v):
             out.append(r)
     return out
-
-
-def common_affixes(u: Word, v: Word) -> tuple[Word, Word]:
-    """The longest common prefix and the longest common suffix of u and v."""
-    n = min(len(u), len(v))
-    p = 0
-    while p < n and u[p] == v[p]:
-        p += 1
-    s = 0
-    while s < n and u[len(u) - 1 - s] == v[len(v) - 1 - s]:
-        s += 1
-    suffix = u[len(u) - s:] if s else EMPTY
-    return u[:p], suffix
 
 
 def proper_power_root(w: Word) -> tuple[Word, int]:

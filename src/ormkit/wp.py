@@ -39,7 +39,6 @@ from .compress import (
     _shortest_t_prefix,
 )
 from .words import (
-    EMPTY,
     Presentation,
     Word,
     compressing_words,
@@ -318,7 +317,7 @@ def equal_bounded(P: Presentation, w1: Word, w2: Word,
         if not live:
             break
         # saturation of either side is decisive on its own
-        for s, other in ((sides[0], sides[1]), (sides[1], sides[0])):
+        for s in sides:
             if not s.heap and not s.pruned:
                 return Distinct(CERT_EXHAUSTED)
         side = min(live, key=lambda s: len(s.heap))

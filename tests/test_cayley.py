@@ -35,7 +35,14 @@ from ormkit.cayley import (
 )
 from ormkit.compress import DeltaLetter, NotCompressing
 from ormkit.words import EMPTY, make_presentation, word
-from ormkit.wp import Oracle, OracleBudget, neighbors
+from ormkit.wp import (
+    Equal,
+    Oracle,
+    OracleBudget,
+    equal_bounded,
+    neighbors,
+    replay,
+)
 
 
 def aba_aca():
@@ -163,7 +170,7 @@ def test_ball_matches_brute_partition():
 def test_incomplete_ball_matches_brute_partition(lhs, rhs, radius, reach,
                                                  size):
     # none of these rules is complete, so classes and edges come from the
-    # closure store and the pairwise search
+    # closure store; every class is finite, so no pairwise search runs
     P = make_presentation(("a", "b"), word(lhs), word(rhs))
     ball = build_ball(P, radius)
     uf = brute_partition(P, radius, reach)
@@ -182,6 +189,20 @@ def test_incomplete_ball_matches_brute_partition(lhs, rhs, radius, reach,
     got = {(uf.find(ball.vertices[s]), x, uf.find(ball.vertices[t]))
            for s, x, t in ball.edges}
     assert got == expected
+
+
+def test_approximate_ball_merges_only_proven_pairs():
+    # aba -> ab is not complete and its classes are infinite, so words are
+    # placed by pairwise verdicts, some of which come back Unknown
+    P = make_presentation(("a", "b"), word("aba"), word("ab"))
+    ball = build_ball(P, 3)
+    assert ball.approximate
+    assert len(ball.vertices) == 14
+    assert len(ball.membership) == 15
+    for w, i in ball.membership.items():
+        verdict = equal_bounded(P, w, ball.vertices[i])
+        assert isinstance(verdict, Equal)
+        assert replay(P, verdict.path)
 
 
 def test_ball_edges_match_brute_edges():

@@ -16,7 +16,7 @@ from ormkit.classify import (
     has_torsion,
     is_subspecial,
 )
-from ormkit.words import EMPTY, make_presentation, word
+from ormkit.words import make_presentation, seals, word
 
 
 def mk(alphabet, lhs, rhs):
@@ -57,6 +57,35 @@ def test_asphericity_examples():
         Asphericity.PROVEN_STRICTLY_ASPHERICAL
     # special presentations are never certified here
     assert asphericity_certificate(mk("ab", "ab", "")) == Asphericity.UNKNOWN
+
+
+def two_criterion_asphericity(P):
+    """The former definition, by brute force: P is not subspecial, v is
+    nonempty, and either the longest common suffix of u and v does not
+    overlap their longest common prefix, or no word seals both sides."""
+    u, v = P.u, P.v
+    if is_subspecial(P) or not v:
+        return False
+    n = min(len(u), len(v))
+    lam = max((u[:k] for k in range(n + 1) if u[:k] == v[:k]), key=len)
+    rho = max((u[len(u) - k:] for k in range(n + 1)
+               if u[len(u) - k:] == v[len(v) - k:]), key=len)
+    overlap = any(rho[len(rho) - k:] == lam[:k]
+                  for k in range(1, min(len(rho), len(lam)) + 1))
+    sealed = any(seals(u[:k], u) and seals(u[:k], v)
+                 for k in range(1, len(u) + 1))
+    return not overlap or not sealed
+
+
+words_abc = st.builds(tuple, st.lists(st.sampled_from("abc"), max_size=6))
+
+
+@given(words_abc, words_abc)
+def test_asphericity_matches_the_two_criterion_definition(x, y):
+    P = make_presentation(("a", "b", "c"), x, y)
+    certified = (asphericity_certificate(P)
+                 is Asphericity.PROVEN_STRICTLY_ASPHERICAL)
+    assert certified == two_criterion_asphericity(P)
 
 
 # -------------------------------------------------------------- the table

@@ -291,6 +291,26 @@ def test_structure_check_single():
     assert "k=2" in entry["notes"]
 
 
+@pytest.mark.parametrize("kind,notes", [
+    ("RegularityWitness", ["k=2", "y=abaaaba"]),
+    ("KernelInclusion", ["[aaba·a] = [ε·a]"]),
+])
+@pytest.mark.parametrize("budget", [["--budget-words", "1"],
+                                    ["--budget-len", "1"]])
+def test_witness_checks_pass_under_any_budget(tmp_path, kind, notes, budget):
+    # both witness paths are built from the relation and replayed, so no
+    # cap leaves them undecided or rejects their words as too long
+    path = tmp_path / "aabaa-a.orm"
+    path.write_text("alphabet: a b\nrelation: aabaa = a\n")
+    code, report = dispatch(["structure-check", str(path), kind] + budget)
+    assert code == 0
+    entry = report.payload["checks"][0]
+    assert entry["passed"] is True
+    assert (entry["checked"], entry["skipped"]) == (1, 0)
+    assert entry["failures"] == []
+    assert entry["notes"] == notes
+
+
 # --------------------------------------------------------- exit codes
 
 
@@ -359,7 +379,7 @@ def test_exit_1_property_violation(tmp_path, monkeypatch):
     import ormkit.cli as cli
     from ormkit.squier import WalkReport
 
-    def fake_walk(P, start, steps, seed, budget=None, base_word=None):
+    def fake_walk(P, start, steps, seed, budget=None):
         return WalkReport(seed, steps, 1, False, ("swap@0",), "parity changed")
 
     monkeypatch.setattr(cli, "random_walk_check", fake_walk)

@@ -15,7 +15,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ormkit.compress import (
-    CompressionData,
     DeltaLetter,
     NoOccurrence,
     NotCompressing,
@@ -35,7 +34,6 @@ from ormkit.words import (
     compressing_words,
     is_sof,
     make_presentation,
-    seals,
     word,
 )
 

@@ -192,15 +192,6 @@ def test_swap_frozen_example_and_involution():
     assert validate_path(P, before) == validate_path(P, after)
 
 
-def test_swap_respects_direction_filter():
-    P = aba_aca()
-    before = (SquierEdge(EMPTY, 1, word("aca")), SquierEdge(word("aba"), 1, EMPTY))
-    assert apply_move(P, before, PullUpPushDown(0, "right")) == \
-        apply_move(P, before, PullUpPushDown(0))
-    with pytest.raises(NotApplicable):
-        apply_move(P, before, PullUpPushDown(0, "left"))
-
-
 def test_swap_rejects_overlapping_sites():
     P = aba_aca()
     with pytest.raises(NotApplicable):

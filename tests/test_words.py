@@ -10,18 +10,16 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ormkit.words import (
     EMPTY,
     Presentation,
-    common_affixes,
     compressing_words,
     find_occurrences,
     is_sof,
     make_presentation,
-    ovl,
     proper_power_root,
     seals,
     word,
@@ -65,22 +63,6 @@ words_ab = st.builds(tuple, st.lists(st.sampled_from("ab"), max_size=8))
 nonempty_ab = st.builds(tuple, st.lists(st.sampled_from("ab"), min_size=1, max_size=8))
 
 
-# ------------------------------------------------------------------- ovl
-
-
-def test_ovl_examples():
-    assert ovl(word("ab"), word("ba")) == {word("b")}
-    assert ovl(word("ab"), word("ab")) == {word("ab")}
-    assert ovl(word("aba"), word("aba")) == {word("a"), word("aba")}
-    assert ovl(EMPTY, word("a")) == set()
-    assert ovl(word("a"), EMPTY) == set()
-
-
-@given(words_ab, words_ab)
-def test_ovl_matches_brute_force(x, y):
-    assert ovl(x, y) == brute_ovl(x, y)
-
-
 # ---------------------------------------------------------------- is_sof
 
 
@@ -96,7 +78,7 @@ def test_is_sof_examples():
 
 @given(nonempty_ab)
 def test_is_sof_iff_self_overlap_is_whole_word(r):
-    assert is_sof(r) == (ovl(r, r) == {r})
+    assert is_sof(r) == (brute_ovl(r, r) == {r})
 
 
 # ----------------------------------------------------------------- seals
@@ -178,28 +160,6 @@ def test_compressing_words_chain_property(lhs, rhs):
         assert seals(r, s)
     if cw:
         assert is_sof(cw[0])
-
-
-# ------------------------------------------------------- common_affixes
-
-
-def test_common_affixes_examples():
-    assert common_affixes(word("aba"), word("aca")) == (word("a"), word("a"))
-    assert common_affixes(word("ab"), word("ba")) == (EMPTY, EMPTY)
-    assert common_affixes(word("ababbaba"), word("ababa")) == (word("abab"), word("baba"))
-    assert common_affixes(word("ab"), EMPTY) == (EMPTY, EMPTY)
-
-
-@given(words_ab, words_ab)
-def test_common_affixes_are_maximal(u, v):
-    lam, rho = common_affixes(u, v)
-    assert u[: len(lam)] == lam and v[: len(lam)] == lam
-    if len(lam) < min(len(u), len(v)):
-        assert u[len(lam)] != v[len(lam)]
-    assert (u[len(u) - len(rho):] if rho else EMPTY) == rho
-    assert (v[len(v) - len(rho):] if rho else EMPTY) == rho
-    if len(rho) < min(len(u), len(v)):
-        assert u[len(u) - len(rho) - 1] != v[len(v) - len(rho) - 1]
 
 
 # --------------------------------------------------- proper_power_root

@@ -166,6 +166,16 @@ def test_equal_bounded_budget_unknown():
                       (Unknown, Equal))
 
 
+def test_equal_bounded_unknown_names_the_cap():
+    # aba -> ab is not complete and its classes are infinite
+    P = make_presentation(("a", "b"), word("aba"), word("ab"))
+    b = OracleBudget(max_words=2000)
+    assert equal_bounded(P, word("ab"), word("aab"), b) == \
+        Unknown("length cap pruned both closures")
+    assert equal_bounded(P, word("abbb"), word("aabbb"), b) == \
+        Unknown("word budget exhausted")
+
+
 def test_equal_bounded_exhaustive_against_union_find():
     # aba-aca takes the normal-form path, the incomplete relation the search
     for P in (aba_aca(), incomplete()):
@@ -308,6 +318,23 @@ def test_oracle_agrees_with_pure_functions():
     assert oracle.rep(word("abaca")) == word("ababa")
 
 
+def test_oracle_store_agrees_with_search_on_an_incomplete_rule():
+    # bb -> ab is not complete, so Oracle.equal answers from its closure
+    # store, and every later pair in a stored class is a lookup
+    P = incomplete()
+    oracle = Oracle(P)
+    words = list(all_words("ab", 4))
+    assert len(words) ** 2 == 961
+    for w1 in words:
+        for w2 in words:
+            a = oracle.equal(w1, w2)
+            b = equal_bounded(P, w1, w2)
+            assert type(a) is type(b), (w1, w2)
+            if isinstance(a, Equal):
+                assert replay(P, a.path)
+                assert a.path[0] == w1 and a.path[-1] == w2
+
+
 # ------------------------------------------------- equal_via_compression
 
 
@@ -321,6 +348,16 @@ def test_equal_via_compression_examples():
     assert isinstance(v, Equal)
     assert replay(big_example(), v.path)
     assert v.path[0] == word("ababbaba") and v.path[-1] == word("ababa")
+
+    # several free-product runs: the stitched path copies later runs
+    # verbatim while an earlier one is rewritten
+    for w1, w2 in [("abaa", "acaa"),         # run 0 of 2 rewritten
+                   ("abaaba", "acaaca"),     # runs 0 and 1
+                   ("abaaaba", "acaaaca")]:  # runs 0 and 2
+        v = equal_via_compression(P, word(w1), word(w2))
+        assert isinstance(v, Equal)
+        assert replay(P, v.path)
+        assert v.path[0] == word(w1) and v.path[-1] == word(w2)
 
     # incompressible falls through to search
     Q = make_presentation(("a", "b"), word("ab"), word("ba"))
