@@ -11,12 +11,21 @@ invariant under all three moves, which the seeded random walk exercises
 move by move.  With an empty side it is not: in <a b | ab = 1> one
 exchange turns the path (ab,-,ε) (ab,-,ab) (ab,+,ab) (ab,+,ε) (ε,+,ε),
 with three rightmost edges in the class of ε, into one with four.
+
+The walk keeps its move pools between steps: the insertions of each
+seam word of the path (memoized per word), and a (cancels, swappable)
+flag pair per adjacent edge pair, of which a move recomputes only the
+pairs around the positions it touched.  The parity vector is still
+recomputed in full after every step, so the invariant check does not
+depend on the pool bookkeeping it exercises.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 from .cayley import enumerate_classes
 from .classify import Asphericity, asphericity_certificate
@@ -215,34 +224,6 @@ class WalkReport:
     violation: str | None = None
 
 
-def _insert_candidates(P: Presentation,
-                       path: SquierPath) -> list[InsertCancelPair]:
-    out: list[InsertCancelPair] = []
-    for pos in range(len(path) + 1):
-        if path:
-            carrier = (edge_source(P, path[pos]) if pos < len(path)
-                       else edge_target(P, path[-1]))
-        else:
-            carrier = P.u
-        for sign in (1, -1):
-            side = _side(P, sign)
-            for i in find_occurrences(carrier, side):
-                e = SquierEdge(carrier[:i], sign, carrier[i + len(side):])
-                out.append(InsertCancelPair(pos, e))
-    return out
-
-
-def _delete_candidates(path: SquierPath) -> list[DeleteCancelPair]:
-    return [DeleteCancelPair(i) for i in range(len(path) - 1)
-            if path[i + 1] == inverse(path[i])]
-
-
-def _swap_candidates(P: Presentation,
-                     path: SquierPath) -> list[PullUpPushDown]:
-    return [PullUpPushDown(i) for i in range(len(path) - 1)
-            if _swap_disjoint(P, path[i], path[i + 1]) is not None]
-
-
 def _describe(P: Presentation, move: Move) -> str:
     if isinstance(move, InsertCancelPair):
         e = move.edge
@@ -251,6 +232,20 @@ def _describe(P: Presentation, move: Move) -> str:
     if isinstance(move, DeleteCancelPair):
         return f"delete@{move.pos}"
     return f"swap@{move.pos}"
+
+
+def _insertions(P: Presentation, w: Word) -> tuple[SquierEdge, ...]:
+    """Edges with source w: sign +1 first, then -1, occurrences in
+    ascending order."""
+    return tuple(SquierEdge(w[:i], sign, w[i + len(side):])
+                 for sign in (1, -1)
+                 for side in (_side(P, sign),)
+                 for i in find_occurrences(w, side))
+
+
+def _nth_set(flags: list[bool], j: int) -> int:
+    """Position of the j-th set flag."""
+    return list(compress(range(len(flags)), flags))[j]
 
 
 def random_walk_check(P: Presentation, start: SquierPath, steps: int,
@@ -263,6 +258,16 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     Move kinds are sampled uniformly among the applicable kinds, then a
     uniform instance of the chosen kind.  When the path is empty,
     insertions anchor on the relation side u.
+
+    The move pools are kept between steps, so a step costs the seams it
+    touched rather than the whole path.  Insertions are kept per seam
+    word (seam k is the source of edge k, the last seam the target of
+    the last edge), memoized by word and listed in seam order; deletions
+    and swaps are kept as one (cancels, swappable) flag pair per adjacent
+    edge pair, and a move recomputes only the pairs whose edges it
+    changed.  Every move still goes through apply_move and its checks,
+    and the parity is recomputed in full after each step, so the
+    invariant check does not rest on the pool bookkeeping it exercises.
     """
     validate_path(P, start)
     oracle = Oracle(P, budget)
@@ -270,14 +275,65 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     path = tuple(start)
     expected = _parity(oracle, path)
     log: list[str] = []
+
+    memo: dict[Word, tuple[SquierEdge, ...]] = {}
+    seams: list[Word] = []
+    counts: list[int] = []
+    cancels: list[bool] = []
+    swaps: list[bool] = []
+
+    def set_seams(stale: slice, words: list[Word]) -> None:
+        for w in words:
+            if w not in memo:
+                memo[w] = _insertions(P, w)
+        seams[stale] = words
+        counts[stale] = [len(memo[w]) for w in words]
+
+    def set_pairs(stale: slice, lo: int, hi: int) -> None:
+        pairs = [(path[i], path[i + 1]) for i in range(lo, hi)]
+        cancels[stale] = [b == inverse(a) for a, b in pairs]
+        swaps[stale] = [_swap_disjoint(P, a, b) is not None for a, b in pairs]
+
+    whole = slice(None)
+    set_seams(whole, [edge_source(P, e) for e in path]
+              + [edge_target(P, path[-1]) if path else P.u])
+    set_pairs(whole, 0, len(path) - 1)
     for _ in range(steps):
-        pools = [p for p in (_insert_candidates(P, path),
-                             _delete_candidates(path),
-                             _swap_candidates(P, path)) if p]
-        if not pools:
+        sizes = (sum(counts), sum(cancels), sum(swaps))
+        kinds = [k for k in range(3) if sizes[k]]
+        if not kinds:
             break
-        move = rng.choice(rng.choice(pools))
+        kind = kinds[rng.randrange(len(kinds))]
+        j = rng.randrange(sizes[kind])
+        move: Move
+        if kind == 0:
+            ends = list(accumulate(counts))
+            p = bisect_right(ends, j)
+            edge = memo[seams[p]][j - ends[p] + counts[p]]
+            move = InsertCancelPair(p, edge)
+        elif kind == 1:
+            move = DeleteCancelPair(_nth_set(cancels, j))
+        else:
+            move = PullUpPushDown(_nth_set(swaps, j))
         path = apply_move(P, path, move)
+        p = move.pos
+        lo, last = max(p - 1, 0), len(path) - 1
+        if isinstance(move, InsertCancelPair):
+            # e, e⁻¹ at p: seam p is followed by target(e), then seam p
+            # again; pairs p-1..p+1 replace the old pair p-1
+            pair_seams = [edge_target(P, move.edge), seams[p]]
+            set_seams(slice(p + 1, p + 1), pair_seams)
+            set_pairs(slice(lo, p), lo, min(p + 2, last))
+        elif isinstance(move, DeleteCancelPair):
+            # seam p+2 repeats seam p; pair p-1 replaces old pairs p-1..p+1
+            set_seams(slice(p + 1, p + 3), [])
+            if not path:
+                set_seams(whole, [P.u])
+            set_pairs(slice(lo, p + 2), lo, min(p, last))
+        else:
+            # only the middle seam moves; pairs p-1..p+1 are refreshed
+            set_seams(slice(p + 1, p + 2), [edge_target(P, path[p])])
+            set_pairs(slice(lo, min(p + 2, last)), lo, min(p + 2, last))
         log.append(_describe(P, move))
         found = _parity(oracle, path)
         if found != expected:

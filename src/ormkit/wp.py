@@ -228,8 +228,15 @@ def _abelian_mismatch(P: Presentation, w1: Word, w2: Word) -> bool:
     return False
 
 
+@lru_cache(maxsize=1024)
+def _compressing_words(P: Presentation) -> tuple[Word, ...]:
+    """compressing_words(P), computed once per presentation: every
+    equal_bounded and equal_via_compression call asks for it."""
+    return tuple(compressing_words(P))
+
+
 def _ideal_certificate(P: Presentation, w1: Word, w2: Word) -> str | None:
-    for r in compressing_words(P):
+    for r in _compressing_words(P):
         if ends_with(w1, r) != ends_with(w2, r):
             return CERT_SUFFIX
         if starts_with(w1, r) != starts_with(w2, r):
@@ -516,7 +523,7 @@ def equal_via_compression(P: Presentation, w1: Word, w2: Word,
     w1, w2 = tuple(w1), tuple(w2)
     if w1 == w2:
         return Equal((w1,))
-    cands = compressing_words(P)
+    cands = _compressing_words(P)
     if not cands:
         return equal_bounded(P, w1, w2, budget)
     r = cands[-1]

@@ -3,18 +3,25 @@ the seeded walk, and the formal-sum injectivity harness.
 
 Parity keys are cross-checked against a union-find congruence oracle on
 the length-preserving running example, where every class is finite and
-the canonical representative is computable by exhaustion.
+the canonical representative is computable by exhaustion.  The walk,
+which keeps its move pools between steps, is compared against a
+reference walk that rebuilds every pool from scratch at every step.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ormkit import squier
+from ormkit.cli import parse_presentation
 from ormkit.squier import (
     DeleteCancelPair,
     HarnessReport,
@@ -24,7 +31,11 @@ from ormkit.squier import (
     PullUpPushDown,
     SquierEdge,
     UndecidableClass,
+    WalkReport,
+    _describe,
     _parity,
+    _side,
+    _swap_disjoint,
     apply_move,
     edge_source,
     edge_target,
@@ -33,10 +44,13 @@ from ormkit.squier import (
     is_rightmost,
     parity_vector,
     random_walk_check,
+    relation_edge,
     validate_path,
 )
-from ormkit.words import EMPTY, make_presentation, word
+from ormkit.words import EMPTY, find_occurrences, make_presentation, word
 from ormkit.wp import normal_form
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def aba_aca():
@@ -297,6 +311,132 @@ def test_walk_deterministic():
 @given(st.integers(0, 10_000))
 def test_walk_passes_for_any_seed(seed):
     assert random_walk_check(aba_aca(), (E_TOP,), 30, seed=seed).passed
+
+
+# ------------------------------------------- reference walk, pools rebuilt
+
+
+def _insert_candidates(P, path):
+    out = []
+    for pos in range(len(path) + 1):
+        if path:
+            carrier = (edge_source(P, path[pos]) if pos < len(path)
+                       else edge_target(P, path[-1]))
+        else:
+            carrier = P.u
+        for sign in (1, -1):
+            side = _side(P, sign)
+            for i in find_occurrences(carrier, side):
+                e = SquierEdge(carrier[:i], sign, carrier[i + len(side):])
+                out.append(InsertCancelPair(pos, e))
+    return out
+
+
+def _delete_candidates(path):
+    return [DeleteCancelPair(i) for i in range(len(path) - 1)
+            if path[i + 1] == inverse(path[i])]
+
+
+def _swap_candidates(P, path):
+    return [PullUpPushDown(i) for i in range(len(path) - 1)
+            if _swap_disjoint(P, path[i], path[i + 1]) is not None]
+
+
+def reference_walk(P, start, steps, seed, budget=None):
+    """The walk with every candidate pool rebuilt from scratch each step."""
+    validate_path(P, start)
+    oracle = squier.Oracle(P, budget)
+    rng = random.Random(seed)
+    path = tuple(start)
+    expected = _parity(oracle, path)
+    log = []
+    for _ in range(steps):
+        pools = [p for p in (_insert_candidates(P, path),
+                             _delete_candidates(path),
+                             _swap_candidates(P, path)) if p]
+        if not pools:
+            break
+        move = rng.choice(rng.choice(pools))
+        path = apply_move(P, path, move)
+        log.append(_describe(P, move))
+        if _parity(oracle, path) != expected:
+            return WalkReport(seed, steps, len(log), False, tuple(log),
+                              f"parity changed after {log[-1]}")
+    return WalkReport(seed, steps, len(log), True, tuple(log))
+
+
+def walk_outcome(walk, P, start, steps, seed):
+    try:
+        return walk(P, start, steps, seed)
+    except UndecidableClass as e:
+        return f"UndecidableClass: {e}"
+
+
+C4_START = (SquierEdge(EMPTY, 1, word("aca")),
+            SquierEdge(word("aba"), 1, EMPTY),
+            SquierEdge(EMPTY, -1, word("aba")))
+
+
+def test_walk_matches_reference_on_fixtures():
+    undecided = set()
+    for path in sorted(FIXTURES.glob("*.orm")):
+        P = parse_presentation(path.read_text())
+        starts = [(relation_edge(),), ()]
+        if path.name == "aba-aca.orm":
+            # a cancelling pair in context: seed 0 deletes it first, and
+            # the empty path then anchors on u again
+            pair = SquierEdge(word("b"), 1, word("c"))
+            starts += [C4_START, (pair, inverse(pair))]
+        for start in starts:
+            for seed in range(5):
+                want = walk_outcome(reference_walk, P, start, 300, seed)
+                got = walk_outcome(random_walk_check, P, start, 300, seed)
+                assert got == want, (path.name, start, seed)
+                if isinstance(want, str):
+                    undecided.add(path.name)
+    assert len(undecided) == 5
+
+
+class NormalFormKeys:
+    """Exact class keys for a complete rule, so that with an empty side
+    the parity can change and a walk stops early with a violation."""
+
+    def __init__(self, P, budget=None):
+        self.P = P
+
+    def class_of(self, w):
+        return None, normal_form(self.P, w)
+
+
+short_words = st.lists(st.sampled_from("ab"), max_size=3).map(tuple)
+relations = st.tuples(short_words, short_words).filter(lambda s: s[0] != s[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sides=relations,
+       start_kind=st.sampled_from(["relation", "empty", "pair"]),
+       context=st.tuples(short_words, short_words),
+       steps=st.integers(0, 150), seed=st.integers(0, 10_000))
+def test_walk_matches_reference_property(sides, start_kind, context, steps,
+                                         seed):
+    P = make_presentation(("a", "b"), *sides)
+    if normal_form(P, EMPTY) is None:
+        keys = squier.Oracle  # incomplete rule: the closure store
+    else:
+        keys = NormalFormKeys
+    if start_kind == "relation":
+        start = (relation_edge(),)
+    elif start_kind == "empty":
+        start = ()
+    else:
+        # a cancelling pair away from u: deleting it empties the path,
+        # which then anchors on u again
+        e = SquierEdge(context[0], 1, context[1])
+        start = (e, inverse(e))
+    with mock.patch.object(squier, "Oracle", keys):
+        want = walk_outcome(reference_walk, P, start, steps, seed)
+        got = walk_outcome(random_walk_check, P, start, steps, seed)
+    assert got == want
 
 
 # ------------------------------------------------------------ harness
