@@ -38,6 +38,7 @@ from .compress import (
     delta_factorize,
     left_canonical,
     right_canonical,
+    syllables,
     t_membership,
 )
 from .words import (
@@ -54,7 +55,6 @@ from .wp import (
     Oracle,
     OracleBudget,
     Unknown,
-    _syllables,
     replay,
 )
 
@@ -99,7 +99,7 @@ class CayleyBall:
         return self.membership.get(tuple(w))
 
 
-def _compressing_words(P: Presentation) -> list[Word]:
+def _compressing_words(P: Presentation) -> tuple[Word, ...]:
     """compressing_words(P), raising NotCompressible when there are none."""
     cands = compressing_words(P)
     if not cands:
@@ -425,7 +425,7 @@ def _free_product_key(C: CompressionData, m: tuple[DeltaLetter, ...],
     separator letters verbatim, maximal compressed-letter runs replaced
     by their class representative.  None when a run cannot be decided.
     """
-    runs, seps = _syllables(C, m)
+    runs, seps = syllables(C, m)
     key: list = [d.name for d in seps]
     for run in runs:
         rep = oracle.rep(tuple(d.name for d in run))
@@ -667,10 +667,10 @@ def to_json_dict(ball: CayleyBall) -> dict:
     }
 
 
-def matrices_csv(ball: CayleyBall) -> dict[str, str]:
-    out = {}
+def matrices_csv(ball: CayleyBall) -> str:
+    """d1 then d2 as one CSV sheet with header matrix,row,col,value;
+    each matrix's entries are sorted by (row, col)."""
+    rows = ["matrix,row,col,value"]
     for name, mat in (("d1", ball.d1), ("d2", ball.d2)):
-        rows = ["row,col,value"]
-        rows += [f"{r},{c},{v}" for (r, c), v in sorted(mat.items())]
-        out[name] = "\n".join(rows) + "\n"
-    return out
+        rows += [f"{name},{r},{c},{v}" for (r, c), v in sorted(mat.items())]
+    return "\n".join(rows) + "\n"

@@ -110,7 +110,7 @@ def asphericity_certificate(P: Presentation) -> Asphericity:
 
 def classify_full(P: Presentation) -> Classification:
     """Case tag plus left/right cohomological and geometric dimension bounds."""
-    cw = tuple(compressing_words(P))
+    cw = compressing_words(P)
     torsion = has_torsion(P)
     asph = asphericity_certificate(P)
 

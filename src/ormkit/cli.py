@@ -273,7 +273,15 @@ def _load(path: str) -> tuple[Presentation, str]:
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
-    return parse_presentation(raw.decode()), digest
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as e:
+        line_start = raw.rfind(b"\n", 0, e.start) + 1
+        col = len(raw[line_start:e.start].decode()) + 1
+        raise PresentationSyntaxError(
+            f"invalid UTF-8 byte 0x{raw[e.start]:02x}",
+            raw.count(b"\n", 0, e.start) + 1, col)
+    return parse_presentation(text), digest
 
 
 def _parse_word(text: str, P: Presentation) -> Word:
@@ -284,15 +292,6 @@ def _parse_word(text: str, P: Presentation) -> Word:
         if ch not in P.alphabet:
             raise UsageError(f"undeclared letter {ch!r} in word {text!r}")
     return letters
-
-
-def _ball_renders(ball: CayleyBall) -> dict[str, str]:
-    per_matrix = matrices_csv(ball)
-    rows = ["matrix,row,col,value"]
-    for name in ("d1", "d2"):
-        body = per_matrix[name].splitlines()[1:]
-        rows += [f"{name},{line}" for line in body]
-    return {"dot": to_dot(ball), "csv": "\n".join(rows) + "\n"}
 
 
 def _step_dict(data) -> dict:
@@ -386,7 +385,8 @@ def _cmd_ball(ns, P, b):
     counts = {"vertices": len(ball.vertices), "edges": len(ball.edges),
               "cells": len(ball.cells)}
     return 0, payload, counts, {"approximate": ball.approximate,
-                                "renders": _ball_renders(ball)}
+                                "renders": {"dot": to_dot(ball),
+                                            "csv": matrices_csv(ball)}}
 
 
 def _cmd_homology(ns, P, b):
@@ -409,7 +409,7 @@ def _cmd_homology(ns, P, b):
     }
     return 0, payload, {"cycles": len(basis)}, {
         "approximate": ball.approximate,
-        "renders": {"csv": _ball_renders(ball)["csv"]}}
+        "renders": {"csv": matrices_csv(ball)}}
 
 
 def _cmd_squier_check(ns, P, b):
@@ -502,14 +502,14 @@ _HANDLERS = {
 
 
 def _parser() -> _Parser:
-    p = _Parser(prog="ormkit",
+    p = _Parser(prog="ormkit", allow_abbrev=False,
                 description="One-relator monoid toolkit: compression, "
                             "classification, word problem, complexes.")
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_Parser)
 
     def add(name: str, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+        sp = sub.add_parser(name, allow_abbrev=False, **kwargs)
         sp.add_argument("file", help="presentation file (.orm)")
         sp.add_argument("--format", choices=FORMATS, default="json")
         sp.add_argument("--budget-words", type=int, default=None)

@@ -156,6 +156,25 @@ class CompressionData:
     compressed: Presentation
 
 
+def syllables(C: CompressionData,
+              seq: tuple[DeltaLetter, ...]) -> tuple[list[tuple[DeltaLetter, ...]],
+                                                     list[DeltaLetter]]:
+    """The maximal runs of C's compressed letters in seq, and the outside
+    letters between them; n separators give n+1 runs, empties included."""
+    runs: list[tuple[DeltaLetter, ...]] = []
+    seps: list[DeltaLetter] = []
+    cur: list[DeltaLetter] = []
+    for d in seq:
+        if d in C.lambda_r:
+            cur.append(d)
+        else:
+            runs.append(tuple(cur))
+            cur = []
+            seps.append(d)
+    runs.append(tuple(cur))
+    return runs, seps
+
+
 def compress_step(P: Presentation, r: Word) -> CompressionData:
     """Compress P by the sealing word r.
 

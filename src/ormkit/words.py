@@ -15,6 +15,7 @@ self-overlap-free, and they drive the whole compression calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 Word = tuple[str, ...]
 
@@ -135,20 +136,22 @@ def seals(r: Word, w: Word) -> bool:
     return len(r) <= len(w) and starts_with(w, r) and ends_with(w, r)
 
 
-def compressing_words(P: Presentation) -> list[Word]:
+@lru_cache(maxsize=1024)
+def compressing_words(P: Presentation) -> tuple[Word, ...]:
     """All nonempty words sealing both sides of the relation, shortest first.
 
     Any such word is a prefix (and suffix) of the shorter side v, so only
     prefixes of v need checking.  The result is empty exactly when P is
     incompressible; in particular whenever v is empty.  The words form a
-    chain under sealing and the first one is self-overlap-free.
+    chain under sealing and the first one is self-overlap-free.  Cached:
+    each presentation's tuple is computed once and shared by all callers.
     """
     out = []
     for k in range(1, len(P.v) + 1):
         r = P.v[:k]
         if seals(r, P.u) and seals(r, P.v):
             out.append(r)
-    return out
+    return tuple(out)
 
 
 def proper_power_root(w: Word) -> tuple[Word, int]:

@@ -34,9 +34,10 @@ from .compress import (
     DeltaLetter,
     compress_step,
     left_canonical,
+    p_delta_membership,
     right_canonical,
+    syllables,
     t_membership,
-    _shortest_t_prefix,
 )
 from .words import (
     Presentation,
@@ -228,15 +229,8 @@ def _abelian_mismatch(P: Presentation, w1: Word, w2: Word) -> bool:
     return False
 
 
-@lru_cache(maxsize=1024)
-def _compressing_words(P: Presentation) -> tuple[Word, ...]:
-    """compressing_words(P), computed once per presentation: every
-    equal_bounded and equal_via_compression call asks for it."""
-    return tuple(compressing_words(P))
-
-
 def _ideal_certificate(P: Presentation, w1: Word, w2: Word) -> str | None:
-    for r in _compressing_words(P):
+    for r in compressing_words(P):
         if ends_with(w1, r) != ends_with(w2, r):
             return CERT_SUFFIX
         if starts_with(w1, r) != starts_with(w2, r):
@@ -428,27 +422,9 @@ def _validate_delta(C: CompressionData, seq: tuple[DeltaLetter, ...]) -> None:
     for d in seq:
         if not d.spelling or not t_membership(C.r, d.spelling):
             raise ValueError(f"{d!r} is not an irreducible block for this step")
-        if _shortest_t_prefix(C.r, d.spelling) != len(d.spelling):
+        # irreducible: no proper nonempty prefix lies in T(r)
+        if not p_delta_membership(C.r, d.spelling[:-1]):
             raise ValueError(f"{d!r} is reducible, not a Delta letter")
-
-
-def _syllables(C: CompressionData,
-               seq: tuple[DeltaLetter, ...]) -> tuple[list[tuple[DeltaLetter, ...]],
-                                                      list[DeltaLetter]]:
-    """Split into maximal runs of compressed-alphabet letters separated by
-    outside letters.  n separators produce n+1 runs, empties included."""
-    runs: list[tuple[DeltaLetter, ...]] = []
-    seps: list[DeltaLetter] = []
-    cur: list[DeltaLetter] = []
-    for d in seq:
-        if d in C.lambda_r:
-            cur.append(d)
-        else:
-            runs.append(tuple(cur))
-            cur = []
-            seps.append(d)
-    runs.append(tuple(cur))
-    return runs, seps
 
 
 def freeproduct_equal(C: CompressionData, m1: tuple[DeltaLetter, ...],
@@ -466,8 +442,8 @@ def freeproduct_equal(C: CompressionData, m1: tuple[DeltaLetter, ...],
     _validate_delta(C, m2)
     if m1 == m2:
         return Equal((m1,))
-    runs1, seps1 = _syllables(C, m1)
-    runs2, seps2 = _syllables(C, m2)
+    runs1, seps1 = syllables(C, m1)
+    runs2, seps2 = syllables(C, m2)
     if seps1 != seps2:
         return Distinct(CERT_SYLLABLE)
 
@@ -488,26 +464,16 @@ def freeproduct_equal(C: CompressionData, m1: tuple[DeltaLetter, ...],
     # stitch: rewrite run i while runs < i are already in their m2 form
     path = [m1]
     for i, sub in enumerate(sub_paths):
-        for step_word in sub[1:]:
-            pieces: list[DeltaLetter] = []
-            for j in range(len(runs1)):
-                if j < i:
-                    pieces.extend(runs2[j])
-                elif j == i:
-                    pieces.extend(step_word)
-                else:
-                    pieces.extend(runs1[j])
-                if j < len(seps1):
-                    pieces.append(seps1[j])
+        for step in sub[1:]:
+            runs = runs2[:i] + [step] + runs1[i + 1:]
+            pieces: list[DeltaLetter] = list(runs[0])
+            for sep, run in zip(seps1, runs[1:]):
+                pieces.append(sep)
+                pieces.extend(run)
             path.append(tuple(pieces))
     if path[-1] != m2:
         raise AssertionError("stitched free-product path missed its endpoint")
-    # drop consecutive duplicates left by no-op runs
-    clean = [path[0]]
-    for p in path[1:]:
-        if p != clean[-1]:
-            clean.append(p)
-    return Equal(tuple(clean))
+    return Equal(tuple(path))
 
 
 def equal_via_compression(P: Presentation, w1: Word, w2: Word,
@@ -523,7 +489,7 @@ def equal_via_compression(P: Presentation, w1: Word, w2: Word,
     w1, w2 = tuple(w1), tuple(w2)
     if w1 == w2:
         return Equal((w1,))
-    cands = _compressing_words(P)
+    cands = compressing_words(P)
     if not cands:
         return equal_bounded(P, w1, w2, budget)
     r = cands[-1]

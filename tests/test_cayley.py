@@ -453,12 +453,10 @@ def test_json_export_shape():
 
 def test_matrices_csv_shape():
     ball = attach_cells(build_ball(aba_aca(), 3), CellVariant.FULL_RELATION)
-    sheets = matrices_csv(ball)
-    assert set(sheets) == {"d1", "d2"}
-    for text in sheets.values():
-        lines = text.strip().splitlines()
-        assert lines[0] == "row,col,value"
-        assert all(len(line.split(",")) == 3 for line in lines[1:])
+    lines = matrices_csv(ball).strip().splitlines()
+    assert lines[0] == "matrix,row,col,value"
+    assert all(len(line.split(",")) == 4 for line in lines[1:])
+    assert {line.split(",")[0] for line in lines[1:]} == {"d1", "d2"}
 
 
 def test_enumerate_classes_membership_is_total():

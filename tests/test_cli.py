@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ormkit.cli import (
     MultipleRelations,
@@ -386,6 +388,92 @@ def test_exit_1_property_violation(tmp_path, monkeypatch):
     code, report = dispatch(["squier-check", fx("aba-aca.orm")])
     assert code == 1
     assert report.payload["violation"] == "parity changed"
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsysbinary):
+    bad = tmp_path / "bad.orm"
+    bad.write_bytes(b"alphabet: a b\nrelation: a\xffb = a\n")
+    code = main(["classify", str(bad)])
+    assert code == 2
+    obj = json.loads(capsysbinary.readouterr().out)
+    assert obj["payload"]["error"] == \
+        "line 2, column 12: invalid UTF-8 byte 0xff"
+
+
+def test_flags_are_spelled_in_full(capsysbinary):
+    code = main(["classify", fx("aa-a.orm"), "--form", "text"])
+    assert code == 2
+    obj = json.loads(capsysbinary.readouterr().out)
+    assert "--form" in obj["payload"]["error"]
+    code = main(["classify", fx("aa-a.orm"), "--format", "text"])
+    assert code == 0
+    assert capsysbinary.readouterr().out.startswith(b"command: classify\n")
+
+
+# Inputs that are not fixtures: each must end in a report, never a raise.
+BAD_INPUTS = {
+    "non-utf8": b"alphabet: a b\nrelation: a\xffb = a\n",
+    "malformed": b"alphabet: a b\nrelation: ab == a\n",
+}
+INPUT_NAMES = sorted([p.stem for p in FIXTURES.glob("*.orm")]
+                     + list(BAD_INPUTS) + ["missing", "directory"])
+
+# Flag values stay small, 0 and negatives included; every command gets
+# its size flags so no draw falls back to a slow default.
+RADIUS = st.integers(-1, 3).map(str)
+COMMAND_FLAGS = {
+    "classify": {},
+    "compress": {"--chain": st.sampled_from(["shortest-first",
+                                             "longest-first"])},
+    "wp": {},
+    "ball": {"--radius": RADIUS,
+             "--cells": st.sampled_from(["full", "ideal"])},
+    "homology": {"--radius": RADIUS,
+                 "--cells": st.sampled_from(["full", "ideal"])},
+    "squier-check": {"--walk-steps": st.integers(-1, 30).map(str),
+                     "--seed": st.integers(-1, 3).map(str)},
+    "inject-check": {"--samples": st.integers(-1, 20).map(str),
+                     "--max-support": st.integers(-1, 4).map(str),
+                     "--radius": RADIUS},
+    "structure-check": {"--radius": RADIUS},
+}
+BUDGET_FLAGS = {"--budget-words": st.integers(-1, 3000).map(str),
+                "--budget-len": st.integers(-1, 8).map(str)}
+
+
+@pytest.fixture(scope="module")
+def input_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    paths = {p.stem: str(p) for p in FIXTURES.glob("*.orm")}
+    for name, raw in BAD_INPUTS.items():
+        (root / f"{name}.orm").write_bytes(raw)
+        paths[name] = str(root / f"{name}.orm")
+    paths["missing"] = str(root / "missing.orm")
+    paths["directory"] = str(root)
+    return paths
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    words = st.text("ab1x", max_size=4)
+    args = [draw(words), draw(words)] if command == "wp" else []
+    for flag, values in COMMAND_FLAGS[command].items():
+        args += [flag, draw(values)]
+    for flag, values in BUDGET_FLAGS.items():
+        if draw(st.booleans()):
+            args += [flag, draw(values)]
+    return command, args
+
+
+@settings(max_examples=150, deadline=None)
+@example(name="non-utf8", invocation=("classify", []))
+@given(name=st.sampled_from(INPUT_NAMES), invocation=invocations())
+def test_dispatch_never_raises(input_paths, name, invocation):
+    command, args = invocation
+    code, report = dispatch([command, input_paths[name], *args])
+    assert code in (0, 1, 2, 3)
+    json.loads(emit(report, "json"))
 
 
 # ------------------------------------------------------------ emission

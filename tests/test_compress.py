@@ -307,7 +307,7 @@ def test_chain_longest_first_single_step():
     assert len(chain.steps) == 1
     assert chain.terminal == compress_chain(big_example(),
                                             Strategy.SHORTEST_FIRST).terminal
-    assert compressing_words(chain.terminal) == []
+    assert compressing_words(chain.terminal) == ()
 
 
 def test_chain_terminates_on_incompressible_input():
@@ -329,8 +329,8 @@ def test_chain_strategies_reach_equivalent_terminals(alphabet, lhs, rhs):
     short = compress_chain(P, Strategy.SHORTEST_FIRST)
     long = compress_chain(P, Strategy.LONGEST_FIRST)
     assert len(long.steps) <= 1
-    assert compressing_words(short.terminal) == []
-    assert compressing_words(long.terminal) == []
+    assert compressing_words(short.terminal) == ()
+    assert compressing_words(long.terminal) == ()
     assert relabel_equivalent(short.terminal, long.terminal)
 
 

@@ -1,4 +1,5 @@
-"""Every module uses each name it imports.
+"""Every module uses each name it imports, and no package module
+imports a sibling's private name.
 
 Package __init__ files re-export names and are left out.  A name counts
 as used when it appears as an identifier anywhere in the module, which
@@ -13,10 +14,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "ormkit").glob("*.py")
-     if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")))
+PACKAGE = sorted(p for p in (ROOT / "src" / "ormkit").glob("*.py")
+                 if p.name != "__init__.py")
+MODULES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +38,23 @@ def unused_imports(source: str) -> list[str]:
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """Underscore names imported from another module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = "." * node.level + (node.module or "")
+        if not (node.level or module.split(".")[0] == "ormkit"):
+            continue
+        found += [f"line {node.lineno}: {module}.{alias.name}"
+                  for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_sibling_imports(path):
+    assert private_sibling_imports(path.read_text()) == []

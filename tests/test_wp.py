@@ -261,6 +261,43 @@ def test_equal_bounded_agrees_with_saturated_classes(data):
         assert replay(P, verdict.path)
 
 
+CROSS_CHECKED = [parse_presentation(p.read_text()) for p in FIXTURES] + [
+    incomplete(),
+    make_presentation(("a", "b"), word("bbb"), word("bab")),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_deciders_never_disagree(data):
+    P = data.draw(st.sampled_from(CROSS_CHECKED))
+    letters = st.sampled_from(P.alphabet)
+    w1 = data.draw(st.lists(letters, max_size=6).map(tuple))
+    w2 = data.draw(st.lists(letters, max_size=6).map(tuple))
+    if data.draw(st.booleans()):
+        # plant a relation side and rewrite a few times, so that long
+        # Equal paths occur, not only w1 == w2
+        w1 = w1[:3] + data.draw(st.sampled_from((P.u, P.v))) + w1[3:]
+        w2, seen = w1, {w1}
+        for _ in range(data.draw(st.integers(1, 6))):
+            fresh = sorted(neighbors(P, w2) - seen)
+            if not fresh:
+                break
+            w2 = data.draw(st.sampled_from(fresh))
+            seen.add(w2)
+    b = OracleBudget(max_words=3000)
+    verdicts = [equal_bounded(P, w1, w2, b),
+                equal_via_compression(P, w1, w2, b),
+                Oracle(P, b).equal(w1, w2)]
+    decided = {isinstance(v, Equal) for v in verdicts
+               if not isinstance(v, Unknown)}
+    assert len(decided) <= 1, (P, w1, w2, verdicts)
+    for v in verdicts:
+        if isinstance(v, Equal):
+            assert v.path[0] == w1 and v.path[-1] == w2
+            assert replay(P, v.path)
+
+
 # ------------------------------------------------------------- Oracle.rep
 
 
