@@ -53,6 +53,7 @@ from .squier import (
 )
 from .words import (
     EMPTY,
+    PreconditionError,
     Presentation,
     Word,
     compressing_words,

@@ -25,7 +25,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
@@ -42,6 +41,7 @@ from .compress import (
     t_membership,
 )
 from .words import (
+    PreconditionError,
     Presentation,
     Word,
     compressing_words,
@@ -63,7 +63,7 @@ class BudgetExceeded(Exception):
     """Enumerating the ball would overrun the word budget."""
 
 
-class NotCompressible(Exception):
+class NotCompressible(PreconditionError):
     """Ideal cells need a compressing word and this relation has none."""
 
 
@@ -134,12 +134,8 @@ def enumerate_classes(
     assign: dict[Word, int] = {}
     approximate = False
     for w in _all_words(P.alphabet, max_len):
-        rep = oracle.rep(w)
-        if rep is None:
-            idx, unknown = _pairwise(oracle, w, reps)
-            approximate = approximate or unknown
-        else:
-            idx = assign.get(rep)  # None exactly when rep == w
+        idx, unknown = _locate(oracle, w, assign, reps)
+        approximate = approximate or unknown
         if idx is None:
             idx = len(reps)
             reps.append(w)
@@ -147,10 +143,21 @@ def enumerate_classes(
     return tuple(reps), assign, approximate
 
 
-def _pairwise(oracle: Oracle, w: Word,
-              reps: Sequence[Word]) -> tuple[int | None, bool]:
-    """Index of the first representative proven Equal to w, or None, and
-    whether any verdict along the way was Unknown."""
+def _locate(oracle: Oracle, w: Word, assign: dict[Word, int],
+            reps: Sequence[Word]) -> tuple[int | None, bool]:
+    """Index of w's class among the classes enumerated so far.
+
+    Returns (index or None, sawUnknown).  A decided representative is
+    the shortest member of its class, so the class is enumerated exactly
+    when its representative is.  An undecided word takes the first
+    representative proven Equal to it; None with sawUnknown False is a
+    proof that no enumerated class holds w.
+    """
+    if w in assign:
+        return assign[w], False
+    rep = oracle.rep(w)
+    if rep is not None:
+        return assign.get(rep), False
     unknown = False
     for i, r in enumerate(reps):
         verdict = oracle.equal(w, r)
@@ -159,23 +166,6 @@ def _pairwise(oracle: Oracle, w: Word,
         if isinstance(verdict, Unknown):
             unknown = True
     return None, unknown
-
-
-def _locate(oracle: Oracle, w: Word, assign: dict[Word, int],
-            reps: tuple[Word, ...]) -> tuple[int | None, bool]:
-    """Vertex index of a word just outside the enumerated ball.
-
-    Returns (index or None, sawUnknown).  None means no in-ball class
-    member was found; with sawUnknown False that is a proof of absence.
-    A decided representative is the shortest member of its class, so
-    when it lies outside the ball, so does the whole class.
-    """
-    if w in assign:
-        return assign[w], False
-    rep = oracle.rep(w)
-    if rep is not None:
-        return assign.get(rep), False
-    return _pairwise(oracle, w, reps)
 
 
 def build_ball(P: Presentation, radius: int,
@@ -407,13 +397,6 @@ class CheckReport:
         return not self.failures
 
 
-@lru_cache(maxsize=1)
-def _ball_classes(P: Presentation, radius: int, b: OracleBudget):
-    """enumerate_classes of P's ball, kept for the next call: both psi
-    checks read the same ball.  Callers must not mutate the result."""
-    return enumerate_classes(Oracle(P, b), radius)
-
-
 def _all_words(alphabet: tuple[str, ...], max_len: int):
     for n in range(max_len + 1):
         yield from product(alphabet, repeat=n)
@@ -438,7 +421,7 @@ def _free_product_key(C: CompressionData, m: tuple[DeltaLetter, ...],
 def _check_psi_well_defined(P: Presentation, b: OracleBudget,
                             radius: int) -> CheckReport:
     cands = _compressing_words(P)
-    _, assign, _ = _ball_classes(P, radius, b)
+    _, assign, _ = enumerate_classes(Oracle(P, b), radius)
     classes: dict[int, list[Word]] = defaultdict(list)
     for w, idx in assign.items():
         classes[idx].append(w)
@@ -480,7 +463,7 @@ def _check_psi_well_defined(P: Presentation, b: OracleBudget,
 def _check_psi_injective(P: Presentation, b: OracleBudget,
                          radius: int) -> CheckReport:
     cands = _compressing_words(P)
-    reps, _, _ = _ball_classes(P, radius, b)
+    reps, _, _ = enumerate_classes(Oracle(P, b), radius)
     checked = skipped = 0
     failures: list[str] = []
     for r in cands:
@@ -554,12 +537,13 @@ def _check_local_divisor(P: Presentation, b: OracleBudget,
                        tuple(failures))
 
 
-def _check_regularity(P: Presentation) -> CheckReport:
+def _check_regularity(P: Presentation, b: OracleBudget,
+                       radius: int) -> CheckReport:
     """[v·t^k] = [v] for u = v·t and k = |v| + 1, witnessed by the path
     v·t^k, v·t^(k-1), ..., v: each step rewrites the prefix v·t = u."""
     if not is_subspecial(P) or P.u == P.v:
-        raise ValueError("regularity witness needs a nondegenerate "
-                         "subspecial relation")
+        raise PreconditionError("regularity witness needs a nondegenerate "
+                                "subspecial relation")
     tail = P.u[len(P.v):]
     k = len(P.v) + 1
     power = P.v + tail * k
@@ -574,8 +558,8 @@ def _check_regularity(P: Presentation) -> CheckReport:
 def _check_r_trivial(P: Presentation, b: OracleBudget,
                      radius: int) -> CheckReport:
     if starts_with(P.u, P.v):
-        raise ValueError("R-triviality needs the longer side to not "
-                         "start with the shorter")
+        raise PreconditionError("R-triviality needs the longer side to not "
+                                "start with the shorter")
     oracle = Oracle(P, b)
     checked = skipped = 0
     failures: list[str] = []
@@ -592,7 +576,8 @@ def _check_r_trivial(P: Presentation, b: OracleBudget,
     return CheckReport(CheckKind.R_TRIVIAL, checked, skipped, tuple(failures))
 
 
-def _check_kernel_inclusion(P: Presentation) -> CheckReport:
+def _check_kernel_inclusion(P: Presentation, b: OracleBudget,
+                            radius: int) -> CheckReport:
     """[head_u·sof] = [head_v·sof] for the shortest compressing word sof,
     witnessed by one step: the two words are u and v themselves."""
     sof = _compressing_words(P)[0]
@@ -605,27 +590,24 @@ def _check_kernel_inclusion(P: Presentation) -> CheckReport:
                        () if passed else note, note if passed else ())
 
 
+_CHECKS = {
+    CheckKind.PSI_WELL_DEFINED: _check_psi_well_defined,
+    CheckKind.PSI_INJECTIVE_ON_IDEAL: _check_psi_injective,
+    CheckKind.BASIS_FREENESS: _check_basis_freeness,
+    CheckKind.LOCAL_DIVISOR_ISO: _check_local_divisor,
+    CheckKind.REGULARITY_WITNESS: _check_regularity,
+    CheckKind.R_TRIVIAL: _check_r_trivial,
+    CheckKind.KERNEL_INCLUSION: _check_kernel_inclusion,
+}
+
+
 def structure_checks(P: Presentation, check: CheckKind,
                      budget: OracleBudget | None = None,
                      radius: int = 6) -> CheckReport:
     """Run one structural check over a bounded witness set; the two
-    witness checks replay a fixed path and ignore budget and radius."""
-    b = budget or DEFAULT_BUDGET
-    if check is CheckKind.PSI_WELL_DEFINED:
-        return _check_psi_well_defined(P, b, radius)
-    if check is CheckKind.PSI_INJECTIVE_ON_IDEAL:
-        return _check_psi_injective(P, b, radius)
-    if check is CheckKind.BASIS_FREENESS:
-        return _check_basis_freeness(P, b, radius)
-    if check is CheckKind.LOCAL_DIVISOR_ISO:
-        return _check_local_divisor(P, b, radius)
-    if check is CheckKind.REGULARITY_WITNESS:
-        return _check_regularity(P)
-    if check is CheckKind.R_TRIVIAL:
-        return _check_r_trivial(P, b, radius)
-    if check is CheckKind.KERNEL_INCLUSION:
-        return _check_kernel_inclusion(P)
-    raise ValueError(f"unknown check {check!r}")
+    witness checks replay a fixed path and ignore budget and radius.
+    Raises PreconditionError when the check does not apply to P."""
+    return _CHECKS[CheckKind(check)](P, budget or DEFAULT_BUDGET, radius)
 
 
 # --------------------------------------------------------------- exports

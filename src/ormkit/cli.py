@@ -9,8 +9,8 @@ relation:
 Blank lines and lines starting with # are ignored.  A relation side
 written as 1 is the empty word (unless 1 is a declared letter).  Every
 command prints one Report; --format picks the rendering.  Exit codes:
-0 success, 1 property violation found, 2 usage or parse error, 3 budget
-exhaustion.
+0 success, 1 property violation found, 2 usage, parse or precondition
+error, 3 budget exhaustion.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .cayley import (
     CayleyBall,
     CellVariant,
     CheckKind,
-    NotCompressible,
     attach_cells,
     build_ball,
     matrices_csv,
@@ -36,14 +35,20 @@ from .cayley import (
     two_cycle_basis,
 )
 from .classify import classify_full
-from .compress import NotCompressing, Strategy, compress_chain, compress_step
+from .compress import Strategy, compress_chain, compress_step
 from .squier import (
     UndecidableClass,
     injectivity_harness,
     random_walk_check,
     relation_edge,
 )
-from .words import Presentation, Word, make_presentation, spell
+from .words import (
+    PreconditionError,
+    Presentation,
+    Word,
+    make_presentation,
+    spell,
+)
 from .wp import (
     BudgetTooShort,
     Distinct,
@@ -269,10 +274,7 @@ def _budget(ns) -> OracleBudget:
     return OracleBudget(**kwargs)
 
 
-def _load(path: str) -> tuple[Presentation, str]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    digest = "sha256:" + hashlib.sha256(raw).hexdigest()
+def _parse_file(raw: bytes) -> Presentation:
     try:
         text = raw.decode()
     except UnicodeDecodeError as e:
@@ -281,7 +283,7 @@ def _load(path: str) -> tuple[Presentation, str]:
         raise PresentationSyntaxError(
             f"invalid UTF-8 byte 0x{raw[e.start]:02x}",
             raw.count(b"\n", 0, e.start) + 1, col)
-    return parse_presentation(text), digest
+    return parse_presentation(text)
 
 
 def _parse_word(text: str, P: Presentation) -> Word:
@@ -326,14 +328,9 @@ def _cmd_classify(ns, P, b):
 
 def _cmd_compress(ns, P, b):
     if ns.by is not None:
-        try:
-            data = compress_step(P, _parse_word(ns.by, P))
-        except NotCompressing as e:
-            raise UsageError(str(e))
+        data = compress_step(P, _parse_word(ns.by, P))
         return 0, {"step": _step_dict(data)}, {"steps": 1}, {}
-    strategy = (Strategy.SHORTEST_FIRST if ns.chain == "shortest-first"
-                else Strategy.LONGEST_FIRST)
-    chain = compress_chain(P, strategy)
+    chain = compress_chain(P, Strategy(ns.chain))
     payload = {
         "strategy": ns.chain,
         "steps": [_step_dict(d) for d in chain.steps],
@@ -368,10 +365,7 @@ def _build_complex(ns, P, b) -> CayleyBall:
     if ns.cells:
         variant = (CellVariant.FULL_RELATION if ns.cells == "full"
                    else CellVariant.COMPRESSED_IDEAL)
-        try:
-            ball = attach_cells(ball, variant)
-        except NotCompressible as e:
-            raise UsageError(str(e))
+        ball = attach_cells(ball, variant)
     return ball
 
 
@@ -429,12 +423,9 @@ def _cmd_squier_check(ns, P, b):
 
 
 def _cmd_inject_check(ns, P, b):
-    try:
-        rep = injectivity_harness(P, samples=ns.samples,
-                                  max_support=ns.max_support, seed=ns.seed,
-                                  budget=b, radius=ns.radius)
-    except ValueError as e:
-        raise UsageError(str(e))
+    rep = injectivity_harness(P, samples=ns.samples,
+                              max_support=ns.max_support, seed=ns.seed,
+                              budget=b, radius=ns.radius)
     payload = {
         "samples": rep.samples,
         "skipped": rep.skipped,
@@ -457,18 +448,16 @@ def _cmd_inject_check(ns, P, b):
 def _cmd_structure_check(ns, P, b):
     kinds = ([CheckKind(ns.check)] if ns.check else list(CheckKind))
     entries = []
-    passed = failed = inapplicable = 0
+    counts = {"passed": 0, "failed": 0, "inapplicable": 0}
     for kind in kinds:
         try:
             rep = structure_checks(P, kind, b, ns.radius)
-        except BudgetTooShort:
-            raise
-        except (ValueError, NotCompressible) as e:
+        except PreconditionError as e:
             if ns.check:
-                raise UsageError(str(e))
+                raise
             entries.append({"check": kind.value, "applicable": False,
                             "reason": str(e)})
-            inapplicable += 1
+            counts["inapplicable"] += 1
             continue
         entries.append({
             "check": kind.value,
@@ -479,26 +468,9 @@ def _cmd_structure_check(ns, P, b):
             "failures": list(rep.failures),
             "notes": list(rep.notes),
         })
-        if rep.passed:
-            passed += 1
-        else:
-            failed += 1
+        counts["passed" if rep.passed else "failed"] += 1
     payload = {"radius": ns.radius, "checks": entries}
-    counts = {"passed": passed, "failed": failed,
-              "inapplicable": inapplicable}
-    return (1 if failed else 0), payload, counts, {}
-
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "compress": _cmd_compress,
-    "wp": _cmd_wp,
-    "ball": _cmd_ball,
-    "homology": _cmd_homology,
-    "squier-check": _cmd_squier_check,
-    "inject-check": _cmd_inject_check,
-    "structure-check": _cmd_structure_check,
-}
+    return (1 if counts["failed"] else 0), payload, counts, {}
 
 
 def _parser() -> _Parser:
@@ -508,46 +480,53 @@ def _parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_Parser)
 
-    def add(name: str, **kwargs):
+    def add(name: str, handler, **kwargs):
         sp = sub.add_parser(name, allow_abbrev=False, **kwargs)
+        sp.set_defaults(handler=handler)
         sp.add_argument("file", help="presentation file (.orm)")
         sp.add_argument("--format", choices=FORMATS, default="json")
         sp.add_argument("--budget-words", type=int, default=None)
         sp.add_argument("--budget-len", type=_nonnegative, default=None)
         return sp
 
-    add("classify", help="case tag, torsion, dimension bounds")
+    add("classify", _cmd_classify, help="case tag, torsion, dimension bounds")
 
-    sp = add("compress", help="compress the relation by a sealing word")
+    sp = add("compress", _cmd_compress,
+             help="compress the relation by a sealing word")
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--by", default=None, metavar="WORD")
     group.add_argument("--chain", default="shortest-first",
                        choices=["shortest-first", "longest-first"],
                        metavar="STRATEGY")
 
-    sp = add("wp", help="decide equality of two words")
+    sp = add("wp", _cmd_wp, help="decide equality of two words")
     sp.add_argument("w1")
     sp.add_argument("w2")
 
-    sp = add("ball", help="Cayley graph ball, optionally with 2-cells")
+    sp = add("ball", _cmd_ball,
+             help="Cayley graph ball, optionally with 2-cells")
     sp.add_argument("--radius", type=_nonnegative, default=4)
     sp.add_argument("--cells", choices=["full", "ideal"], default=None)
 
-    sp = add("homology", help="interior 2-cycle basis of the complex")
+    sp = add("homology", _cmd_homology,
+             help="interior 2-cycle basis of the complex")
     sp.add_argument("--radius", type=_nonnegative, default=4)
     sp.add_argument("--cells", choices=["full", "ideal"], default="full")
 
-    sp = add("squier-check", help="random-walk parity invariance check")
+    sp = add("squier-check", _cmd_squier_check,
+             help="random-walk parity invariance check")
     sp.add_argument("--walk-steps", type=_nonnegative, default=200)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = add("inject-check", help="sampled formal-sum injectivity harness")
+    sp = add("inject-check", _cmd_inject_check,
+             help="sampled formal-sum injectivity harness")
     sp.add_argument("--samples", type=_nonnegative, default=100)
     sp.add_argument("--max-support", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--radius", type=_nonnegative, default=6)
 
-    sp = add("structure-check", help="oracle-backed structural checks")
+    sp = add("structure-check", _cmd_structure_check,
+             help="oracle-backed structural checks")
     sp.add_argument("check", nargs="?", default=None,
                     choices=[k.value for k in CheckKind])
     sp.add_argument("--radius", type=_nonnegative, default=6)
@@ -564,7 +543,9 @@ def _error_report(command: str, message: str, digest: str,
 def dispatch(argv: list[str]) -> tuple[int, Report]:
     """Run one command; never raises for user-input problems.
 
-    An error report keeps the input digest once the file is loaded and
+    Exit 2 covers bad flags, unreadable or malformed files and every
+    PreconditionError; any other exception is a defect and propagates.
+    An error report keeps the input digest once the file is read and
     the budgets once they are built, so it says which caps were in force.
     """
     command = digest = ""
@@ -572,11 +553,14 @@ def dispatch(argv: list[str]) -> tuple[int, Report]:
     try:
         ns = _parser().parse_args(argv)
         command = ns.command
-        P, digest = _load(ns.file)
+        with open(ns.file, "rb") as fh:
+            raw = fh.read()
+        digest = "sha256:" + hashlib.sha256(raw).hexdigest()
         b = _budget(ns)
         budgets = {"maxWords": b.max_words, "maxLen": b.max_len}
-        code, payload, counts, extra = _HANDLERS[command](ns, P, b)
-    except (UsageError, PresentationSyntaxError, OSError,
+        P = _parse_file(raw)
+        code, payload, counts, extra = ns.handler(ns, P, b)
+    except (UsageError, PresentationSyntaxError, PreconditionError, OSError,
             BudgetTooShort) as e:
         return 2, _error_report(command or "usage", str(e), digest, budgets)
     except BudgetExceeded as e:

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 from .words import (
     EMPTY,
     Presentation,
+    PreconditionError,
     Word,
     compressing_words,
     ends_with,
@@ -43,7 +45,7 @@ class NoOccurrence(ValueError):
     """Left canonical factorization needs a word ending in r."""
 
 
-class NotCompressing(ValueError):
+class NotCompressing(PreconditionError):
     """The given word does not seal both sides of the relation."""
 
 
@@ -175,14 +177,15 @@ def syllables(C: CompressionData,
     return runs, seps
 
 
+@lru_cache(maxsize=1024)
 def compress_step(P: Presentation, r: Word) -> CompressionData:
     """Compress P by the sealing word r.
 
     The compressed presentation lives on the letters of Delta_r occurring
     in the factorizations of the two relation tails, ordered by shortlex
-    of their spellings, and is normalized like any presentation.
+    of their spellings, and is normalized like any presentation.  Cached:
+    the result is frozen, so every caller shares one per (P, r).
     """
-    r = tuple(r)
     if not r or not (seals(r, P.u) and seals(r, P.v)):
         raise NotCompressing(f"{P.text(r)!r} does not seal both relation sides")
     u_prime = P.u[len(r):]

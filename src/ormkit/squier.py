@@ -29,7 +29,13 @@ from itertools import accumulate, compress
 
 from .cayley import enumerate_classes
 from .classify import Asphericity, asphericity_certificate
-from .words import Presentation, Word, compressing_words, find_occurrences
+from .words import (
+    PreconditionError,
+    Presentation,
+    Word,
+    compressing_words,
+    find_occurrences,
+)
 from .wp import Equal, Oracle, OracleBudget, Unknown
 
 
@@ -377,9 +383,9 @@ def injectivity_harness(P: Presentation, samples: int, max_support: int,
     sample, so violations are reported verbatim for inspection.
     """
     if not P.u or not P.v or P.u[-1] != P.v[-1]:
-        raise ValueError("relation sides must share their last letter")
+        raise PreconditionError("relation sides must share their last letter")
     if max_support < 1:
-        raise ValueError("max_support must be at least 1")
+        raise PreconditionError("max_support must be at least 1")
     head_u, head_v = P.u[:-1], P.v[:-1]
     oracle = Oracle(P, budget)
     reps, _, _ = enumerate_classes(oracle, radius)

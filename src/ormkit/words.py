@@ -22,6 +22,10 @@ Word = tuple[str, ...]
 EMPTY: Word = ()
 
 
+class PreconditionError(ValueError):
+    """The input lies outside what a construction or check applies to."""
+
+
 def word(text: str) -> Word:
     """Build a word from a string of single-character letters."""
     return tuple(text)

@@ -14,6 +14,7 @@ from itertools import product
 
 import pytest
 
+import ormkit.cayley as cayley
 from ormkit.cayley import (
     BudgetExceeded,
     CayleyBall,
@@ -34,7 +35,7 @@ from ormkit.cayley import (
     two_cycle_basis,
 )
 from ormkit.compress import DeltaLetter, NotCompressing
-from ormkit.words import EMPTY, make_presentation, word
+from ormkit.words import EMPTY, PreconditionError, make_presentation, word
 from ormkit.wp import (
     Equal,
     Oracle,
@@ -407,17 +408,17 @@ def test_regularity_witness_examples():
     P = make_presentation(("a", "b"), word("babab"), word("b"))
     assert structure_checks(P, CheckKind.REGULARITY_WITNESS).passed
 
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         structure_checks(aba_aca(), CheckKind.REGULARITY_WITNESS)
     degenerate = make_presentation(("a", "b"), word("ab"), word("ab"))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         structure_checks(degenerate, CheckKind.REGULARITY_WITNESS)
 
 
 def test_r_trivial_check():
     report = structure_checks(aba_aca(), CheckKind.R_TRIVIAL, radius=4)
     assert report.passed and report.skipped == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         structure_checks(idempotent(), CheckKind.R_TRIVIAL)
 
 
@@ -426,6 +427,56 @@ def test_kernel_inclusion_check():
     assert report.passed and report.checked == 1
     with pytest.raises(NotCompressible):
         structure_checks(commuting(), CheckKind.KERNEL_INCLUSION)
+
+
+def test_unknown_check_kind_is_no_precondition():
+    with pytest.raises(ValueError) as info:
+        structure_checks(aba_aca(), "NoSuchCheck")
+    assert not isinstance(info.value, PreconditionError)
+
+
+class _Collapsing:
+    """Stand-in oracle that puts every word in the class of ε."""
+
+    def __init__(self, P, budget=None):
+        self.P = P
+        self.budget = budget or OracleBudget()
+
+    def rep(self, w):
+        return EMPTY
+
+    def equal(self, w1, w2):
+        return Equal((tuple(w1), tuple(w2)))
+
+
+@pytest.mark.parametrize("kind,count,first", [
+    (CheckKind.PSI_WELL_DEFINED, 6, "ε vs a: mixed star and pair images"),
+    (CheckKind.BASIS_FREENESS, 21, "ε·a = b·a"),
+    (CheckKind.LOCAL_DIVISOR_ISO, 7,
+     "ε vs a: monoid says True, local divisor says False"),
+    (CheckKind.R_TRIVIAL, 21, "[ε] = [a]"),
+])
+def test_pair_checks_report_what_a_collapsing_oracle_merges(
+        monkeypatch, kind, count, first):
+    # merging every class must fail each pair check, one line per pair
+    monkeypatch.setattr(cayley, "Oracle", _Collapsing)
+    report = structure_checks(aba_aca(), kind, radius=2)
+    assert not report.passed
+    assert len(report.failures) == count
+    assert report.failures[0] == first
+
+
+def test_psi_injective_reports_collisions(monkeypatch):
+    # exact on P, but every class of the compressed presentation merged
+    P = aba_aca()
+
+    class CollapseCompressed(Oracle):
+        def rep(self, w):
+            return EMPTY if self.P != P else super().rep(w)
+
+    monkeypatch.setattr(cayley, "Oracle", CollapseCompressed)
+    report = structure_checks(P, CheckKind.PSI_INJECTIVE_ON_IDEAL, radius=3)
+    assert report.failures == ("a and aba collide",)
 
 
 # ---------------------------------------------------------------- exports

@@ -328,9 +328,51 @@ def test_exit_2_usage_and_parse_errors(tmp_path):
                      "RegularityWitness"])[0] == 2
     bad = tmp_path / "bad.orm"
     bad.write_text("alphabet: a\nrelation: ab = a\n")
-    code, report = dispatch(["classify", str(bad)])
+    code, report = dispatch(["classify", str(bad), "--budget-words", "50"])
     assert code == 2
     assert "undeclared" in report.payload["error"]
+    # the file is read and the budgets built before it is parsed, so the
+    # report names both, and a bad flag is reported before a bad file
+    assert report.input_digest == \
+        "sha256:" + hashlib.sha256(bad.read_bytes()).hexdigest()
+    assert report.budgets == {"maxWords": 50, "maxLen": None}
+    code, report = dispatch(["classify", str(bad), "--budget-words", "0"])
+    assert report.payload["error"] == "--budget-words must be positive"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["structure-check", fx("aa-a.orm"), "RTrivial"],
+     "R-triviality needs the longer side to not start with the shorter"),
+    (["structure-check", fx("ab-c.orm"), "KernelInclusion"],
+     "<a b c | ab = c> has no compressing word"),
+    (["structure-check", fx("aba-aca.orm"), "RegularityWitness"],
+     "regularity witness needs a nondegenerate subspecial relation"),
+    (["inject-check", fx("special-ab.orm")],
+     "relation sides must share their last letter"),
+    (["inject-check", fx("aba-aca.orm"), "--max-support", "0"],
+     "max_support must be at least 1"),
+])
+def test_exit_2_unmet_precondition(args, message):
+    code, report = dispatch(args)
+    assert code == 2
+    assert report.payload["error"] == message
+
+
+@pytest.mark.parametrize("name,command", [
+    ("structure_checks", "structure-check"),
+    ("injectivity_harness", "inject-check"),
+])
+def test_dispatch_propagates_plain_value_errors(monkeypatch, name, command):
+    # only a PreconditionError means "does not apply"; any other
+    # ValueError is a defect, never an inapplicable check or exit 2
+    import ormkit.cli as cli
+
+    def defect(*args, **kwargs):
+        raise ValueError("defect")
+
+    monkeypatch.setattr(cli, name, defect)
+    with pytest.raises(ValueError, match="defect"):
+        dispatch([command, fx("aba-aca.orm")])
 
 
 @pytest.mark.parametrize("command", [
@@ -393,11 +435,14 @@ def test_exit_1_property_violation(tmp_path, monkeypatch):
 def test_non_utf8_file_is_a_parse_error(tmp_path, capsysbinary):
     bad = tmp_path / "bad.orm"
     bad.write_bytes(b"alphabet: a b\nrelation: a\xffb = a\n")
-    code = main(["classify", str(bad)])
+    code = main(["classify", str(bad), "--budget-words", "50"])
     assert code == 2
     obj = json.loads(capsysbinary.readouterr().out)
     assert obj["payload"]["error"] == \
         "line 2, column 12: invalid UTF-8 byte 0xff"
+    assert obj["inputDigest"] == \
+        "sha256:" + hashlib.sha256(bad.read_bytes()).hexdigest()
+    assert obj["budgets"] == {"maxWords": 50, "maxLen": None}
 
 
 def test_flags_are_spelled_in_full(capsysbinary):

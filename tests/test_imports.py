@@ -1,5 +1,6 @@
-"""Every module uses each name it imports, and no package module
-imports a sibling's private name.
+"""Every module uses each name it imports, no package module imports a
+sibling's private name, and no package module catches a broad
+exception.
 
 Package __init__ files re-export names and are left out.  A name counts
 as used when it appears as an identifier anywhere in the module, which
@@ -58,3 +59,30 @@ def private_sibling_imports(source: str) -> list[str]:
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_private_sibling_imports(path):
     assert private_sibling_imports(path.read_text()) == []
+
+
+BROAD = {"ValueError", "Exception", "BaseException"}
+
+
+def broad_excepts(source: str) -> list[str]:
+    """Except clauses that catch a bare ValueError or Exception, or
+    everything.  A check that does not apply raises PreconditionError,
+    so a broad catch can only hide a defect."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if node.type is None:
+            found.append(f"line {node.lineno}: bare except")
+            continue
+        types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                 else [node.type])
+        found += [f"line {node.lineno}: {t.id}" for t in types
+                  if isinstance(t, ast.Name) and t.id in BROAD]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_broad_excepts(path):
+    assert broad_excepts(path.read_text()) == []

@@ -47,7 +47,13 @@ from ormkit.squier import (
     relation_edge,
     validate_path,
 )
-from ormkit.words import EMPTY, find_occurrences, make_presentation, word
+from ormkit.words import (
+    EMPTY,
+    PreconditionError,
+    find_occurrences,
+    make_presentation,
+    word,
+)
 from ormkit.wp import normal_form
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -459,10 +465,10 @@ def test_harness_running_example():
 
 def test_harness_requires_shared_last_letter():
     P = make_presentation(("a", "b"), word("ba"), word("ab"))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         injectivity_harness(P, samples=1, max_support=1, seed=0)
 
 
 def test_harness_requires_positive_support():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         injectivity_harness(aba_aca(), samples=1, max_support=0, seed=0)
