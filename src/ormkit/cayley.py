@@ -1,13 +1,23 @@
 """Finite balls of the right Cayley graph, 2-cell attachment, exact
 integer 2-cycle bases, the vertex compression map, and structural checks.
 
-Every class lookup here (ball vertices, edge targets, and the keys of
-the structure checks) asks one Oracle per presentation: rep for the
-class's shortlex-least member, None when undecided, and equal for a
-certified verdict.  A ball collects the classes of all words up to a
-length bound; undecided words are merged only on Equal verdicts, so a
-ball is never over-merged, and if any needed verdict comes back
-Unknown the ball is marked approximate instead of guessing.  Structure
+A ball of radius r has one vertex per monoid element that some word of
+length at most r represents.  When the rule u -> v is complete, those
+elements are the irreducible words of length at most r, a prefix-closed
+set, and the ball is built breadth first over them: each vertex is a
+shorter vertex followed by one letter, and each edge target is the
+normal form of a vertex followed by a letter.  No other word is
+reduced, and the budget's max_words bounds the number of vertices.
+
+Every other class lookup (ball vertices and edge targets on an
+incomplete rule, and the keys of the structure checks) asks one Oracle
+per presentation: rep for the class's shortlex-least member, None when
+undecided, and equal for a certified verdict.  On an incomplete rule a
+ball collects the classes of all words up to the radius, and max_words
+bounds the number of those words; undecided words are merged only on
+Equal verdicts, so a ball is never over-merged, and if any needed
+verdict comes back Unknown the ball is marked approximate instead of
+guessing.  Structure
 checks count pairs with an undecided key as skipped; the two witness
 checks replay a path built from the relation instead.  Cells can be
 attached two ways: one cell per vertex tracing the full relation, or
@@ -55,12 +65,15 @@ from .wp import (
     Oracle,
     OracleBudget,
     Unknown,
+    is_complete,
+    normal_form,
     replay,
 )
 
 
 class BudgetExceeded(Exception):
-    """Enumerating the ball would overrun the word budget."""
+    """Building the ball would overrun the word budget: its vertex count
+    on a complete rule, its count of words otherwise."""
 
 
 class NotCompressible(PreconditionError):
@@ -93,10 +106,17 @@ class CayleyBall:
     d1: dict[tuple[int, int], int] = field(repr=False)
     d2: dict[tuple[int, int], int] = field(repr=False)
     approximate: bool
+    # vertex index of each word the build placed: the vertices alone on
+    # a complete rule, every word of length at most radius otherwise
     membership: dict[Word, int] = field(repr=False)
 
     def vertex_of(self, w: Word) -> int | None:
-        return self.membership.get(tuple(w))
+        """Index of the vertex of w; None when |w| > radius."""
+        w = tuple(w)
+        if len(w) > self.radius:
+            return None
+        nf = normal_form(self.presentation, w)
+        return self.membership.get(w if nf is None else nf)
 
 
 def _compressing_words(P: Presentation) -> tuple[Word, ...]:
@@ -168,23 +188,70 @@ def _locate(oracle: Oracle, w: Word, assign: dict[Word, int],
     return None, unknown
 
 
+def _normal_form_ball(
+    P: Presentation, radius: int, budget: OracleBudget,
+) -> tuple[tuple[Word, ...], dict[Word, int], list[tuple[int, str, int]]]:
+    """Vertices, their index and the edges of the ball of a complete rule.
+
+    Breadth first over normal forms: the vertex list grows while it is
+    read, and vertex w with letter x leads to the normal form of w·x.
+    That is w·x itself unless w·x ends in u; then the reduction resumes
+    after the irreducible prefix w.  An irreducible w·x within the
+    radius is a new vertex.  Vertices are read in shortlex order and
+    letters in alphabet order, so new vertices are appended in shortlex
+    order, each vertex is the shortlex-least word of its class, and
+    every shorter normal form is indexed before it is reached.  The
+    longest word read is the last vertex followed by a letter, and a
+    length cap below it raises BudgetTooShort.
+    """
+    vertices: list[Word] = [()]
+    index: dict[Word, int] = {(): 0}
+    edges: list[tuple[int, str, int]] = []
+    for i, w in enumerate(vertices):
+        for x in P.alphabet:
+            target = w + (x,)
+            if ends_with(target, P.u):
+                target = normal_form(P, (x,), w)
+            j = index.get(target)
+            if j is None and len(target) <= radius:
+                if len(vertices) >= budget.max_words:
+                    raise BudgetExceeded(f"more than {budget.max_words} "
+                                         f"vertices at radius {radius}")
+                j = index[target] = len(vertices)
+                vertices.append(target)
+            if j is not None:
+                edges.append((i, x, j))
+    budget.cap_for(P, vertices[-1] + P.alphabet[:1])
+    return tuple(vertices), index, edges
+
+
 def build_ball(P: Presentation, radius: int,
                budget: OracleBudget | None = None) -> CayleyBall:
     """Ball of congruence classes of all words of length at most radius.
 
     Edges carry right multiplication by a letter and are included
-    whenever both endpoint classes are present.  Cells start empty; see
+    whenever both endpoint classes are present.  On a complete rule the
+    ball is built breadth first over normal forms and is exact, and the
+    budget's max_words caps its vertices; otherwise enumerate_classes
+    partitions every word of length at most radius, and max_words caps
+    that word count.  Either way a length cap below the longest word the
+    build reads raises BudgetTooShort.  Cells start empty; see
     attach_cells.
     """
-    oracle = Oracle(P, budget)
-    reps, assign, approximate = enumerate_classes(oracle, radius)
-    edges: list[tuple[int, str, int]] = []
-    for i, rep in enumerate(reps):
-        for letter in P.alphabet:
-            j, unknown = _locate(oracle, rep + (letter,), assign, reps)
-            approximate = approximate or unknown
-            if j is not None:
-                edges.append((i, letter, j))
+    b = budget or DEFAULT_BUDGET
+    if is_complete(P):
+        reps, assign, edges = _normal_form_ball(P, radius, b)
+        approximate = False
+    else:
+        oracle = Oracle(P, b)
+        reps, assign, approximate = enumerate_classes(oracle, radius)
+        edges = []
+        for i, rep in enumerate(reps):
+            for letter in P.alphabet:
+                j, unknown = _locate(oracle, rep + (letter,), assign, reps)
+                approximate = approximate or unknown
+                if j is not None:
+                    edges.append((i, letter, j))
     margin = max(len(P.u), len(P.v))
     interior = tuple(len(rep) <= radius - margin for rep in reps)
     d1: dict[tuple[int, int], int] = {}

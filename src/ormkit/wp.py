@@ -144,22 +144,24 @@ def replay(P: Presentation, path: tuple[Word, ...]) -> bool:
 # --------------------------------------------------------- normal forms
 
 
-def _reduce(P: Presentation, w: Word, trail: list[Word] | None = None) -> Word:
-    """An irreducible descendant of w under the rule u -> v.
+def _reduce(P: Presentation, w: Word, trail: list[Word] | None = None,
+            done: Word = ()) -> Word:
+    """An irreducible descendant of done + w under the rule u -> v.
 
     One left-to-right stack pass: letters move from the input to the
     output, and whenever the output ends in u, u is popped and v pushed
     back onto the input.  The output never contains u, so each new
     occurrence ends at its top.  The rule is shortlex-decreasing, so the
-    pass terminates.  When trail is given, every intermediate word is
-    appended to it; consecutive words differ by one application of the
-    relation.
+    pass terminates.  done must be irreducible: the pass starts with it
+    as the output, so only the letters of w are read.  When trail is
+    given, every intermediate word is appended to it; consecutive words
+    differ by one application of the relation.
     """
     u, v = P.u, P.v
     if u == v:
-        return w
+        return done + tuple(w)
     n, last = len(u), u[-1]
-    out: list[str] = []
+    out: list[str] = list(done)
     todo = list(reversed(w))
     while todo:
         x = todo.pop()
@@ -173,7 +175,7 @@ def _reduce(P: Presentation, w: Word, trail: list[Word] | None = None) -> Word:
 
 
 @lru_cache(maxsize=1024)
-def _complete(P: Presentation) -> bool:
+def is_complete(P: Presentation) -> bool:
     """True when the single rule u -> v is a complete rewriting system.
 
     With one rule the only critical pairs come from the proper
@@ -187,11 +189,12 @@ def _complete(P: Presentation) -> bool:
                          for k in range(1, len(u)) if u[-k:] == u[:k])
 
 
-def normal_form(P: Presentation, w: Word) -> Word | None:
-    """Normal form of w under u -> v, which is the shortlex-least member
-    of its congruence class; None when the rule is not complete, so
-    normal forms do not decide the word problem."""
-    return _reduce(P, tuple(w)) if _complete(P) else None
+def normal_form(P: Presentation, w: Word, done: Word = ()) -> Word | None:
+    """Normal form of done + w under u -> v, which is the shortlex-least
+    member of its congruence class; None when the rule is not complete,
+    so normal forms do not decide the word problem.  done must be a
+    normal form: the reduction resumes after it."""
+    return _reduce(P, tuple(w), done=done) if is_complete(P) else None
 
 
 def _join(c1: list[Word], c2: list[Word]) -> tuple[Word, ...]:
@@ -302,7 +305,7 @@ def equal_bounded(P: Presentation, w1: Word, w2: Word,
         return Distinct(cert)
     if _abelian_mismatch(P, w1, w2):
         return Distinct(CERT_ABELIAN)
-    if _complete(P):
+    if is_complete(P):
         # each chain runs from its word to its normal form
         c1, c2 = [w1], [w2]
         if _reduce(P, w1, c1) != _reduce(P, w2, c2):
@@ -389,14 +392,14 @@ class Oracle:
     def rep(self, w: Word) -> Word | None:
         """Shortlex-least member of the class of w; None when undecided.
         A length cap below |w| is a usage error."""
-        if _complete(self.P):
+        if is_complete(self.P):
             self.budget.cap_for(self.P, w)
             return _reduce(self.P, w)
         got = self.class_of(w)
         return None if got is None else got[1]
 
     def equal(self, w1: Word, w2: Word) -> Verdict:
-        if _complete(self.P):
+        if is_complete(self.P):
             return equal_bounded(self.P, w1, w2, self.budget)
         w1, w2 = tuple(w1), tuple(w2)
         if w1 == w2:

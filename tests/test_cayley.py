@@ -2,7 +2,9 @@
 
 For length-preserving relations the congruence restricted to a ball is
 computed independently by union-find over single rewrites, which gives
-an exact oracle for vertex sets, edge sets, and memberships.  Kernel
+an exact oracle for vertex sets, edge sets, and memberships.  Balls of
+complete rules, built over normal forms, are also compared with the
+enumerate_classes path that incomplete rules take.  Kernel
 routines are checked against hand-computed matrices and an independent
 rank computation over exact rationals.
 """
@@ -10,7 +12,8 @@ rank computation over exact rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -34,16 +37,22 @@ from ormkit.cayley import (
     to_json_dict,
     two_cycle_basis,
 )
+from ormkit.cli import parse_presentation
 from ormkit.compress import DeltaLetter, NotCompressing
 from ormkit.words import EMPTY, PreconditionError, make_presentation, word
 from ormkit.wp import (
+    BudgetTooShort,
     Equal,
     Oracle,
     OracleBudget,
     equal_bounded,
+    is_complete,
     neighbors,
+    normal_form,
     replay,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def aba_aca():
@@ -239,6 +248,60 @@ def test_interior_mask_margin():
 def test_ball_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         build_ball(aba_aca(), 9, OracleBudget(max_words=1000))
+
+
+def test_complete_ball_budget_counts_vertices():
+    # the word count of special-ab at radius 40 is 2^41 - 1
+    special = make_presentation(("a", "b"), word("ab"), EMPTY)
+    for P, radius, size in ((special, 40, 861), (commuting(), 30, 496)):
+        ball = build_ball(P, radius)
+        assert len(ball.vertices) == size
+        assert not ball.approximate
+    exact_fit = build_ball(special, 40, OracleBudget(max_words=861))
+    assert len(exact_fit.vertices) == 861
+    with pytest.raises(BudgetExceeded):
+        build_ball(special, 40, OracleBudget(max_words=860))
+
+
+def test_complete_ball_length_cap_covers_edge_words():
+    # the edges out of the radius-3 sphere read words of length 4
+    with pytest.raises(BudgetTooShort):
+        build_ball(aba_aca(), 3, OracleBudget(max_len=3))
+    assert build_ball(aba_aca(), 3, OracleBudget(max_len=4)).vertices
+
+
+def complete_fixture_orders():
+    for path in sorted(FIXTURES.glob("*.orm")):
+        P = parse_presentation(path.read_text())
+        for order in permutations(P.alphabet):
+            Q = make_presentation(order, P.u, P.v)
+            if is_complete(Q):
+                yield pytest.param(Q, id=f"{path.stem}-{''.join(order)}")
+
+
+@pytest.mark.parametrize("P", complete_fixture_orders())
+def test_normal_form_ball_matches_enumerated_ball(P, monkeypatch):
+    # with completeness hidden from cayley, build_ball takes the
+    # enumerate_classes path that incomplete rules use; Oracle.rep still
+    # decides by normal forms, so that ball is exact
+    bfs = [build_ball(P, radius) for radius in range(7)]
+    monkeypatch.setattr(cayley, "is_complete", lambda _: False)
+    for radius, ball in enumerate(bfs):
+        enumerated = build_ball(P, radius)
+        # only the enumerated path places every word
+        assert len(enumerated.membership) == sum(
+            len(P.alphabet) ** n for n in range(radius + 1))
+        assert not enumerated.approximate
+        assert ball.vertices == enumerated.vertices
+        assert ball.edges == enumerated.edges
+        assert ball.interior_mask == enumerated.interior_mask
+        assert ball.d1 == enumerated.d1
+        index = {v: i for i, v in enumerate(ball.vertices)}
+        for n in range(radius + 1):
+            for w in product(P.alphabet, repeat=n):
+                assert ball.vertex_of(w) == index[normal_form(P, w)]
+        for w in product(P.alphabet, repeat=radius + 1):
+            assert ball.vertex_of(w) is None
 
 
 def test_idempotent_ball_is_exact_and_tiny():

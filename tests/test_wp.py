@@ -221,6 +221,9 @@ def test_normal_form_on_every_fixture_and_alphabet_order():
                 assert nf is not None, (Q, w)
                 assert Q.shortlex_key(nf) <= Q.shortlex_key(w)
                 assert normal_form(Q, nf) == nf
+                if w:
+                    # resuming after the normal form of a prefix
+                    assert normal_form(Q, w[-1:], normal_form(Q, w[:-1])) == nf
                 if Q.u != Q.v:
                     assert not find_occurrences(nf, Q.u)
 
