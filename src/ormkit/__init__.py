@@ -11,6 +11,7 @@ from .cayley import (
     CheckReport,
     NotCompressible,
     attach_cells,
+    ball_vertices,
     build_ball,
     enumerate_classes,
     psi_map,

@@ -225,6 +225,19 @@ def _normal_form_ball(
     return tuple(vertices), index, edges
 
 
+def ball_vertices(oracle: Oracle, radius: int) -> tuple[Word, ...]:
+    """The class representatives of the ball, in shortlex order.
+
+    On a complete rule they are the normal forms of length at most
+    radius, read off the breadth-first ball, and the budget's max_words
+    caps their number; otherwise they are enumerate_classes's
+    representatives, and max_words caps the count of words it reduces.
+    """
+    if is_complete(oracle.P):
+        return _normal_form_ball(oracle.P, radius, oracle.budget)[0]
+    return enumerate_classes(oracle, radius)[0]
+
+
 def build_ball(P: Presentation, radius: int,
                budget: OracleBudget | None = None) -> CayleyBall:
     """Ball of congruence classes of all words of length at most radius.
@@ -530,7 +543,7 @@ def _check_psi_well_defined(P: Presentation, b: OracleBudget,
 def _check_psi_injective(P: Presentation, b: OracleBudget,
                          radius: int) -> CheckReport:
     cands = _compressing_words(P)
-    reps, _, _ = enumerate_classes(Oracle(P, b), radius)
+    reps = ball_vertices(Oracle(P, b), radius)
     checked = skipped = 0
     failures: list[str] = []
     for r in cands:

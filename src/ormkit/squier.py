@@ -15,9 +15,12 @@ with three rightmost edges in the class of ε, into one with four.
 The walk keeps its move pools between steps: the insertions of each
 seam word of the path (memoized per word), and a (cancels, swappable)
 flag pair per adjacent edge pair, of which a move recomputes only the
-pairs around the positions it touched.  The parity vector is still
-recomputed in full after every step, so the invariant check does not
-depend on the pool bookkeeping it exercises.
+pairs around the positions it touched.  It keeps the parity vector
+too, and updates it from the edges the move took out of the path and
+the edges it put into the path apply_move returned, never from the move
+pools, so a step costs the edges it changed, not the whole path.
+parity_vector, and the reference walk the tests compare against,
+recompute the vector in full.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
 
-from .cayley import enumerate_classes
+from .cayley import ball_vertices
 from .classify import Asphericity, asphericity_certificate
 from .words import (
     PreconditionError,
@@ -271,16 +274,43 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     the last edge), memoized by word and listed in seam order; deletions
     and swaps are kept as one (cancels, swappable) flag pair per adjacent
     edge pair, and a move recomputes only the pairs whose edges it
-    changed.  Every move still goes through apply_move and its checks,
-    and the parity is recomputed in full after each step, so the
-    invariant check does not rest on the pool bookkeeping it exercises.
+    changed.  Every move still goes through apply_move and its checks.
+
+    The parity vector is kept too and flipped at the class key of each
+    rightmost edge the move took out, path[p:p+2] before a delete or a
+    swap, and put in, path[p:p+2] of apply_move's output after an
+    insert or a swap, never from the pools.  Every inserted rightmost
+    edge is looked up with class_of, a cancelling pair included, so an
+    undecided class raises at the same step and with the same word as a
+    full recompute would; a saturated class never changes, so no
+    earlier lookup is repeated.  reference_walk in
+    tests/test_squier.py rebuilds every pool and recomputes the parity
+    in full at every step, and must give the same report.
     """
     validate_path(P, start)
     oracle = Oracle(P, budget)
     rng = random.Random(seed)
     path = tuple(start)
-    expected = _parity(oracle, path)
     log: list[str] = []
+
+    keys: dict[Word, Word] = {}  # class key per rightmost left context
+    bits: dict[Word, int] = {}   # the current parity vector, zeros dropped
+
+    def flip(edges: SquierPath, look_up: bool) -> None:
+        for e in edges:
+            if not is_rightmost(e):
+                continue
+            if look_up:
+                got = oracle.class_of(e.w1)
+                if got is None:
+                    raise UndecidableClass(P.text(e.w1))
+                keys[e.w1] = got[1]
+            k = keys[e.w1]
+            if not bits.pop(k, 0):
+                bits[k] = 1
+
+    flip(path, True)
+    expected = dict(bits)
 
     memo: dict[Word, tuple[SquierEdge, ...]] = {}
     seams: list[Word] = []
@@ -297,7 +327,8 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
 
     def set_pairs(stale: slice, lo: int, hi: int) -> None:
         pairs = [(path[i], path[i + 1]) for i in range(lo, hi)]
-        cancels[stale] = [b == inverse(a) for a, b in pairs]
+        cancels[stale] = [b.sign == -a.sign and b.w1 == a.w1
+                          and b.w2 == a.w2 for a, b in pairs]
         swaps[stale] = [_swap_disjoint(P, a, b) is not None for a, b in pairs]
 
     whole = slice(None)
@@ -321,8 +352,13 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
             move = DeleteCancelPair(_nth_set(cancels, j))
         else:
             move = PullUpPushDown(_nth_set(swaps, j))
-        path = apply_move(P, path, move)
         p = move.pos
+        taken_out = path[p:p + 2]
+        path = apply_move(P, path, move)
+        if not isinstance(move, InsertCancelPair):
+            flip(taken_out, False)
+        if not isinstance(move, DeleteCancelPair):
+            flip(path[p:p + 2], True)
         lo, last = max(p - 1, 0), len(path) - 1
         if isinstance(move, InsertCancelPair):
             # e, e⁻¹ at p: seam p is followed by target(e), then seam p
@@ -341,8 +377,7 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
             set_seams(slice(p + 1, p + 2), [edge_target(P, path[p])])
             set_pairs(slice(lo, min(p + 2, last)), lo, min(p + 2, last))
         log.append(_describe(P, move))
-        found = _parity(oracle, path)
-        if found != expected:
+        if bits != expected:
             return WalkReport(seed, steps, len(log), False, tuple(log),
                               f"parity changed after {log[-1]}")
     return WalkReport(seed, steps, len(log), True, tuple(log))
@@ -388,7 +423,7 @@ def injectivity_harness(P: Presentation, samples: int, max_support: int,
         raise PreconditionError("max_support must be at least 1")
     head_u, head_v = P.u[:-1], P.v[:-1]
     oracle = Oracle(P, budget)
-    reps, _, _ = enumerate_classes(oracle, radius)
+    reps = ball_vertices(oracle, radius)
 
     singleton_skipped = 0
     singleton_violations: list[str] = []

@@ -211,9 +211,17 @@ def _join(c1: list[Word], c2: list[Word]) -> tuple[Word, ...]:
 # --------------------------------------------------------- certificates
 
 
+@lru_cache(maxsize=1024)
+def _relation_counts(P: Presentation) -> tuple[int, ...]:
+    """Letter counts of u minus those of v, computed once per
+    presentation."""
+    return tuple(a - b for a, b in zip(P.letter_counts(P.u),
+                                       P.letter_counts(P.v)))
+
+
 def _abelian_mismatch(P: Presentation, w1: Word, w2: Word) -> bool:
     diff = [a - b for a, b in zip(P.letter_counts(w1), P.letter_counts(w2))]
-    rel = [a - b for a, b in zip(P.letter_counts(P.u), P.letter_counts(P.v))]
+    rel = _relation_counts(P)
     if all(x == 0 for x in rel):
         return any(x != 0 for x in diff)
     k = None

@@ -28,6 +28,7 @@ from ormkit.cayley import (
     Star,
     _integer_kernel,
     attach_cells,
+    ball_vertices,
     build_ball,
     enumerate_classes,
     matrices_csv,
@@ -302,6 +303,14 @@ def test_normal_form_ball_matches_enumerated_ball(P, monkeypatch):
                 assert ball.vertex_of(w) == index[normal_form(P, w)]
         for w in product(P.alphabet, repeat=radius + 1):
             assert ball.vertex_of(w) is None
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.orm")),
+                         ids=lambda p: p.stem)
+def test_ball_vertices_are_the_ball_vertices(path):
+    # breadth first on a complete rule, enumerate_classes otherwise
+    P = parse_presentation(path.read_text())
+    assert ball_vertices(Oracle(P), 4) == build_ball(P, 4).vertices
 
 
 def test_idempotent_ball_is_exact_and_tiny():

@@ -231,6 +231,21 @@ def test_inject_check_command():
     assert report.seeds == (2,)
 
 
+def test_ball_vertices_cap_counts_vertices_on_a_complete_rule():
+    # the radius-6 ball of aba -> aca has 959 vertices; the 1093 words of
+    # length at most 6 would overrun a 1000-word budget
+    budget = ["--budget-words", "1000"]
+    code, report = dispatch(["inject-check", fx("aba-aca.orm"),
+                             "--samples", "10", *budget])
+    assert code == 0
+    assert report.payload["singletonChecked"] == 959
+    code, report = dispatch(["structure-check", fx("aba-aca.orm"),
+                             "PsiInjectiveOnIdeal", *budget])
+    assert code == 0
+    entry = report.payload["checks"][0]
+    assert (entry["passed"], entry["checked"]) == (True, 43660)
+
+
 @pytest.mark.parametrize("name", ["aa-a.orm", "abab-ab.orm", "babab-b.orm"])
 def test_inject_check_decides_by_normal_forms(name):
     # the closure store cannot saturate the translated classes of these

@@ -4,8 +4,9 @@ the seeded walk, and the formal-sum injectivity harness.
 Parity keys are cross-checked against a union-find congruence oracle on
 the length-preserving running example, where every class is finite and
 the canonical representative is computable by exhaustion.  The walk,
-which keeps its move pools between steps, is compared against a
-reference walk that rebuilds every pool from scratch at every step.
+which keeps its move pools and its parity vector between steps, is
+compared against a reference walk that rebuilds every pool and
+recomputes the parity in full at every step.
 """
 
 from __future__ import annotations
@@ -443,6 +444,25 @@ def test_walk_matches_reference_property(sides, start_kind, context, steps,
         want = walk_outcome(reference_walk, P, start, steps, seed)
         got = walk_outcome(random_walk_check, P, start, steps, seed)
     assert got == want
+
+
+class CountingOracle(squier.Oracle):
+    calls = 0
+
+    def class_of(self, w):
+        CountingOracle.calls += 1
+        return super().class_of(w)
+
+
+def test_walk_looks_up_only_the_edges_a_move_put_in():
+    """Parity is updated from the changed edges: a full recompute would
+    look up every rightmost edge of the path at every step."""
+    start, steps = (relation_edge(),), 1000
+    CountingOracle.calls = 0
+    with mock.patch.object(squier, "Oracle", CountingOracle):
+        report = random_walk_check(aba_aca(), start, steps, seed=0)
+    assert report.passed and report.applied == steps
+    assert CountingOracle.calls <= len(start) + 2 * steps
 
 
 # ------------------------------------------------------------ harness
