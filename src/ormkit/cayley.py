@@ -17,8 +17,9 @@ ball collects the classes of all words up to the radius, and max_words
 bounds the number of those words; undecided words are merged only on
 Equal verdicts, so a ball is never over-merged, and if any needed
 verdict comes back Unknown the ball is marked approximate instead of
-guessing.  Structure
-checks count pairs with an undecided key as skipped; the two witness
+guessing.  The pair checks key each witness once and count pairs from
+the key groups, skipping a pair with an undecided key, so their cost
+follows the witnesses and the collisions, not the pairs; the two witness
 checks replay a path built from the relation instead.  Cells can be
 attached two ways: one cell per vertex tracing the full relation, or
 cells only at vertices whose representative ends in the longest
@@ -30,13 +31,13 @@ primitive integer vectors.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from itertools import combinations, product
+from math import comb, gcd, lcm
 
 from .classify import is_subspecial
 from .compress import (
@@ -498,6 +499,22 @@ def _free_product_key(C: CompressionData, m: tuple[DeltaLetter, ...],
     return tuple(key)
 
 
+def _pairs(entries: Sequence[tuple]) -> tuple[int, int, list[tuple[int, int]]]:
+    """Pairs i < j of witnesses given as (group, key), key None when
+    undecided: how many there are, how many lie in one group with an
+    undecided key, and the ones in one group with equal decided keys in
+    (i, j) order, all counted from group sizes and key buckets."""
+    sizes = Counter(g for g, _ in entries)
+    decided = Counter(g for g, k in entries if k is not None)
+    buckets: dict[tuple, list[int]] = defaultdict(list)
+    for i, (g, k) in enumerate(entries):
+        if k is not None:
+            buckets[g, k].append(i)
+    skipped = sum(comb(n, 2) - comb(decided[g], 2) for g, n in sizes.items())
+    equal = sorted(p for idx in buckets.values() for p in combinations(idx, 2))
+    return comb(len(entries), 2), skipped, equal
+
+
 def _check_psi_well_defined(P: Presentation, b: OracleBudget,
                             radius: int) -> CheckReport:
     cands = _compressing_words(P)
@@ -513,7 +530,6 @@ def _check_psi_well_defined(P: Presentation, b: OracleBudget,
         for members in classes.values():
             if len(members) < 2:
                 continue
-            members = sorted(members, key=P.shortlex_key)
             images = [psi_map(P, r, m) for m in members]
             first = images[0]
             key0 = (_free_product_key(C, first.tail, oracle)
@@ -549,20 +565,13 @@ def _check_psi_injective(P: Presentation, b: OracleBudget,
     for r in cands:
         C = compress_step(P, r)
         oracle = Oracle(C.compressed, b)
-        ideal_reps = [w for w in reps if ends_with(w, r)]
-        keyed: list[tuple[Word, Word, tuple | None]] = []
-        for w in ideal_reps:
-            img = psi_map(P, r, w)
-            keyed.append((w, img.base, _free_product_key(C, img.tail, oracle)))
-        for i, (w1, b1, k1) in enumerate(keyed):
-            for w2, b2, k2 in keyed[i + 1:]:
-                checked += 1
-                if b1 != b2:
-                    continue
-                if k1 is None or k2 is None:
-                    skipped += 1
-                elif k1 == k2:
-                    failures.append(f"{P.text(w1)} and {P.text(w2)} collide")
+        ideal = [w for w in reps if ends_with(w, r)]
+        n, undecided, collide = _pairs(
+            [(img.base, _free_product_key(C, img.tail, oracle))
+             for img in (psi_map(P, r, w) for w in ideal)])
+        checked, skipped = checked + n, skipped + undecided
+        failures += [f"{P.text(ideal[i])} and {P.text(ideal[j])} collide"
+                     for i, j in collide]
     return CheckReport(CheckKind.PSI_INJECTIVE_ON_IDEAL, checked, skipped,
                        tuple(failures))
 
@@ -575,15 +584,10 @@ def _check_basis_freeness(P: Presentation, b: OracleBudget,
     for r in _compressing_words(P):
         basis = [w for w in _all_words(P.alphabet, radius)
                  if find_occurrences(w + r, r) == [len(w)]]
-        keyed = [(y, oracle.rep(y + r)) for y in basis]
-        for i, (y1, k1) in enumerate(keyed):
-            for y2, k2 in keyed[i + 1:]:
-                checked += 1
-                if k1 is None or k2 is None:
-                    skipped += 1
-                elif k1 == k2:
-                    failures.append(f"{P.text(y1)}·{P.text(r)} = "
-                                    f"{P.text(y2)}·{P.text(r)}")
+        n, undecided, equal = _pairs([(0, oracle.rep(y + r)) for y in basis])
+        checked, skipped = checked + n, skipped + undecided
+        failures += [f"{P.text(basis[i])}·{P.text(r)} = "
+                     f"{P.text(basis[j])}·{P.text(r)}" for i, j in equal]
     return CheckReport(CheckKind.BASIS_FREENESS, checked, skipped,
                        tuple(failures))
 
@@ -598,21 +602,17 @@ def _check_local_divisor(P: Presentation, b: OracleBudget,
         inner = Oracle(C.compressed, b)
         members = [w for w in _all_words(P.alphabet, radius)
                    if t_membership(r, w)]
-        keyed = []
-        for w in members:
-            mk = outer.rep(r + w)
-            lk = _free_product_key(C, tuple(delta_factorize(r, w)), inner)
-            keyed.append((w, mk, lk))
-        for i, (w1, m1, l1) in enumerate(keyed):
-            for w2, m2, l2 in keyed[i + 1:]:
-                checked += 1
-                if m1 is None or m2 is None or l1 is None or l2 is None:
-                    skipped += 1
-                    continue
-                if (m1 == m2) != (l1 == l2):
-                    failures.append(f"{P.text(w1)} vs {P.text(w2)}: monoid "
-                                    f"says {m1 == m2}, local divisor says "
-                                    f"{l1 == l2}")
+        keys = [(outer.rep(r + w),
+                 _free_product_key(C, tuple(delta_factorize(r, w)), inner))
+                for w in members]
+        keys = [(None, None) if None in k else k for k in keys]
+        n, undecided, same_m = _pairs([(0, mk) for mk, _ in keys])
+        same_l = set(_pairs([(0, lk) for _, lk in keys])[2])
+        checked, skipped = checked + n, skipped + undecided
+        failures += [f"{P.text(members[i])} vs {P.text(members[j])}: monoid "
+                     f"says {(i, j) not in same_l}, local divisor says "
+                     f"{(i, j) in same_l}"
+                     for i, j in sorted(same_l.symmetric_difference(same_m))]
     return CheckReport(CheckKind.LOCAL_DIVISOR_ISO, checked, skipped,
                        tuple(failures))
 

@@ -115,9 +115,9 @@ def right_canonical(r: Word, s: Word) -> tuple[Word, Word]:
     y ends at the last occurrence of r in s; the tail w then has no
     nonempty prefix in T(r), which is checked.
     """
-    occ = find_occurrences(s, r) if r else []
     if not r:
         raise ValueError("right canonical factorization requires nonempty r")
+    occ = find_occurrences(s, r)
     if not occ:
         return EMPTY, s
     cut = occ[-1] + len(r)

@@ -551,6 +551,171 @@ def test_psi_injective_reports_collisions(monkeypatch):
     assert report.failures == ("a and aba collide",)
 
 
+# The pair loops the three key-grouping checks ran before they counted
+# pairs from key groups, kept verbatim as the reference for that count.
+
+
+def reference_psi_injective(P, b, radius):
+    cands = cayley._compressing_words(P)
+    reps = ball_vertices(cayley.Oracle(P, b), radius)
+    checked = skipped = 0
+    failures: list[str] = []
+    for r in cands:
+        C = cayley.compress_step(P, r)
+        oracle = cayley.Oracle(C.compressed, b)
+        ideal_reps = [w for w in reps if cayley.ends_with(w, r)]
+        keyed = []
+        for w in ideal_reps:
+            img = psi_map(P, r, w)
+            keyed.append((w, img.base,
+                          cayley._free_product_key(C, img.tail, oracle)))
+        for i, (w1, b1, k1) in enumerate(keyed):
+            for w2, b2, k2 in keyed[i + 1:]:
+                checked += 1
+                if b1 != b2:
+                    continue
+                if k1 is None or k2 is None:
+                    skipped += 1
+                elif k1 == k2:
+                    failures.append(f"{P.text(w1)} and {P.text(w2)} collide")
+    return cayley.CheckReport(CheckKind.PSI_INJECTIVE_ON_IDEAL, checked,
+                              skipped, tuple(failures))
+
+
+def reference_basis_freeness(P, b, radius):
+    oracle = cayley.Oracle(P, b)
+    checked = skipped = 0
+    failures: list[str] = []
+    for r in cayley._compressing_words(P):
+        basis = [w for w in cayley._all_words(P.alphabet, radius)
+                 if cayley.find_occurrences(w + r, r) == [len(w)]]
+        keyed = [(y, oracle.rep(y + r)) for y in basis]
+        for i, (y1, k1) in enumerate(keyed):
+            for y2, k2 in keyed[i + 1:]:
+                checked += 1
+                if k1 is None or k2 is None:
+                    skipped += 1
+                elif k1 == k2:
+                    failures.append(f"{P.text(y1)}·{P.text(r)} = "
+                                    f"{P.text(y2)}·{P.text(r)}")
+    return cayley.CheckReport(CheckKind.BASIS_FREENESS, checked, skipped,
+                              tuple(failures))
+
+
+def reference_local_divisor(P, b, radius):
+    outer = cayley.Oracle(P, b)
+    checked = skipped = 0
+    failures: list[str] = []
+    for r in cayley._compressing_words(P):
+        C = cayley.compress_step(P, r)
+        inner = cayley.Oracle(C.compressed, b)
+        members = [w for w in cayley._all_words(P.alphabet, radius)
+                   if cayley.t_membership(r, w)]
+        keyed = []
+        for w in members:
+            mk = outer.rep(r + w)
+            lk = cayley._free_product_key(
+                C, tuple(cayley.delta_factorize(r, w)), inner)
+            keyed.append((w, mk, lk))
+        for i, (w1, m1, l1) in enumerate(keyed):
+            for w2, m2, l2 in keyed[i + 1:]:
+                checked += 1
+                if m1 is None or m2 is None or l1 is None or l2 is None:
+                    skipped += 1
+                    continue
+                if (m1 == m2) != (l1 == l2):
+                    failures.append(f"{P.text(w1)} vs {P.text(w2)}: monoid "
+                                    f"says {m1 == m2}, local divisor says "
+                                    f"{l1 == l2}")
+    return cayley.CheckReport(CheckKind.LOCAL_DIVISOR_ISO, checked, skipped,
+                              tuple(failures))
+
+
+REFERENCE_CHECKS = {
+    CheckKind.PSI_INJECTIVE_ON_IDEAL: reference_psi_injective,
+    CheckKind.BASIS_FREENESS: reference_basis_freeness,
+    CheckKind.LOCAL_DIVISOR_ISO: reference_local_divisor,
+}
+
+
+def _weight(w):
+    return sum(ord(ch) for letter in w for ch in letter)
+
+
+class _Colliding(Oracle):
+    """Deterministic stand-in: about a tenth of all words undecided, the
+    rest in three classes that ignore the relation."""
+
+    def rep(self, w):
+        weight = _weight(w)
+        return None if weight % 11 == 5 else (weight % 3,)
+
+
+def _undecided_when_compressed(P):
+    """Exact on P; on any other presentation (the compressed one) the
+    words of odd weight are undecided."""
+
+    class UndecidedWhenCompressed(Oracle):
+        def rep(self, w):
+            if self.P != P and _weight(w) % 2:
+                return None
+            return super().rep(w)
+
+    return UndecidedWhenCompressed
+
+
+def _report_or_error(check, *args):
+    try:
+        return check(*args)
+    except PreconditionError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("stand_in", ["exact", "colliding",
+                                      "undecided-when-compressed"])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.orm")),
+                         ids=lambda p: p.stem)
+def test_pair_checks_match_the_reference_loops(path, stand_in, monkeypatch):
+    # same checked and skipped counts and the same failure lines in the
+    # same order as the pairwise loops, under oracles that decide every
+    # key, collide and leave keys undecided, or leave only keys of the
+    # compressed presentation undecided
+    P = parse_presentation(path.read_text())
+    if stand_in != "exact":
+        monkeypatch.setattr(cayley, "Oracle", _Colliding
+                            if stand_in == "colliding"
+                            else _undecided_when_compressed(P))
+    seen = {kind: [0, 0] for kind in REFERENCE_CHECKS}
+    for radius in range(6):
+        for kind, reference in REFERENCE_CHECKS.items():
+            got = _report_or_error(structure_checks, P, kind, None, radius)
+            want = _report_or_error(reference, P, cayley.DEFAULT_BUDGET,
+                                    radius)
+            assert got == want, (kind, radius)
+            if isinstance(got, cayley.CheckReport):
+                seen[kind][0] += got.skipped
+                seen[kind][1] += len(got.failures)
+    # on aba-aca the stand-ins exercise the rule: every check skips and
+    # fails under collisions, and same-base pairs are skipped on
+    # undecided compressed keys alone
+    if path.stem == "aba-aca" and stand_in == "colliding":
+        assert all(skipped and failed for skipped, failed in seen.values())
+    if path.stem == "aba-aca" and stand_in == "undecided-when-compressed":
+        assert seen[CheckKind.PSI_INJECTIVE_ON_IDEAL][0]
+
+
+@pytest.mark.parametrize("kind,checked", [
+    (CheckKind.PSI_INJECTIVE_ON_IDEAL, 3_073_960),
+    (CheckKind.LOCAL_DIVISOR_ISO, 5_380_840),
+    (CheckKind.BASIS_FREENESS, 130_305),
+])
+def test_pair_counts_at_radius_eight(kind, checked):
+    # millions of pairs, counted from key groups in a fraction of a second
+    report = structure_checks(aba_aca(), kind, radius=8)
+    assert (report.checked, report.skipped, report.failures) == (
+        checked, 0, ())
+
+
 # ---------------------------------------------------------------- exports
 
 
