@@ -12,15 +12,13 @@ move by move.  With an empty side it is not: in <a b | ab = 1> one
 exchange turns the path (ab,-,ε) (ab,-,ab) (ab,+,ab) (ab,+,ε) (ε,+,ε),
 with three rightmost edges in the class of ε, into one with four.
 
-The walk keeps its move pools between steps: the insertions of each
-seam word of the path (memoized per word), and a (cancels, swappable)
-flag pair per adjacent edge pair, of which a move recomputes only the
-pairs around the positions it touched.  It keeps the parity vector
-too, and updates it from the edges the move took out of the path and
-the edges it put into the path apply_move returned, never from the move
-pools, so a step costs the edges it changed, not the whole path.
-parity_vector, and the reference walk the tests compare against,
-recompute the vector in full.
+The walk keeps its move pools and its parity vector between steps and
+updates them by one rule: a move at p replaces the a edges old[p:p+a]
+by the b edges path[p:p+b] apply_move returned, so the rightmost edges
+of both stretches flip the vector, and only the seams and adjacent-pair
+flags around those stretches are recomputed; drawing a move is all
+that still reads the whole pools.  parity_vector, and the reference
+walk the tests compare against, recompute the vector in full.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
 
 from .cayley import ball_vertices
 from .classify import Asphericity, asphericity_certificate
@@ -252,11 +250,6 @@ def _insertions(P: Presentation, w: Word) -> tuple[SquierEdge, ...]:
                  for i in find_occurrences(w, side))
 
 
-def _nth_set(flags: list[bool], j: int) -> int:
-    """Position of the j-th set flag."""
-    return list(compress(range(len(flags)), flags))[j]
-
-
 def random_walk_check(P: Presentation, start: SquierPath, steps: int,
                       seed: int,
                       budget: OracleBudget | None = None) -> WalkReport:
@@ -268,24 +261,26 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     uniform instance of the chosen kind.  When the path is empty,
     insertions anchor on the relation side u.
 
-    The move pools are kept between steps, so a step costs the seams it
-    touched rather than the whole path.  Insertions are kept per seam
-    word (seam k is the source of edge k, the last seam the target of
-    the last edge), memoized by word and listed in seam order; deletions
-    and swaps are kept as one (cancels, swappable) flag pair per adjacent
-    edge pair, and a move recomputes only the pairs whose edges it
-    changed.  Every move still goes through apply_move and its checks.
+    The move pools are kept between steps: per seam word (seam k is the
+    source of edge k, the last seam the target of the last edge) its
+    insertions, memoized by word; per adjacent edge pair a (cancels,
+    swappable) flag pair.  Every kind is drawn alike, by bisecting the
+    running totals of its pool, and every move goes through apply_move
+    and its checks.  Each step then applies one rule: the move at p
+    replaced the a edges old[p:p+a] by the b edges path[p:p+b], (a, b)
+    being (0, 2) for an insert, (2, 0) for a delete and (2, 2) for a
+    swap.  The rightmost edges of both stretches flip the kept parity
+    vector, seams p+1..p+a give way to the targets of the new edges, and
+    the flag pairs touching the old stretch, p-1..p+a-1, to those
+    touching the new one, p-1..p+b-1 (clipped to the path).
 
-    The parity vector is kept too and flipped at the class key of each
-    rightmost edge the move took out, path[p:p+2] before a delete or a
-    swap, and put in, path[p:p+2] of apply_move's output after an
-    insert or a swap, never from the pools.  Every inserted rightmost
-    edge is looked up with class_of, a cancelling pair included, so an
-    undecided class raises at the same step and with the same word as a
-    full recompute would; a saturated class never changes, so no
-    earlier lookup is repeated.  reference_walk in
-    tests/test_squier.py rebuilds every pool and recomputes the parity
-    in full at every step, and must give the same report.
+    The class key of a rightmost edge is memoized by its left context,
+    and class_of is asked only for a context not seen before: a
+    saturated class never changes, and an undecided one raises at the
+    same step and with the same word as a full recompute would.
+    reference_walk in tests/test_squier.py rebuilds every pool and
+    recomputes the parity in full at every step, and must give the same
+    report.
     """
     validate_path(P, start)
     oracle = Oracle(P, budget)
@@ -296,20 +291,20 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     keys: dict[Word, Word] = {}  # class key per rightmost left context
     bits: dict[Word, int] = {}   # the current parity vector, zeros dropped
 
-    def flip(edges: SquierPath, look_up: bool) -> None:
+    def flip(edges: SquierPath) -> None:
         for e in edges:
             if not is_rightmost(e):
                 continue
-            if look_up:
+            k = keys.get(e.w1)
+            if k is None:
                 got = oracle.class_of(e.w1)
                 if got is None:
                     raise UndecidableClass(P.text(e.w1))
-                keys[e.w1] = got[1]
-            k = keys[e.w1]
+                k = keys[e.w1] = got[1]
             if not bits.pop(k, 0):
                 bits[k] = 1
 
-    flip(path, True)
+    flip(path)
     expected = dict(bits)
 
     memo: dict[Word, tuple[SquierEdge, ...]] = {}
@@ -335,6 +330,7 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     set_seams(whole, [edge_source(P, e) for e in path]
               + [edge_target(P, path[-1]) if path else P.u])
     set_pairs(whole, 0, len(path) - 1)
+    pools = (counts, cancels, swaps)
     for _ in range(steps):
         sizes = (sum(counts), sum(cancels), sum(swaps))
         kinds = [k for k in range(3) if sizes[k]]
@@ -342,40 +338,22 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
             break
         kind = kinds[rng.randrange(len(kinds))]
         j = rng.randrange(sizes[kind])
+        ends = list(accumulate(pools[kind]))
+        p = bisect_right(ends, j)
         move: Move
         if kind == 0:
-            ends = list(accumulate(counts))
-            p = bisect_right(ends, j)
-            edge = memo[seams[p]][j - ends[p] + counts[p]]
-            move = InsertCancelPair(p, edge)
-        elif kind == 1:
-            move = DeleteCancelPair(_nth_set(cancels, j))
+            move = InsertCancelPair(p, memo[seams[p]][j - ends[p] + counts[p]])
         else:
-            move = PullUpPushDown(_nth_set(swaps, j))
-        p = move.pos
-        taken_out = path[p:p + 2]
-        path = apply_move(P, path, move)
-        if not isinstance(move, InsertCancelPair):
-            flip(taken_out, False)
-        if not isinstance(move, DeleteCancelPair):
-            flip(path[p:p + 2], True)
-        lo, last = max(p - 1, 0), len(path) - 1
-        if isinstance(move, InsertCancelPair):
-            # e, e⁻¹ at p: seam p is followed by target(e), then seam p
-            # again; pairs p-1..p+1 replace the old pair p-1
-            pair_seams = [edge_target(P, move.edge), seams[p]]
-            set_seams(slice(p + 1, p + 1), pair_seams)
-            set_pairs(slice(lo, p), lo, min(p + 2, last))
-        elif isinstance(move, DeleteCancelPair):
-            # seam p+2 repeats seam p; pair p-1 replaces old pairs p-1..p+1
-            set_seams(slice(p + 1, p + 3), [])
-            if not path:
-                set_seams(whole, [P.u])
-            set_pairs(slice(lo, p + 2), lo, min(p, last))
-        else:
-            # only the middle seam moves; pairs p-1..p+1 are refreshed
-            set_seams(slice(p + 1, p + 2), [edge_target(P, path[p])])
-            set_pairs(slice(lo, min(p + 2, last)), lo, min(p + 2, last))
+            move = (DeleteCancelPair, PullUpPushDown)[kind - 1](p)
+        a, b = ((0, 2), (2, 0), (2, 2))[kind]
+        old, path = path, apply_move(P, path, move)
+        new = path[p:p + b]
+        flip(old[p:p + a] + new)
+        set_seams(slice(p + 1, p + a + 1), [edge_target(P, e) for e in new])
+        if not path:
+            set_seams(whole, [P.u])
+        lo = max(p - 1, 0)
+        set_pairs(slice(lo, p + a), lo, min(p + b, len(path) - 1))
         log.append(_describe(P, move))
         if bits != expected:
             return WalkReport(seed, steps, len(log), False, tuple(log),
@@ -434,6 +412,18 @@ def injectivity_harness(P: Presentation, samples: int, max_support: int,
         elif isinstance(verdict, Equal):
             singleton_violations.append(P.text(w))
 
+    def formal_sum(support: list[Word], weights: list[int],
+                   head: Word) -> dict[Word, int] | None:
+        """Sum of weight·[w head], zeros dropped; None when a class is
+        undecided."""
+        acc: dict[Word, int] = {}
+        for w, z in zip(support, weights):
+            rep = oracle.rep(w + head)
+            if rep is None:
+                return None
+            acc[rep] = acc.get(rep, 0) + z
+        return {k: z for k, z in acc.items() if z}
+
     rng = random.Random(seed)
     skipped = 0
     violations: list[str] = []
@@ -442,24 +432,11 @@ def injectivity_harness(P: Presentation, samples: int, max_support: int,
         k = rng.randint(1, min(max_support, len(reps)))
         support = rng.sample(reps, k)
         weights = [rng.choice(coeffs) for _ in support]
-        sum_u: dict[Word, int] = {}
-        sum_v: dict[Word, int] = {}
-        bad = False
-        for w, z in zip(support, weights):
-            for head, acc in ((head_u, sum_u), (head_v, sum_v)):
-                rep = oracle.rep(w + head)
-                if rep is None:
-                    bad = True
-                    break
-                acc[rep] = acc.get(rep, 0) + z
-            if bad:
-                break
-        if bad:
+        sum_u = formal_sum(support, weights, head_u)
+        sum_v = None if sum_u is None else formal_sum(support, weights, head_v)
+        if sum_v is None:
             skipped += 1
-            continue
-        sum_u = {k2: v for k2, v in sum_u.items() if v}
-        sum_v = {k2: v for k2, v in sum_v.items() if v}
-        if sum_u == sum_v:
+        elif sum_u == sum_v:
             terms = " + ".join(f"{z}·[{P.text(w)}]"
                                for w, z in zip(support, weights))
             violations.append(terms)

@@ -212,32 +212,25 @@ def _join(c1: list[Word], c2: list[Word]) -> tuple[Word, ...]:
 
 
 @lru_cache(maxsize=1024)
-def _relation_counts(P: Presentation) -> tuple[int, ...]:
-    """Letter counts of u minus those of v, computed once per
+def _relation_counts(P: Presentation) -> tuple[tuple[int, ...], int | None]:
+    """Letter counts of u minus those of v, and the index of the first
+    nonzero count (None when all are 0), computed once per
     presentation."""
-    return tuple(a - b for a, b in zip(P.letter_counts(P.u),
-                                       P.letter_counts(P.v)))
+    rel = tuple(a - b for a, b in zip(P.letter_counts(P.u),
+                                      P.letter_counts(P.v)))
+    return rel, next((i for i, r in enumerate(rel) if r), None)
 
 
 def _abelian_mismatch(P: Presentation, w1: Word, w2: Word) -> bool:
+    """Whether the letter counts of w1 minus those of w2 are not an
+    integer multiple of the relation's."""
     diff = [a - b for a, b in zip(P.letter_counts(w1), P.letter_counts(w2))]
-    rel = _relation_counts(P)
-    if all(x == 0 for x in rel):
-        return any(x != 0 for x in diff)
-    k = None
-    for d, r in zip(diff, rel):
-        if r == 0:
-            if d != 0:
-                return True
-            continue
-        if d % r != 0:
-            return True
-        q = d // r
-        if k is None:
-            k = q
-        elif q != k:
-            return True
-    return False
+    rel, i = _relation_counts(P)
+    if i is None:
+        return any(diff)
+    # the only candidate multiple; it misses diff[i] unless rel[i] divides it
+    k = diff[i] // rel[i]
+    return diff != [k * r for r in rel]
 
 
 def _ideal_certificate(P: Presentation, w1: Word, w2: Word) -> str | None:

@@ -1,7 +1,10 @@
-"""Smoke tests for the scripts shipped next to the library."""
+"""Smoke tests for the scripts shipped next to the library, and for the
+benchmark tracer, which finds each traced layer by name."""
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import re
 import subprocess
 import sys
@@ -24,3 +27,34 @@ def test_render_digest_prints_one_sha256():
                           cwd=ROOT, capture_output=True, text=True,
                           check=True)
     assert re.fullmatch(r"[0-9a-f]{64}\n", done.stdout)
+
+
+def test_every_traced_layer_resolves():
+    """A layer the tracer cannot find drops its metrics from a traced
+    benchmark run: installing must find every layer, and uninstalling
+    must put every original back."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, module, _, _ in tracer.LAYERS:
+        importlib.import_module(module)
+    cli = sys.modules["ormkit.cli"]
+
+    def originals():
+        return ({prefix: tracer._resolve(module, path)
+                 for prefix, module, path, _ in tracer.LAYERS},
+                {name: dict(vars(mod)) for name, mod in sys.modules.items()
+                 if name.startswith("ormkit")})
+
+    before = originals()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert t.absent == []
+        code, _ = cli.dispatch(["classify", str(ROOT / "fixtures" / "aba-aca.orm")])
+        assert code == 0
+        assert t.calls["cli.dispatch"] == t.calls["classify.classify_full"] == 1
+    finally:
+        t.uninstall()
+    assert originals() == before

@@ -386,6 +386,7 @@ C4_START = (SquierEdge(EMPTY, 1, word("aca")),
 
 def test_walk_matches_reference_on_fixtures():
     undecided = set()
+    kinds = set()
     for path in sorted(FIXTURES.glob("*.orm")):
         P = parse_presentation(path.read_text())
         starts = [(relation_edge(),), ()]
@@ -401,7 +402,11 @@ def test_walk_matches_reference_on_fixtures():
                 assert got == want, (path.name, start, seed)
                 if isinstance(want, str):
                     undecided.add(path.name)
+                else:
+                    kinds.update(m.partition("@")[0] for m in want.log)
     assert len(undecided) == 5
+    # the splice rule is compared on every move kind
+    assert kinds == {"insert", "delete", "swap"}
 
 
 class NormalFormKeys:
@@ -447,22 +452,23 @@ def test_walk_matches_reference_property(sides, start_kind, context, steps,
 
 
 class CountingOracle(squier.Oracle):
-    calls = 0
+    asked = []
 
     def class_of(self, w):
-        CountingOracle.calls += 1
+        CountingOracle.asked.append(w)
         return super().class_of(w)
 
 
 def test_walk_looks_up_only_the_edges_a_move_put_in():
-    """Parity is updated from the changed edges: a full recompute would
-    look up every rightmost edge of the path at every step."""
+    """Parity is updated from the changed edges, and a left context's
+    class key is memoized: no context is asked twice, although every
+    rightmost edge of this walk has the left context ε."""
     start, steps = (relation_edge(),), 1000
-    CountingOracle.calls = 0
+    CountingOracle.asked = []
     with mock.patch.object(squier, "Oracle", CountingOracle):
         report = random_walk_check(aba_aca(), start, steps, seed=0)
     assert report.passed and report.applied == steps
-    assert CountingOracle.calls <= len(start) + 2 * steps
+    assert CountingOracle.asked == [EMPTY]
 
 
 # ------------------------------------------------------------ harness
@@ -481,6 +487,24 @@ def test_harness_running_example():
     assert report.pre_incompressible is False
     assert report.pre_shared_last_letter is True
     assert report.pre_aspherical is False
+
+
+class LastLetterReps(squier.Oracle):
+    """Stand-in classes keyed by the last letter: on aba-aca every u sum
+    is then weight·[c] and every v sum weight·[b], so the two agree
+    exactly when the weights cancel and both sums drop to zero."""
+
+    def rep(self, w):
+        return w[-1:]
+
+
+def test_harness_drops_zero_terms():
+    with mock.patch.object(squier, "Oracle", LastLetterReps):
+        report = injectivity_harness(aba_aca(), samples=200, max_support=3,
+                                     seed=0, radius=3)
+    assert report.skipped == 0 and report.violations
+    for terms in report.violations:
+        assert sum(int(t.split("·")[0]) for t in terms.split(" + ")) == 0
 
 
 def test_harness_requires_shared_last_letter():

@@ -31,6 +31,8 @@ from ormkit.wp import (
     Oracle,
     OracleBudget,
     Unknown,
+    _abelian_mismatch,
+    _relation_counts,
     closure,
     equal_bounded,
     equal_via_compression,
@@ -131,6 +133,51 @@ def test_equal_bounded_examples():
 
     v = equal_bounded(P, word("ab"), word("abb"))
     assert v == Distinct(CERT_ABELIAN)
+
+
+def reference_abelian_mismatch(P, w1, w2):
+    """The per-letter loop _abelian_mismatch replaced."""
+    diff = [a - b for a, b in zip(P.letter_counts(w1), P.letter_counts(w2))]
+    rel, _ = _relation_counts(P)
+    if all(x == 0 for x in rel):
+        return any(x != 0 for x in diff)
+    k = None
+    for d, r in zip(diff, rel):
+        if r == 0:
+            if d != 0:
+                return True
+            continue
+        if d % r != 0:
+            return True
+        q = d // r
+        if k is None:
+            k = q
+        elif q != k:
+            return True
+    return False
+
+
+def test_abelian_mismatch_matches_the_reference_loop():
+    """Both depend only on letter counts, so one relation per count
+    difference of sides up to length 3, and one word pair per count
+    difference of words up to length 4, cover every case there."""
+    for alphabet in (("a", "b"), ("a", "b", "c")):
+        sides = list(all_words(alphabet, 3))
+        words = list(all_words(alphabet, 4))
+        rels = {}
+        for u, v in product(sides, repeat=2):
+            if u != v:
+                P = make_presentation(alphabet, u, v)
+                rels.setdefault(_relation_counts(P)[0], P)
+        pairs = {}
+        for w1, w2 in product(words, repeat=2):
+            diff = tuple(w1.count(a) - w2.count(a) for a in alphabet)
+            pairs.setdefault(diff, (w1, w2))
+        assert (0,) * len(alphabet) in rels
+        for P in rels.values():
+            for w1, w2 in pairs.values():
+                assert (_abelian_mismatch(P, w1, w2)
+                        == reference_abelian_mismatch(P, w1, w2)), (P, w1, w2)
 
 
 def test_equal_bounded_reflexive_and_symmetric():
