@@ -6,8 +6,11 @@ length at most r represents.  When the rule u -> v is complete, those
 elements are the irreducible words of length at most r, a prefix-closed
 set, and the ball is built breadth first over them: each vertex is a
 shorter vertex followed by one letter, and each edge target is the
-normal form of a vertex followed by a letter.  No other word is
-reduced, and the budget's max_words bounds the number of vertices.
+normal form of a vertex followed by a letter.  Every vertex carries its
+state in the Knuth-Morris-Pratt automaton of u, so one table step says
+whether the vertex followed by a letter ends in u; only those words are
+reduced, every other one is a new vertex or lies beyond the radius, and
+the budget's max_words bounds the number of vertices.
 
 Every other class lookup (ball vertices and edge targets on an
 incomplete rule, and the keys of the structure checks) asks one Oracle
@@ -24,15 +27,16 @@ checks replay a path built from the relation instead.  Cells can be
 attached two ways: one cell per vertex tracing the full relation, or
 cells only at vertices whose representative ends in the longest
 compressing word, tracing the relation with that word stripped from the
-front of both sides.  Boundary matrices are sparse integer dictionaries
-and kernels are computed exactly over rationals, then scaled to
-primitive integer vectors.
+front of both sides; a boundary is traced through one successor list
+per letter, indexed by vertex.  Boundary matrices are sparse integer
+dictionaries and kernels are computed exactly over rationals, then
+scaled to primitive integer vectors.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -196,32 +200,71 @@ def _normal_form_ball(
 
     Breadth first over normal forms: the vertex list grows while it is
     read, and vertex w with letter x leads to the normal form of w·x.
-    That is w·x itself unless w·x ends in u; then the reduction resumes
-    after the irreducible prefix w.  An irreducible w·x within the
-    radius is a new vertex.  Vertices are read in shortlex order and
-    letters in alphabet order, so new vertices are appended in shortlex
-    order, each vertex is the shortlex-least word of its class, and
-    every shorter normal form is indexed before it is reached.  The
-    longest word read is the last vertex followed by a letter, and a
-    length cap below it raises BudgetTooShort.
+    Each vertex carries its state in the KMP automaton of u: the length
+    of the longest suffix of w that is a proper prefix of u.  One table
+    step from that state says whether w·x ends in u.  A vertex is
+    irreducible, so w·x is irreducible exactly when it does not; then it
+    is a new vertex, or lies beyond the radius and is dropped unbuilt.
+    Irreducible words are prefix-closed, and w is the only vertex with a
+    letter leading to w·x without a reduction, so w·x has not been
+    placed before.  The degenerate rule u = v rewrites nothing, so its
+    automaton never matches.
+
+    Only when w·x ends in u is the reduction run, resuming after the
+    irreducible prefix w, and its target is always indexed already.
+    Vertices are read in shortlex order and letters in alphabet order,
+    so new vertices are appended in shortlex order, and while w is read
+    every normal form of length at most |w| is indexed, and so is every
+    normal form y·z of length |w| + 1 with y before w, or y = w and z
+    before x.  The rule is shortlex-decreasing, so the target is
+    shortlex-less than w·x: shorter, hence indexed, or of length |w| + 1
+    and then one of those.  It can be that long only when |u| = |v|,
+    and it lies beyond the radius only when |w| = radius; those edges
+    are skipped without reducing.
+
+    Each vertex is the shortlex-least word of its class.  The longest
+    word read is the last vertex followed by a letter, and a length cap
+    below it raises BudgetTooShort.
     """
+    u, alphabet = P.u, P.alphabet
+    if u == P.v:
+        accept, step = 1, [[0] * len(alphabet)]
+    else:
+        # step[s][k]: state after letter k from state s; len(u) is a match
+        accept, step, restart = len(u), [], 0
+        for s, y in enumerate(u):
+            k = alphabet.index(y)
+            row = list(step[restart]) if s else [0] * len(alphabet)
+            row[k] = s + 1
+            step.append(row)
+            if s:
+                restart = step[restart][k]
+    same_length = len(u) == len(P.v)
     vertices: list[Word] = [()]
+    states = [0]
     index: dict[Word, int] = {(): 0}
     edges: list[tuple[int, str, int]] = []
     for i, w in enumerate(vertices):
-        for x in P.alphabet:
-            target = w + (x,)
-            if ends_with(target, P.u):
-                target = normal_form(P, (x,), w)
-            j = index.get(target)
-            if j is None and len(target) <= radius:
-                if len(vertices) >= budget.max_words:
-                    raise BudgetExceeded(f"more than {budget.max_words} "
-                                         f"vertices at radius {radius}")
-                j = index[target] = len(vertices)
-                vertices.append(target)
-            if j is not None:
-                edges.append((i, x, j))
+        inside = len(w) < radius
+        if not inside and same_length:
+            break
+        for x, t in zip(alphabet, step[states[i]]):
+            if t != accept:
+                if inside:
+                    j = len(vertices)
+                    if j >= budget.max_words:
+                        raise BudgetExceeded(f"more than {budget.max_words} "
+                                             f"vertices at radius {radius}")
+                    target = w + (x,)
+                    index[target] = j
+                    vertices.append(target)
+                    states.append(t)
+                    edges.append((i, x, j))
+                continue
+            j = index.get(normal_form(P, (x,), w))
+            if j is None:
+                raise AssertionError("a reduced edge target is not indexed")
+            edges.append((i, x, j))
     budget.cap_for(P, vertices[-1] + P.alphabet[:1])
     return tuple(vertices), index, edges
 
@@ -287,14 +330,14 @@ def build_ball(P: Presentation, radius: int,
     )
 
 
-def _trace(edge_map: dict[tuple[int, str], tuple[int, int]], base: int,
-           label: Word) -> tuple[list[int], int] | None:
-    """Follow the letters of label from base; None if any edge is
-    missing from the ball."""
+def _trace(rows: list[list[tuple[int, int] | None]],
+           base: int) -> tuple[list[int], int] | None:
+    """Follow a label from base, given as the successor list of each of
+    its letters; None if any edge is missing from the ball."""
     cur = base
     path: list[int] = []
-    for letter in label:
-        hop = edge_map.get((cur, letter))
+    for row in rows:
+        hop = row[cur]
         if hop is None:
             return None
         e, cur = hop
@@ -319,13 +362,21 @@ def attach_cells(ball: CayleyBall, variant: CellVariant) -> CayleyBall:
     else:
         side_u, side_v = P.u, P.v
         bases = list(range(len(ball.vertices)))
-    edge_map = {(s, x): (e, t) for e, (s, x, t) in enumerate(ball.edges)}
+    # succ[x][i]: (edge, target) of the edge reading x out of vertex i
+    succ: dict[str, list[tuple[int, int] | None]] = {
+        x: [None] * len(ball.vertices) for x in P.alphabet}
+    for e, (s, x, t) in enumerate(ball.edges):
+        succ[x][s] = (e, t)
+    rows_u = [succ[x] for x in side_u]
+    rows_v = [succ[x] for x in side_v]
     cells: list[TwoCell] = []
     d2: dict[tuple[int, int], int] = {}
     for base in bases:
-        walked_u = _trace(edge_map, base, side_u)
-        walked_v = _trace(edge_map, base, side_v)
-        if walked_u is None or walked_v is None:
+        walked_u = _trace(rows_u, base)
+        if walked_u is None:
+            continue
+        walked_v = _trace(rows_v, base)
+        if walked_v is None:
             continue
         u_edges, end_u = walked_u
         v_edges, end_v = walked_v
@@ -515,6 +566,15 @@ def _pairs(entries: Sequence[tuple]) -> tuple[int, int, list[tuple[int, int]]]:
     return comb(len(entries), 2), skipped, equal
 
 
+def _partition(keys: Iterable) -> list[int | None]:
+    """Each key's bucket, named by the position of its first occurrence;
+    an undecided key stays None.  Two key sequences group their
+    positions alike exactly when these lists are equal."""
+    first: dict = {}
+    return [None if k is None else first.setdefault(k, i)
+            for i, k in enumerate(keys)]
+
+
 def _check_psi_well_defined(P: Presentation, b: OracleBudget,
                             radius: int) -> CheckReport:
     cands = _compressing_words(P)
@@ -606,9 +666,13 @@ def _check_local_divisor(P: Presentation, b: OracleBudget,
                  _free_product_key(C, tuple(delta_factorize(r, w)), inner))
                 for w in members]
         keys = [(None, None) if None in k else k for k in keys]
-        n, undecided, same_m = _pairs([(0, mk) for mk, _ in keys])
+        n, decided = len(keys), sum(mk is not None for mk, _ in keys)
+        checked += comb(n, 2)
+        skipped += comb(n, 2) - comb(decided, 2)
+        if _partition(k[0] for k in keys) == _partition(k[1] for k in keys):
+            continue
+        same_m = _pairs([(0, mk) for mk, _ in keys])[2]
         same_l = set(_pairs([(0, lk) for _, lk in keys])[2])
-        checked, skipped = checked + n, skipped + undecided
         failures += [f"{P.text(members[i])} vs {P.text(members[j])}: monoid "
                      f"says {(i, j) not in same_l}, local divisor says "
                      f"{(i, j) in same_l}"

@@ -16,6 +16,7 @@ error, 3 budget exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -473,7 +474,10 @@ def _cmd_structure_check(ns, P, b):
     return (1 if counts["failed"] else 0), payload, counts, {}
 
 
+@functools.cache
 def _parser() -> _Parser:
+    # built on first use and shared: parse_args keeps no state between
+    # calls, and each handler looks up what it calls when it runs
     p = _Parser(prog="ormkit", allow_abbrev=False,
                 description="One-relator monoid toolkit: compression, "
                             "classification, word problem, complexes.")

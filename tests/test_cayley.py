@@ -4,15 +4,17 @@ For length-preserving relations the congruence restricted to a ball is
 computed independently by union-find over single rewrites, which gives
 an exact oracle for vertex sets, edge sets, and memberships.  Balls of
 complete rules, built over normal forms, are also compared with the
-enumerate_classes path that incomplete rules take.  Kernel
-routines are checked against hand-computed matrices and an independent
-rank computation over exact rationals.
+enumerate_classes path that incomplete rules take, with the normal
+forms themselves, and with the loops that built them and attached their
+cells before the KMP automaton.  Kernel routines are checked against
+hand-computed matrices and an independent rank computation over exact
+rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -40,7 +42,13 @@ from ormkit.cayley import (
 )
 from ormkit.cli import parse_presentation
 from ormkit.compress import DeltaLetter, NotCompressing
-from ormkit.words import EMPTY, PreconditionError, make_presentation, word
+from ormkit.words import (
+    EMPTY,
+    PreconditionError,
+    compressing_words,
+    make_presentation,
+    word,
+)
 from ormkit.wp import (
     BudgetTooShort,
     Equal,
@@ -318,6 +326,167 @@ def test_idempotent_ball_is_exact_and_tiny():
     assert ball.vertices == (EMPTY, word("a"))
     assert not ball.approximate
     assert ball.vertex_of(word("aaaa")) == ball.vertex_of(word("a"))
+
+
+def complete_small_relations():
+    # every two-letter relation with distinct sides of length at most 3
+    # whose single rule is complete
+    words = [w for n in range(4) for w in product("ab", repeat=n)]
+    for lhs, rhs in combinations(words, 2):
+        P = make_presentation(("a", "b"), lhs, rhs)
+        if is_complete(P):
+            yield P
+
+
+def test_exact_ball_has_one_vertex_per_normal_form():
+    relations = list(complete_small_relations())
+    assert len(relations) > 50
+    for P in relations:
+        forms = {w: normal_form(P, w)
+                 for n in range(6) for w in product(P.alphabet, repeat=n)}
+        for radius in range(6):
+            ball = build_ball(P, radius)
+            assert not ball.approximate
+            assert len(set(ball.vertices)) == len(ball.vertices)
+            assert set(ball.vertices) == {
+                nf for w, nf in forms.items() if len(w) <= radius}
+            targets = {(i, x): normal_form(P, v + (x,))
+                       for i, v in enumerate(ball.vertices)
+                       for x in P.alphabet}
+            for i, x, j in ball.edges:
+                assert targets[i, x] == ball.vertices[j]
+            assert len(ball.edges) == sum(
+                len(nf) <= radius for nf in targets.values())
+
+
+# The breadth-first ball and the cell attachment as they ran before
+# edges were located through the KMP automaton of u and cells traced
+# through per-letter successor lists, kept verbatim as the reference.
+
+
+def reference_normal_form_ball(P, radius, budget):
+    vertices = [()]
+    index = {(): 0}
+    edges = []
+    for i, w in enumerate(vertices):
+        for x in P.alphabet:
+            target = w + (x,)
+            if cayley.ends_with(target, P.u):
+                target = normal_form(P, (x,), w)
+            j = index.get(target)
+            if j is None and len(target) <= radius:
+                if len(vertices) >= budget.max_words:
+                    raise BudgetExceeded(f"more than {budget.max_words} "
+                                         f"vertices at radius {radius}")
+                j = index[target] = len(vertices)
+                vertices.append(target)
+            if j is not None:
+                edges.append((i, x, j))
+    budget.cap_for(P, vertices[-1] + P.alphabet[:1])
+    return tuple(vertices), index, edges
+
+
+def reference_trace(edge_map, base, label):
+    cur = base
+    path = []
+    for letter in label:
+        hop = edge_map.get((cur, letter))
+        if hop is None:
+            return None
+        e, cur = hop
+        path.append(e)
+    return path, cur
+
+
+def reference_attach_cells(ball, variant):
+    P = ball.presentation
+    if variant is CellVariant.COMPRESSED_IDEAL:
+        z = cayley._compressing_words(P)[-1]
+        side_u, side_v = P.u[len(z):], P.v[len(z):]
+        bases = [i for i, rep in enumerate(ball.vertices)
+                 if cayley.ends_with(rep, z)]
+    else:
+        side_u, side_v = P.u, P.v
+        bases = list(range(len(ball.vertices)))
+    edge_map = {(s, x): (e, t) for e, (s, x, t) in enumerate(ball.edges)}
+    cells = []
+    d2 = {}
+    for base in bases:
+        walked_u = reference_trace(edge_map, base, side_u)
+        walked_v = reference_trace(edge_map, base, side_v)
+        if walked_u is None or walked_v is None:
+            continue
+        u_edges, end_u = walked_u
+        v_edges, end_v = walked_v
+        if end_u != end_v:
+            if ball.approximate:
+                continue
+            raise AssertionError("boundary paths disagree in an exact ball")
+        boundary = tuple((e, 1) for e in u_edges)
+        boundary += tuple((e, -1) for e in reversed(v_edges))
+        col = len(cells)
+        cells.append(cayley.TwoCell(base, variant, boundary))
+        for e, sign in boundary:
+            val = d2.get((e, col), 0) + sign
+            if val:
+                d2[(e, col)] = val
+            else:
+                d2.pop((e, col), None)
+    return cayley.replace(ball, cells=tuple(cells), d2=d2)
+
+
+def _build_or_error(P, radius, budget, monkeypatch, reference):
+    with monkeypatch.context() as m:
+        if reference:
+            m.setattr(cayley, "_normal_form_ball", reference_normal_form_ball)
+        try:
+            return build_ball(P, radius, budget)
+        except (BudgetExceeded, BudgetTooShort) as exc:
+            return type(exc)
+
+
+def assert_same_ball(got, want):
+    # field by field, order included
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
+    assert list(got.membership.items()) == list(want.membership.items())
+    assert got.interior_mask == want.interior_mask
+    assert list(got.d1.items()) == list(want.d1.items())
+    assert got.cells == want.cells
+    assert list(got.d2.items()) == list(want.d2.items())
+    assert got.approximate is want.approximate is False
+
+
+@pytest.mark.parametrize("P", complete_fixture_orders())
+def test_ball_and_cells_match_the_reference_loops(P, monkeypatch):
+    variants = [CellVariant.FULL_RELATION]
+    if compressing_words(P):
+        variants.append(CellVariant.COMPRESSED_IDEAL)
+    for radius in range(8):
+        got = build_ball(P, radius)
+        want = _build_or_error(P, radius, cayley.DEFAULT_BUDGET, monkeypatch,
+                               reference=True)
+        assert_same_ball(got, want)
+        for variant in variants:
+            assert_same_ball(attach_cells(got, variant),
+                             reference_attach_cells(want, variant))
+        # the same caps stop both: max_words at the vertex count, and
+        # max_len at the longest word read, the last vertex and a letter
+        size, longest = len(got.vertices), len(got.vertices[-1]) + 1
+        for budget, stopped in (
+                (OracleBudget(max_words=size - 1),
+                 BudgetExceeded if size > 1 else None),
+                (OracleBudget(max_words=size), None),
+                (OracleBudget(max_len=longest - 1), BudgetTooShort),
+                (OracleBudget(max_len=longest), None)):
+            outcomes = [_build_or_error(P, radius, budget, monkeypatch,
+                                        reference)
+                        for reference in (False, True)]
+            if stopped is None:
+                assert_same_ball(*outcomes)
+                assert outcomes[0].vertices == got.vertices
+            else:
+                assert outcomes == [stopped, stopped]
 
 
 # ---------------------------------------------------------- attach_cells

@@ -470,6 +470,34 @@ def test_flags_are_spelled_in_full(capsysbinary):
     assert capsysbinary.readouterr().out.startswith(b"command: classify\n")
 
 
+def test_commands_in_a_row_share_one_parser():
+    # the parser is built once per process; no flag value, default or
+    # mutually exclusive choice of one call may reach the next
+    import ormkit.cli as cli
+
+    name = fx("aba-aca.orm")
+    runs = [
+        ["compress", name, "--by", "a"],
+        ["compress", name],
+        ["compress", name, "--by", "a", "--chain", "longest-first"],
+        ["ball", name, "--radius", "2"],
+        ["ball", name],
+        ["compress", name, "--chain", "longest-first"],
+    ]
+    in_a_row = [dispatch(args) for args in runs]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for args in runs:
+        cli._parser.cache_clear()
+        fresh.append(dispatch(args))
+    assert in_a_row == fresh
+    assert [emit(r) for _, r in in_a_row] == [emit(r) for _, r in fresh]
+    assert [code for code, _ in in_a_row] == [0, 0, 2, 0, 0, 0]
+    assert in_a_row[0][1].payload != in_a_row[1][1].payload
+    assert in_a_row[3][1].payload["radius"] == 2
+    assert in_a_row[4][1].payload["radius"] == 4
+
+
 # Inputs that are not fixtures: each must end in a report, never a raise.
 BAD_INPUTS = {
     "non-utf8": b"alphabet: a b\nrelation: a\xffb = a\n",
