@@ -5,22 +5,26 @@ concrete rewrite path (each consecutive pair differs by one application
 of the relation), so it can be replayed; Distinct always names a sound
 separation certificate; Unknown only ever means a budget ran out.
 
-Two independent deciders are provided.  equal_bounded checks cheap
-invariant certificates first: for every compressing word r, membership
-in the words-ending-in-r ideal and in the words-starting-with-r ideal
-are congruence invariants, and after those the letter-count difference
-must be an integer multiple of the relation's count vector.  When the
-shortlex-oriented rule u -> v is complete it then decides exactly by
-normal forms; otherwise it runs a bidirectional shortlex-ordered
-closure, where a side whose closure saturates without meeting the other
-word proves distinctness outright.  equal_via_compression instead peels
-one compression level: words split around their last and first
-occurrence of the longest compressing word, equality reduces to literal
-equality of the outer parts plus equality of Delta-letter sequences in
-a free product, whose syllables are compared recursively in the
-compressed presentation.  Equal paths found downstairs are lifted back
-upstairs through the factorizations, so replayability survives the
-recursion.  Bulk callers ask Oracle, the one class interface.
+Two independent deciders are provided.  equal_bounded walks the one
+decider order: identity; the cheap invariant certificates (for every
+compressing word r, membership in the words-ending-in-r ideal and in
+the words-starting-with-r ideal are congruence invariants, and the
+letter-count difference must be an integer multiple of the relation's
+count vector); normal forms when the shortlex-oriented rule u -> v is
+complete; and last a bidirectional closure search, where a side whose
+closure saturates without meeting the other word proves distinctness
+outright.  Oracle.equal walks the same order and reads its class store
+just before the search.  One frontier engine grows every closure:
+closure runs it from one word, the search from two.
+
+equal_via_compression instead peels one compression level: words split
+around their last and first occurrence of the longest compressing word,
+equality reduces to literal equality of the outer parts plus equality
+of Delta-letter sequences in a free product, whose syllables are
+compared recursively in the compressed presentation.  Equal paths found
+downstairs are lifted back upstairs through the factorizations, so
+replayability survives the recursion.  Bulk callers ask Oracle, the one
+class interface.
 """
 
 from __future__ import annotations
@@ -242,16 +246,7 @@ def _ideal_certificate(P: Presentation, w1: Word, w2: Word) -> str | None:
     return None
 
 
-# ------------------------------------------------------- closure engine
-
-
-class _Side:
-    __slots__ = ("parent", "heap", "pruned")
-
-    def __init__(self, key, start: Word):
-        self.parent: dict[Word, Word | None] = {start: None}
-        self.heap: list[tuple[tuple, Word]] = [(key(start), start)]
-        self.pruned = False
+# ------------------------------------------------------- frontier engine
 
 
 def _chain(parent: dict[Word, Word | None], w: Word) -> list[Word]:
@@ -261,44 +256,67 @@ def _chain(parent: dict[Word, Word | None], w: Word) -> list[Word]:
     return out
 
 
-def closure(P: Presentation, w: Word, max_len: int,
-            max_words: int) -> tuple[dict[Word, Word | None], bool]:
-    """One-sided congruence closure with parent pointers.
+def _search(P: Presentation, starts: tuple[Word, ...], max_len: int,
+            max_words: int) -> tuple[list[dict[Word, Word | None]],
+                                     Word | bool | None]:
+    """The one frontier engine: a shortlex-ordered closure with parent
+    pointers from each of one or two start words.
 
-    Returns (parents, saturated).  saturated means the parent map is the
-    entire congruence class of w: nothing was pruned and the frontier
-    drained.
+    Each step expands the least word of the side with the smaller heap
+    (the first on a tie), its new neighbours in shortlex order; max_words
+    caps the words of all sides together.  Returns the parent maps and
+    the stop: the word where two sides met; True when a side saturated
+    (its frontier drained and nothing was pruned, so its map is the whole
+    class); False when the word budget ran out, even on the last frontier
+    word; None when the length cap pruned every side.
     """
     key = P.shortlex_key
-    parent: dict[Word, Word | None] = {w: None}
-    heap: list[tuple[tuple, Word]] = [(key(w), w)]
-    pruned = False
-    while heap:
+    parents = [{w: None} for w in starts]
+    heaps = [[(key(w), w)] for w in starts]
+    pruned = [False] * len(starts)
+    others = parents[::-1] if len(starts) > 1 else [{}]
+    live = list(range(len(starts)))
+    explored = len(starts)
+    while live:
+        # the side with the smaller heap, the first on a tie
+        i = live[0] if len(heaps[live[0]]) <= len(heaps[live[-1]]) else live[-1]
+        seen, heap, other = parents[i], heaps[i], others[i]
         _, cur = heapq.heappop(heap)
-        for n in neighbors(P, cur):
-            if n in parent:
-                continue
-            if len(n) > max_len:
-                pruned = True
-                continue
-            if len(parent) >= max_words:
-                return parent, False
-            parent[n] = cur
-            heapq.heappush(heap, (key(n), n))
-    return parent, not pruned
+        new = [n for n in neighbors(P, cur) if n not in seen]
+        fresh = sorted([(key(n), n) for n in new if len(n) <= max_len])
+        if len(fresh) < len(new):
+            pruned[i] = True
+        for k, n in fresh:
+            if explored >= max_words:
+                return parents, False
+            seen[n] = cur
+            explored += 1
+            if n in other:
+                return parents, n
+            heapq.heappush(heap, (k, n))
+        if not heap:
+            if not pruned[i]:
+                return parents, True
+            live.remove(i)
+    return parents, None
 
 
-def equal_bounded(P: Presentation, w1: Word, w2: Word,
-                  budget: OracleBudget | None = None) -> Verdict:
-    """Certified equality: normal forms when u -> v is complete,
-    bidirectional search otherwise.
+def closure(P: Presentation, w: Word, max_len: int,
+            max_words: int) -> tuple[dict[Word, Word | None], bool]:
+    """One-sided congruence closure with parent pointers: the frontier
+    engine from w alone.  Returns (parents, saturated); saturated means
+    the parent map is the entire congruence class of w: nothing was
+    pruned and the frontier drained."""
+    parents, stop = _search(P, (w,), max_len, max_words)
+    return parents[0], stop is True
 
-    The search is always total when |u| = |v| with default budgets,
-    since congruence classes are then finite.
-    """
-    b = budget or DEFAULT_BUDGET
-    w1, w2 = tuple(w1), tuple(w2)
-    max_len = b.cap_for(P, w1, w2)
+
+def _decide(P: Presentation, w1: Word, w2: Word, budget: OracleBudget,
+            store: Oracle | None) -> Verdict:
+    """The one decider order: identity, the ideal certificates, the
+    abelian certificate, normal forms when u -> v is complete, the class
+    of w1 in store when it saturates, and last the two-sided search."""
+    max_len = budget.cap_for(P, w1, w2)
     if w1 == w2:
         return Equal((w1,))
     cert = _ideal_certificate(P, w1, w2)
@@ -312,57 +330,47 @@ def equal_bounded(P: Presentation, w1: Word, w2: Word,
         if _reduce(P, w1, c1) != _reduce(P, w2, c2):
             return Distinct(CERT_NORMAL_FORM)
         return Equal(_join(c1, c2))
-
-    key = P.shortlex_key
-    sides = (_Side(key, w1), _Side(key, w2))
-    explored = 2
-
-    while True:
-        live = [s for s in sides if s.heap]
-        if not live:
-            break
-        # saturation of either side is decisive on its own
-        for s in sides:
-            if not s.heap and not s.pruned:
-                return Distinct(CERT_EXHAUSTED)
-        side = min(live, key=lambda s: len(s.heap))
-        other = sides[1] if side is sides[0] else sides[0]
-        _, cur = heapq.heappop(side.heap)
-        for n in sorted(neighbors(P, cur), key=key):
-            if n in side.parent:
-                continue
-            if len(n) > max_len:
-                side.pruned = True
-                continue
-            if explored >= b.max_words:
-                return Unknown("word budget exhausted")
-            side.parent[n] = cur
-            explored += 1
-            if n in other.parent:
-                left = _chain(sides[0].parent, n)   # n .. w1
-                right = _chain(sides[1].parent, n)  # n .. w2
-                return Equal(tuple(reversed(left)) + tuple(right[1:]))
-            heapq.heappush(side.heap, (key(n), n))
-
-    for s in sides:
-        if not s.pruned:
+    got = store.class_of(w1) if store is not None else None
+    if got is not None:
+        parent, _ = got
+        if w2 not in parent:
             return Distinct(CERT_EXHAUSTED)
-    return Unknown("length cap pruned both closures")
+        # both chains run to the closure root
+        return Equal(_join(_chain(parent, w1), _chain(parent, w2)))
+    (p1, p2), stop = _search(P, (w1, w2), max_len, budget.max_words)
+    if stop is True:
+        return Distinct(CERT_EXHAUSTED)
+    if stop is False:
+        return Unknown("word budget exhausted")
+    if stop is None:
+        return Unknown("length cap pruned both closures")
+    return Equal(tuple(reversed(_chain(p1, stop))) + tuple(_chain(p2, stop)[1:]))
+
+
+def equal_bounded(P: Presentation, w1: Word, w2: Word,
+                  budget: OracleBudget | None = None) -> Verdict:
+    """Certified equality: the decider order with no class store.
+
+    The search is always total when |u| = |v| with default budgets,
+    since congruence classes are then finite.
+    """
+    return _decide(P, tuple(w1), tuple(w2), budget or DEFAULT_BUDGET, None)
 
 
 # ---------------------------------------------------------------- Oracle
 
 
 class Oracle:
-    """Class interface: rep and equal answer by normal forms when u -> v
-    is complete, else from a memoizing closure store, which class_of
-    alone reads on any rule.
+    """Class interface: equal walks the decider order of equal_bounded
+    with this oracle as the class store, consulted just before the
+    search; rep answers by normal forms when u -> v is complete, else
+    from the store, which class_of alone reads on any rule.
 
-    Each saturated class is stored once, as its closure parent map and
-    its shortlex-least member, and indexed by every member, so equality
-    within a stored class is a dictionary lookup.  A class whose closure
-    does not saturate within budget is undecided: class_of and rep
-    return None for it.
+    The store memoizes closure: each saturated class is stored once, as
+    its parent map and its shortlex-least member, and indexed by every
+    member, so equality within a stored class is a dictionary lookup.  A
+    class whose closure does not saturate within budget is undecided:
+    class_of and rep return None for it.
     """
 
     def __init__(self, P: Presentation, budget: OracleBudget | None = None):
@@ -400,19 +408,7 @@ class Oracle:
         return None if got is None else got[1]
 
     def equal(self, w1: Word, w2: Word) -> Verdict:
-        if is_complete(self.P):
-            return equal_bounded(self.P, w1, w2, self.budget)
-        w1, w2 = tuple(w1), tuple(w2)
-        if w1 == w2:
-            return Equal((w1,))
-        got = self.class_of(w1)
-        if got is None:
-            return equal_bounded(self.P, w1, w2, self.budget)
-        parent, _ = got
-        if w2 in parent:
-            # both chains run to the closure root
-            return Equal(_join(_chain(parent, w1), _chain(parent, w2)))
-        return Distinct(CERT_EXHAUSTED)
+        return _decide(self.P, tuple(w1), tuple(w2), self.budget, self)
 
 
 # ------------------------------------------- compression-based decider

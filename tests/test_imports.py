@@ -1,6 +1,6 @@
 """Every module uses each name it imports, no package module imports a
-sibling's private name, and no package module catches a broad
-exception.
+sibling's private name, no package module catches a broad exception,
+and the package has one frontier loop.
 
 Package __init__ files re-export names and are left out.  A name counts
 as used when it appears as an identifier anywhere in the module, which
@@ -86,3 +86,25 @@ def broad_excepts(source: str) -> list[str]:
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_broad_excepts(path):
     assert broad_excepts(path.read_text()) == []
+
+
+def heappop_sites(source: str) -> list[str]:
+    """Calls of heapq.heappop, under either spelling."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr == "heappop"
+                or isinstance(f, ast.Name) and f.id == "heappop"):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_one_frontier_loop():
+    """Every closure search in the package runs in one engine, so the
+    package pops a frontier heap in one place."""
+    sites = [f"{p.name} {line}"
+             for p in sorted((ROOT / "src" / "ormkit").glob("*.py"))
+             for line in heappop_sites(p.read_text())]
+    assert len(sites) == 1, sites

@@ -8,6 +8,7 @@ checked against it exhaustively on small words.
 
 from __future__ import annotations
 
+import heapq
 from itertools import permutations, product
 from pathlib import Path
 
@@ -26,17 +27,20 @@ from ormkit.wp import (
     CERT_RIGHT_TAIL,
     CERT_SUFFIX,
     CERT_SYLLABLE,
+    BudgetTooShort,
     Distinct,
     Equal,
     Oracle,
     OracleBudget,
     Unknown,
     _abelian_mismatch,
+    _ideal_certificate,
     _relation_counts,
     closure,
     equal_bounded,
     equal_via_compression,
     freeproduct_equal,
+    is_complete,
     neighbors,
     normal_form,
     replay,
@@ -255,6 +259,125 @@ def test_closure_stays_in_suffix_ideal():
                 assert member[-len(r):] == r
 
 
+# ------------------------------------------------------- frontier engine
+
+
+def reference_closure(P, w, max_len, max_words):
+    """The one-sided loop closure ran before the one frontier engine."""
+    key = P.shortlex_key
+    parent = {w: None}
+    heap = [(key(w), w)]
+    pruned = False
+    while heap:
+        _, cur = heapq.heappop(heap)
+        for n in neighbors(P, cur):
+            if n in parent:
+                continue
+            if len(n) > max_len:
+                pruned = True
+                continue
+            if len(parent) >= max_words:
+                return parent, False
+            parent[n] = cur
+            heapq.heappush(heap, (key(n), n))
+    return parent, not pruned
+
+
+class ReferenceSide:
+    def __init__(self, key, start):
+        self.parent = {start: None}
+        self.heap = [(key(start), start)]
+        self.pruned = False
+
+
+def reference_chain(parent, w):
+    out = [w]
+    while parent[out[-1]] is not None:
+        out.append(parent[out[-1]])
+    return out
+
+
+def reference_equal_bounded(P, w1, w2, budget):
+    """equal_bounded as it was before the one decider order, on an
+    incomplete rule: the certificates, then its own two-sided loop."""
+    assert not is_complete(P)
+    max_len = budget.cap_for(P, w1, w2)
+    if w1 == w2:
+        return Equal((w1,))
+    cert = _ideal_certificate(P, w1, w2)
+    if cert:
+        return Distinct(cert)
+    if _abelian_mismatch(P, w1, w2):
+        return Distinct(CERT_ABELIAN)
+    key = P.shortlex_key
+    sides = (ReferenceSide(key, w1), ReferenceSide(key, w2))
+    explored = 2
+    while True:
+        live = [s for s in sides if s.heap]
+        if not live:
+            break
+        for s in sides:
+            if not s.heap and not s.pruned:
+                return Distinct(CERT_EXHAUSTED)
+        side = min(live, key=lambda s: len(s.heap))
+        other = sides[1] if side is sides[0] else sides[0]
+        _, cur = heapq.heappop(side.heap)
+        for n in sorted(neighbors(P, cur), key=key):
+            if n in side.parent:
+                continue
+            if len(n) > max_len:
+                side.pruned = True
+                continue
+            if explored >= budget.max_words:
+                return Unknown("word budget exhausted")
+            side.parent[n] = cur
+            explored += 1
+            if n in other.parent:
+                left = reference_chain(sides[0].parent, n)
+                right = reference_chain(sides[1].parent, n)
+                return Equal(tuple(reversed(left)) + tuple(right[1:]))
+            heapq.heappush(side.heap, (key(n), n))
+    for s in sides:
+        if not s.pruned:
+            return Distinct(CERT_EXHAUSTED)
+    return Unknown("length cap pruned both closures")
+
+
+INCOMPLETE = ("bb=ab", "bbb=bab", "aba=ab", "abba=", "aaba=ab", "abab=aab",
+              "aa=b")
+
+
+def test_search_matches_the_reference_loops():
+    """closure and equal_bounded's search, now one engine, give what the
+    two loops gave: the verdict with its path or reason, and the
+    saturated flag with the whole class map when it saturates."""
+    words = list(all_words("ab", 3))
+    for rel in INCOMPLETE:
+        lhs, rhs = rel.split("=")
+        P = make_presentation(("a", "b"), word(lhs), word(rhs))
+        for max_words in (1, 2, 3, 5, 50, 500):
+            budget = OracleBudget(max_words=max_words)
+            for w in words:
+                for max_len in (len(w), len(w) + 2, 12):
+                    got, saturated = closure(P, w, max_len, max_words)
+                    ref, ref_saturated = reference_closure(P, w, max_len,
+                                                           max_words)
+                    assert saturated == ref_saturated, (rel, w, max_len)
+                    assert got == ref if saturated else len(got) == len(ref)
+            for w1, w2 in product(words, repeat=2):
+                assert (repr(equal_bounded(P, w1, w2, budget))
+                        == repr(reference_equal_bounded(P, w1, w2, budget))), \
+                    (rel, w1, w2, max_words)
+
+
+def test_closure_budget_runs_out_on_the_last_frontier_word():
+    # bbb's only neighbour bab overruns a one-word budget while bbb, the
+    # last frontier word, is expanded; a has no neighbour at all
+    P = make_presentation(("a", "b"), word("bbb"), word("bab"))
+    assert closure(P, word("bbb"), 20, 1) == ({word("bbb"): None}, False)
+    assert closure(P, word("a"), 20, 1) == ({word("a"): None}, True)
+
+
 # ----------------------------------------------------------- normal_form
 
 
@@ -403,6 +526,55 @@ def test_oracle_agrees_with_pure_functions():
                 assert replay(P, a.path)
                 assert a.path[0] == w1 and a.path[-1] == w2
     assert oracle.rep(word("abaca")) == word("ababa")
+
+
+def test_oracle_equal_is_equal_bounded_on_complete_rules():
+    # normal forms decide first, so the store is never read and even the
+    # paths agree; a length cap below a word's length is a usage error,
+    # for identical words too, on a complete and an incomplete rule
+    for P in [parse_presentation(p.read_text()) for p in FIXTURES]:
+        assert is_complete(P)
+        oracle = Oracle(P)
+        words = list(all_words(P.alphabet, 3))
+        for w1, w2 in product(words, repeat=2):
+            assert oracle.equal(w1, w2) == equal_bounded(P, w1, w2), (P, w1, w2)
+    short = OracleBudget(max_len=2)
+    for P in (aba_aca(), make_presentation(("a", "b"), word("bbb"), word("bab"))):
+        for decide in (Oracle(P, short).equal,
+                       lambda w1, w2: equal_bounded(P, w1, w2, short)):
+            with pytest.raises(BudgetTooShort):
+                decide(word("abab"), word("abab"))
+
+
+def test_oracle_equal_runs_the_certificates_before_its_store():
+    # on an incomplete rule the store is read after the certificates, so
+    # every Distinct names the certificate equal_bounded names
+    for P in (incomplete(), make_presentation(("a", "b"), word("aba"),
+                                              word("ab"))):
+        oracle = Oracle(P, OracleBudget(max_words=500))
+        certificates = set()
+        for w1, w2 in product(all_words("ab", 4), repeat=2):
+            a = oracle.equal(w1, w2)
+            b = equal_bounded(P, w1, w2, OracleBudget(max_words=500))
+            if isinstance(a, Distinct) and isinstance(b, Distinct):
+                assert a == b, (P, w1, w2)
+                certificates.add(a.certificate)
+        assert CERT_EXHAUSTED in certificates and len(certificates) > 1
+
+
+def test_oracle_equal_answers_from_its_store():
+    # a fresh closure is rooted at its start word, so the path from w1
+    # to a stored class member runs up that member's parent chain
+    P = make_presentation(("a", "b"), word("bbb"), word("bab"))
+    paths = set()
+    for w1 in all_words("ab", 6):
+        oracle = Oracle(P)
+        parent, _ = oracle.class_of(w1)
+        for w2 in parent:
+            path = tuple(reversed(reference_chain(parent, w2)))
+            assert oracle.equal(w1, w2) == Equal(path), (w1, w2)
+            paths.add(path)
+    assert max(len(p) for p in paths) > 3
 
 
 def test_oracle_store_agrees_with_search_on_an_incomplete_rule():
