@@ -2,23 +2,25 @@
 integer 2-cycle bases, the vertex compression map, and structural checks.
 
 A ball of radius r has one vertex per monoid element that some word of
-length at most r represents.  When the rule u -> v is complete, those
-elements are the irreducible words of length at most r, a prefix-closed
-set, and the ball is built breadth first over them: each vertex is a
-shorter vertex followed by one letter, and each edge target is the
-normal form of a vertex followed by a letter.  Every vertex carries its
-state in the Knuth-Morris-Pratt automaton of u, so one table step says
-whether the vertex followed by a letter ends in u; only those words are
-reduced, every other one is a new vertex or lies beyond the radius, and
-the budget's max_words bounds the number of vertices.
+length at most r represents, and one builder makes it for every rule,
+breadth first: each new vertex is an earlier vertex followed by one
+letter, and each edge leads from a vertex w with letter x to the class
+of w·x.  When the rule u -> v is complete, the vertices are the
+irreducible words of length at most r, a prefix-closed set, and each
+edge target is a normal form.  Every vertex carries its state in the
+Knuth-Morris-Pratt automaton of u, so one table step says whether the
+vertex followed by a letter ends in u; only those words are reduced,
+every other one is a new vertex or lies beyond the radius, and the
+budget's max_words bounds the number of vertices.  A vertex is found
+from any word by reading the word's letters along the edges from the
+empty word.
 
-Every other class lookup (ball vertices and edge targets on an
-incomplete rule, and the keys of the structure checks) asks one Oracle
-per presentation: rep for the class's shortlex-least member, None when
-undecided, and equal for a certified verdict.  On an incomplete rule a
-ball collects the classes of all words up to the radius, and max_words
-bounds the number of those words; undecided words are merged only on
-Equal verdicts, so a ball is never over-merged, and if any needed
+Every other class lookup (w·x on an incomplete rule, and the keys of
+the structure checks) asks one Oracle per presentation: rep for the
+class's shortlex-least member, None when undecided, and equal for a
+certified verdict.  On an incomplete rule max_words bounds the number of
+words of length at most r; an undecided w·x joins the first vertex
+proven Equal to it, so a ball is never over-merged, and if any needed
 verdict comes back Unknown the ball is marked approximate instead of
 guessing.  The pair checks key each witness once and count pairs from
 the key groups, skipping a pair with an undecided key, so their cost
@@ -40,6 +42,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import comb, gcd, lcm
 
@@ -111,17 +114,25 @@ class CayleyBall:
     d1: dict[tuple[int, int], int] = field(repr=False)
     d2: dict[tuple[int, int], int] = field(repr=False)
     approximate: bool
-    # vertex index of each word the build placed: the vertices alone on
-    # a complete rule, every word of length at most radius otherwise
-    membership: dict[Word, int] = field(repr=False)
+
+    @cached_property
+    def _successors(self) -> dict[str, list[tuple[int, int] | None]]:
+        """succ[x][i]: (edge, target) of the edge reading x out of
+        vertex i, None when that edge leaves the ball."""
+        succ: dict[str, list[tuple[int, int] | None]] = {
+            x: [None] * len(self.vertices) for x in self.presentation.alphabet}
+        for e, (s, x, t) in enumerate(self.edges):
+            succ[x][s] = (e, t)
+        return succ
 
     def vertex_of(self, w: Word) -> int | None:
-        """Index of the vertex of w; None when |w| > radius."""
-        w = tuple(w)
-        if len(w) > self.radius:
+        """Index of the vertex of w, read along the edges from vertex 0;
+        None when |w| > radius or w has a letter outside the alphabet."""
+        rows = [self._successors.get(x) for x in w]
+        if len(rows) > self.radius or None in rows:
             return None
-        nf = normal_form(self.presentation, w)
-        return self.membership.get(w if nf is None else nf)
+        walked = _trace(rows, 0)
+        return None if walked is None else walked[1]
 
 
 def _compressing_words(P: Presentation) -> tuple[Word, ...]:
@@ -170,13 +181,14 @@ def enumerate_classes(
 
 def _locate(oracle: Oracle, w: Word, assign: dict[Word, int],
             reps: Sequence[Word]) -> tuple[int | None, bool]:
-    """Index of w's class among the classes enumerated so far.
+    """Index of w's class among the classes placed so far, whose
+    representatives are reps; assign indexes every word placed.
 
     Returns (index or None, sawUnknown).  A decided representative is
-    the shortest member of its class, so the class is enumerated exactly
+    the shortest member of its class, so the class is placed exactly
     when its representative is.  An undecided word takes the first
     representative proven Equal to it; None with sawUnknown False is a
-    proof that no enumerated class holds w.
+    proof that no placed class holds w.
     """
     if w in assign:
         return assign[w], False
@@ -193,22 +205,26 @@ def _locate(oracle: Oracle, w: Word, assign: dict[Word, int],
     return None, unknown
 
 
-def _normal_form_ball(
-    P: Presentation, radius: int, budget: OracleBudget,
-) -> tuple[tuple[Word, ...], dict[Word, int], list[tuple[int, str, int]]]:
-    """Vertices, their index and the edges of the ball of a complete rule.
+def _ball(oracle: Oracle, radius: int, sphere: bool,
+          ) -> tuple[tuple[Word, ...], list[tuple[int, str, int]], bool]:
+    """Vertices, edges and approximate flag of the ball of oracle.P.
 
-    Breadth first over normal forms: the vertex list grows while it is
-    read, and vertex w with letter x leads to the normal form of w·x.
-    Each vertex carries its state in the KMP automaton of u: the length
-    of the longest suffix of w that is a proper prefix of u.  One table
-    step from that state says whether w·x ends in u.  A vertex is
-    irreducible, so w·x is irreducible exactly when it does not; then it
-    is a new vertex, or lies beyond the radius and is dropped unbuilt.
-    Irreducible words are prefix-closed, and w is the only vertex with a
-    letter leading to w·x without a reduction, so w·x has not been
-    placed before.  The degenerate rule u = v rewrites nothing, so its
-    automaton never matches.
+    Breadth first: the vertex list grows while it is read, vertex w with
+    letter x leads to the class of w·x, and a w·x of length at most
+    radius whose class holds no vertex yet becomes a new vertex.  With
+    sphere False the edges out of the vertices of length radius are not
+    located, which leaves the vertex list as it is.
+
+    On a complete rule the classes are normal forms and the oracle is
+    not consulted.  Each vertex carries its state in the KMP automaton
+    of u: the length of the longest suffix of w that is a proper prefix
+    of u.  One table step from that state says whether w·x ends in u.  A
+    vertex is irreducible, so w·x is irreducible exactly when it does
+    not; then it is a new vertex, or lies beyond the radius and is
+    dropped unbuilt.  Irreducible words are prefix-closed, and w is the
+    only vertex with a letter leading to w·x without a reduction, so w·x
+    has not been placed before.  The degenerate rule u = v rewrites
+    nothing, so its automaton never matches.
 
     Only when w·x ends in u is the reduction run, resuming after the
     irreducible prefix w, and its target is always indexed already.
@@ -220,66 +236,81 @@ def _normal_form_ball(
     shortlex-less than w·x: shorter, hence indexed, or of length |w| + 1
     and then one of those.  It can be that long only when |u| = |v|,
     and it lies beyond the radius only when |w| = radius; those edges
-    are skipped without reducing.
+    are skipped without reducing.  Each vertex is the shortlex-least
+    word of its class, and max_words bounds the number of vertices.  A
+    length cap below the last vertex followed by a letter, the longest
+    word the build reads with sphere True, raises BudgetTooShort either
+    way.
 
-    Each vertex is the shortlex-least word of its class.  The longest
-    word read is the last vertex followed by a letter, and a length cap
-    below it raises BudgetTooShort.
+    On any other rule the automaton has one state that always matches,
+    and every w·x is placed by _locate among the vertices so far, all
+    shortlex-less than w·x; an Unknown verdict marks the ball
+    approximate.  max_words bounds the count of words of length at most
+    radius, and the oracle raises BudgetTooShort on a word read beyond
+    its length cap.
     """
-    u, alphabet = P.u, P.alphabet
-    if u == P.v:
-        accept, step = 1, [[0] * len(alphabet)]
+    P, budget, alphabet = oracle.P, oracle.budget, oracle.P.alphabet
+    complete = is_complete(P)
+    if not complete and (_ball_word_count(len(alphabet), radius)
+                         > budget.max_words):
+        raise BudgetExceeded(f"{len(alphabet)} letters at radius {radius}")
+    if not complete or P.u == P.v:
+        # one state, a match on every letter of an incomplete rule and on
+        # none of the degenerate rule
+        accept, step = int(complete), [[0] * len(alphabet)]
     else:
         # step[s][k]: state after letter k from state s; len(u) is a match
-        accept, step, restart = len(u), [], 0
-        for s, y in enumerate(u):
+        accept, step, restart = len(P.u), [], 0
+        for s, y in enumerate(P.u):
             k = alphabet.index(y)
             row = list(step[restart]) if s else [0] * len(alphabet)
             row[k] = s + 1
             step.append(row)
             if s:
                 restart = step[restart][k]
-    same_length = len(u) == len(P.v)
+    stop = not sphere or complete and len(P.u) == len(P.v)
     vertices: list[Word] = [()]
     states = [0]
     index: dict[Word, int] = {(): 0}
     edges: list[tuple[int, str, int]] = []
+    approximate = False
     for i, w in enumerate(vertices):
         inside = len(w) < radius
-        if not inside and same_length:
+        if not inside and stop:
             break
         for x, t in zip(alphabet, step[states[i]]):
-            if t != accept:
-                if inside:
-                    j = len(vertices)
-                    if j >= budget.max_words:
-                        raise BudgetExceeded(f"more than {budget.max_words} "
-                                             f"vertices at radius {radius}")
-                    target = w + (x,)
-                    index[target] = j
-                    vertices.append(target)
-                    states.append(t)
-                    edges.append((i, x, j))
-                continue
-            j = index.get(normal_form(P, (x,), w))
+            j = None
+            if t == accept and complete:
+                j = index.get(normal_form(P, (x,), w))
+                if j is None:
+                    raise AssertionError("a reduced edge target is not indexed")
+            elif t == accept:
+                j, unknown = _locate(oracle, w + (x,), index, vertices)
+                approximate = approximate or unknown
             if j is None:
-                raise AssertionError("a reduced edge target is not indexed")
+                if not inside:
+                    continue
+                j = len(vertices)
+                if j >= budget.max_words:
+                    raise BudgetExceeded(f"more than {budget.max_words} "
+                                         f"vertices at radius {radius}")
+                target = w + (x,)
+                index[target] = j
+                vertices.append(target)
+                states.append(t)
             edges.append((i, x, j))
-    budget.cap_for(P, vertices[-1] + P.alphabet[:1])
-    return tuple(vertices), index, edges
+    if complete:
+        budget.cap_for(P, vertices[-1] + alphabet[:1])
+    return tuple(vertices), edges, approximate
 
 
 def ball_vertices(oracle: Oracle, radius: int) -> tuple[Word, ...]:
-    """The class representatives of the ball, in shortlex order.
-
-    On a complete rule they are the normal forms of length at most
-    radius, read off the breadth-first ball, and the budget's max_words
-    caps their number; otherwise they are enumerate_classes's
-    representatives, and max_words caps the count of words it reduces.
-    """
-    if is_complete(oracle.P):
-        return _normal_form_ball(oracle.P, radius, oracle.budget)[0]
-    return enumerate_classes(oracle, radius)[0]
+    """The class representatives of the ball, in shortlex order: the
+    vertices of build_ball, built without locating the edges out of the
+    sphere.  max_words caps them as it caps build_ball; on an incomplete
+    rule the longest word read, which a length cap must not be below,
+    is then a sphere vertex."""
+    return _ball(oracle, radius, sphere=False)[0]
 
 
 def build_ball(P: Presentation, radius: int,
@@ -287,28 +318,15 @@ def build_ball(P: Presentation, radius: int,
     """Ball of congruence classes of all words of length at most radius.
 
     Edges carry right multiplication by a letter and are included
-    whenever both endpoint classes are present.  On a complete rule the
-    ball is built breadth first over normal forms and is exact, and the
-    budget's max_words caps its vertices; otherwise enumerate_classes
-    partitions every word of length at most radius, and max_words caps
-    that word count.  Either way a length cap below the longest word the
-    build reads raises BudgetTooShort.  Cells start empty; see
-    attach_cells.
+    whenever both endpoint classes are present.  The ball is built
+    breadth first (see _ball): exact on a complete rule, where the
+    budget's max_words caps its vertices; otherwise placed through one
+    Oracle, where max_words caps the count of words of length at most
+    radius.  Either way a length cap below the longest word the build
+    reads raises BudgetTooShort.  Cells start empty; see attach_cells.
     """
-    b = budget or DEFAULT_BUDGET
-    if is_complete(P):
-        reps, assign, edges = _normal_form_ball(P, radius, b)
-        approximate = False
-    else:
-        oracle = Oracle(P, b)
-        reps, assign, approximate = enumerate_classes(oracle, radius)
-        edges = []
-        for i, rep in enumerate(reps):
-            for letter in P.alphabet:
-                j, unknown = _locate(oracle, rep + (letter,), assign, reps)
-                approximate = approximate or unknown
-                if j is not None:
-                    edges.append((i, letter, j))
+    reps, edges, approximate = _ball(Oracle(P, budget or DEFAULT_BUDGET),
+                                     radius, sphere=True)
     margin = max(len(P.u), len(P.v))
     interior = tuple(len(rep) <= radius - margin for rep in reps)
     d1: dict[tuple[int, int], int] = {}
@@ -326,7 +344,6 @@ def build_ball(P: Presentation, radius: int,
         d1=d1,
         d2={},
         approximate=approximate,
-        membership=assign,
     )
 
 
@@ -362,11 +379,7 @@ def attach_cells(ball: CayleyBall, variant: CellVariant) -> CayleyBall:
     else:
         side_u, side_v = P.u, P.v
         bases = list(range(len(ball.vertices)))
-    # succ[x][i]: (edge, target) of the edge reading x out of vertex i
-    succ: dict[str, list[tuple[int, int] | None]] = {
-        x: [None] * len(ball.vertices) for x in P.alphabet}
-    for e, (s, x, t) in enumerate(ball.edges):
-        succ[x][s] = (e, t)
+    succ = ball._successors
     rows_u = [succ[x] for x in side_u]
     rows_v = [succ[x] for x in side_v]
     cells: list[TwoCell] = []
@@ -757,6 +770,11 @@ def structure_checks(P: Presentation, check: CheckKind,
 # --------------------------------------------------------------- exports
 
 
+def _dot_string(text: str) -> str:
+    """text as a quoted DOT string, with backslash and quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(ball: CayleyBall) -> str:
     """DOT digraph: vertex label is the canonical representative, edge
     label the multiplied letter, interior vertices doubly circled."""
@@ -764,9 +782,9 @@ def to_dot(ball: CayleyBall) -> str:
     lines = ["digraph cayley_ball {", "  rankdir=LR;"]
     for i, rep in enumerate(ball.vertices):
         shape = " peripheries=2" if ball.interior_mask[i] else ""
-        lines.append(f'  v{i} [label="{P.text(rep)}"{shape}];')
+        lines.append(f"  v{i} [label={_dot_string(P.text(rep))}{shape}];")
     for src, letter, dst in ball.edges:
-        lines.append(f'  v{src} -> v{dst} [label="{letter}"];')
+        lines.append(f"  v{src} -> v{dst} [label={_dot_string(letter)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -2,22 +2,28 @@
 
 For length-preserving relations the congruence restricted to a ball is
 computed independently by union-find over single rewrites, which gives
-an exact oracle for vertex sets, edge sets, and memberships.  Balls of
-complete rules, built over normal forms, are also compared with the
-enumerate_classes path that incomplete rules take, with the normal
-forms themselves, and with the loops that built them and attached their
-cells before the KMP automaton.  Kernel routines are checked against
-hand-computed matrices and an independent rank computation over exact
-rationals.
+an exact oracle for vertex sets, edge sets, and vertex lookups.  One
+breadth-first builder serves every rule.  Balls of complete rules,
+built over normal forms, are also compared with the balls the builder
+places through the Oracle when completeness is hidden from it, with the
+normal forms themselves, and with the loops that built them and
+attached their cells before the KMP automaton.  Balls of incomplete
+rules are compared with the loops that enumerated every word of length
+at most the radius before the builder was shared.  Kernel routines are
+checked against hand-computed matrices and an independent rank
+computation over exact rationals.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
+
+import re
 
 import ormkit.cayley as cayley
 from ormkit.cayley import (
@@ -217,9 +223,8 @@ def test_approximate_ball_merges_only_proven_pairs():
     ball = build_ball(P, 3)
     assert ball.approximate
     assert len(ball.vertices) == 14
-    assert len(ball.membership) == 15
-    for w, i in ball.membership.items():
-        verdict = equal_bounded(P, w, ball.vertices[i])
+    for w in (w for n in range(4) for w in product(P.alphabet, repeat=n)):
+        verdict = equal_bounded(P, w, ball.vertices[ball.vertex_of(w)])
         assert isinstance(verdict, Equal)
         assert replay(P, verdict.path)
 
@@ -290,16 +295,13 @@ def complete_fixture_orders():
 
 @pytest.mark.parametrize("P", complete_fixture_orders())
 def test_normal_form_ball_matches_enumerated_ball(P, monkeypatch):
-    # with completeness hidden from cayley, build_ball takes the
-    # enumerate_classes path that incomplete rules use; Oracle.rep still
+    # with completeness hidden from cayley, build_ball places every word
+    # through the Oracle as it does on incomplete rules; Oracle.rep still
     # decides by normal forms, so that ball is exact
     bfs = [build_ball(P, radius) for radius in range(7)]
     monkeypatch.setattr(cayley, "is_complete", lambda _: False)
     for radius, ball in enumerate(bfs):
         enumerated = build_ball(P, radius)
-        # only the enumerated path places every word
-        assert len(enumerated.membership) == sum(
-            len(P.alphabet) ** n for n in range(radius + 1))
         assert not enumerated.approximate
         assert ball.vertices == enumerated.vertices
         assert ball.edges == enumerated.edges
@@ -435,10 +437,16 @@ def reference_attach_cells(ball, variant):
     return cayley.replace(ball, cells=tuple(cells), d2=d2)
 
 
+def reference_ball(oracle, radius, sphere):
+    vertices, _, edges = reference_normal_form_ball(oracle.P, radius,
+                                                    oracle.budget)
+    return vertices, edges, False
+
+
 def _build_or_error(P, radius, budget, monkeypatch, reference):
     with monkeypatch.context() as m:
         if reference:
-            m.setattr(cayley, "_normal_form_ball", reference_normal_form_ball)
+            m.setattr(cayley, "_ball", reference_ball)
         try:
             return build_ball(P, radius, budget)
         except (BudgetExceeded, BudgetTooShort) as exc:
@@ -449,7 +457,8 @@ def assert_same_ball(got, want):
     # field by field, order included
     assert got.vertices == want.vertices
     assert got.edges == want.edges
-    assert list(got.membership.items()) == list(want.membership.items())
+    assert ([got.vertex_of(v) for v in got.vertices]
+            == [want.vertex_of(v) for v in want.vertices])
     assert got.interior_mask == want.interior_mask
     assert list(got.d1.items()) == list(want.d1.items())
     assert got.cells == want.cells
@@ -487,6 +496,209 @@ def test_ball_and_cells_match_the_reference_loops(P, monkeypatch):
                 assert outcomes[0].vertices == got.vertices
             else:
                 assert outcomes == [stopped, stopped]
+
+
+# The ball of an incomplete rule as it was built before the builder was
+# shared: every word of length at most the radius placed in shortlex
+# order, then one edge located per vertex and letter, kept verbatim as
+# the reference.
+
+
+def reference_incomplete_ball(P, radius, budget):
+    """Outcomes of ball_vertices, which was the enumeration alone, and of
+    build_ball, which went on to the edges with the same oracle; each is
+    the exception type raised, if one was."""
+    oracle = Oracle(P, budget)
+    try:
+        reps, assign, approximate = enumerate_classes(oracle, radius)
+    except (BudgetExceeded, BudgetTooShort) as exc:
+        return type(exc), type(exc)
+    edges = []
+    try:
+        for i, rep in enumerate(reps):
+            for letter in P.alphabet:
+                j, unknown = cayley._locate(oracle, rep + (letter,), assign,
+                                            reps)
+                approximate = approximate or unknown
+                if j is not None:
+                    edges.append((i, letter, j))
+    except BudgetTooShort:
+        return reps, BudgetTooShort
+    return reps, (reps, edges, approximate, assign)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (BudgetExceeded, BudgetTooShort) as exc:
+        return type(exc)
+
+
+def assert_same_incomplete_ball(P, radius, budget):
+    """build_ball and ball_vertices against the reference loops; returns
+    build_ball's outcome, an exception type or the vertex count and the
+    approximate flag."""
+    vertices, want = reference_incomplete_ball(P, radius, budget)
+    assert _outcome(ball_vertices, Oracle(P, budget), radius) == vertices
+    got = _outcome(build_ball, P, radius, budget)
+    if isinstance(want, type):
+        assert got is want
+        return want
+    reps, edges, approximate, assign = want
+    assert got.vertices == reps
+    assert list(got.edges) == edges
+    assert got.approximate is approximate
+    assert {w: got.vertex_of(w) for w in assign} == assign
+    for w in product(P.alphabet, repeat=radius + 1):
+        assert got.vertex_of(w) is None
+    return len(reps), approximate
+
+
+INCOMPLETE_TWO_LETTER = ["bb = ab", "bbb = bab", "aa = b", "aba = ab",
+                         "aaba = ab", "abba = 1", "abab = aab", "aaa = ab",
+                         "bab = a", "aba = ba"]
+INCOMPLETE_THREE_LETTER = ["aba = ac", "aca = b", "bab = c", "bcb = a",
+                           "cac = ab", "aaa = bc", "bbb = ca"]
+
+
+def test_incomplete_ball_matches_the_reference_loops():
+    # max_words below the word count stops both builds, at the vertex
+    # count too; at the word count or 300, closures are cut short and
+    # some balls come out approximate
+    approximate = 0
+    for relation in INCOMPLETE_TWO_LETTER:
+        P = parse_presentation(f"alphabet: a b\nrelation: {relation}")
+        assert not is_complete(P)
+        for radius in range(6):
+            words = 2 ** (radius + 1) - 1
+            size, flag = assert_same_incomplete_ball(
+                P, radius, OracleBudget(max_words=words))
+            approximate += flag
+            for max_words in (size - 1, size, words - 1):
+                outcome = assert_same_incomplete_ball(
+                    P, radius, OracleBudget(max_words=max_words))
+                assert (outcome is BudgetExceeded) == (max_words < words)
+            if radius < 4:
+                approximate += assert_same_incomplete_ball(
+                    P, radius, OracleBudget(max_words=300))[1]
+            # the edges out of the sphere read words one longer than it
+            budget = OracleBudget(max_len=radius)
+            assert _outcome(build_ball, P, radius, budget) is BudgetTooShort
+            assert reference_incomplete_ball(P, radius, budget)[1] is (
+                BudgetTooShort)
+    assert approximate
+
+
+def test_incomplete_ball_length_caps_match_the_reference_loops():
+    # max_len = radius stops build_ball at the edges out of the sphere,
+    # but not ball_vertices, which reads no word longer than the radius
+    seen = set()
+    for relation in INCOMPLETE_THREE_LETTER:
+        P = parse_presentation(f"alphabet: a b c\nrelation: {relation}")
+        assert not is_complete(P)
+        for radius in range(4):
+            for max_len in (None, radius, radius + 1):
+                budget = OracleBudget(max_len=max_len)
+                outcome = assert_same_incomplete_ball(P, radius, budget)
+                seen.add(outcome if isinstance(outcome, type)
+                         else outcome[1])
+                if max_len == radius:
+                    assert outcome is BudgetTooShort
+                    assert ball_vertices(Oracle(P, budget), radius)
+    assert seen == {BudgetTooShort, False, True}
+
+
+def _read(edges, w):
+    """The vertex w reads to along edges from vertex 0."""
+    succ = {(i, x): j for i, x, j in edges}
+    cur = 0
+    for x in w:
+        cur = succ[cur, x]
+    return cur
+
+
+def test_incomplete_ball_merges_only_proven_words_the_reference_split():
+    # the reference placed every word, so under a tight length cap a word
+    # whose prefix had joined another class opened a vertex of its own
+    # when its pairwise search was cut short; the builder reaches that
+    # class through the prefix's class instead, so it keeps a subset of
+    # the reference's vertices, in the same order, and each word it
+    # drops is proven equal to the vertex it reads to
+    split = []
+    for relation in INCOMPLETE_TWO_LETTER:
+        P = parse_presentation(f"alphabet: a b\nrelation: {relation}")
+        for radius in range(6):
+            for max_len in (radius, radius + 1):
+                budget = OracleBudget(max_len=max_len)
+                reps, want = reference_incomplete_ball(P, radius, budget)
+                vertices, edges, _ = cayley._ball(Oracle(P, budget), radius,
+                                                  sphere=False)
+                assert vertices == ball_vertices(Oracle(P, budget), radius)
+                kept = set(vertices)
+                assert tuple(v for v in reps if v in kept) == vertices
+                dropped = [v for v in reps if v not in kept]
+                for w in dropped:
+                    target = vertices[_read(edges, w)]
+                    verdict = equal_bounded(P, w, target)
+                    assert isinstance(verdict, Equal)
+                    assert replay(P, verdict.path)
+                if max_len == radius:
+                    split += [(relation, radius, max_len)] if dropped else []
+                    continue
+                ball = build_ball(P, radius, budget)
+                assert ball.vertices == vertices
+                if dropped:
+                    split.append((relation, radius, max_len))
+                    assert ball.approximate and want[2]
+                else:
+                    assert list(ball.edges) == want[1]
+                    assert ball.approximate is want[2]
+    assert split == [("aa = b", 3, 3), ("aa = b", 4, 4), ("aa = b", 5, 5),
+                     ("aba = ab", 5, 5), ("aaa = ab", 4, 4),
+                     ("aaa = ab", 5, 5), ("aaa = ab", 5, 6), ("bab = a", 4, 5),
+                     ("bab = a", 5, 5), ("bab = a", 5, 6), ("aba = ba", 5, 5)]
+
+
+def incomplete_length_preserving_relations():
+    # every two-letter relation with distinct sides of one length at most
+    # 3 whose single rule is not complete
+    words = [w for n in range(1, 4) for w in product("ab", repeat=n)]
+    for lhs, rhs in combinations(words, 2):
+        P = make_presentation(("a", "b"), lhs, rhs)
+        if len(lhs) == len(rhs) and not is_complete(P):
+            yield P
+
+
+def test_incomplete_exact_ball_has_one_vertex_per_class():
+    # the classes keep word length, so they are finite and union-find over
+    # the words of length at most the radius finds them exactly
+    relations = list(incomplete_length_preserving_relations())
+    assert len(relations) == 16
+    for P in relations:
+        uf = brute_partition(P, 5)
+        least = {}
+        for n in range(6):
+            for w in product(P.alphabet, repeat=n):
+                least.setdefault(uf.find(w), w)
+        for radius in range(6):
+            ball = build_ball(P, radius)
+            assert not ball.approximate
+            index = {v: i for i, v in enumerate(ball.vertices)}
+            assert len(index) == len(ball.vertices)
+            assert set(index) == {w for w in least.values()
+                                  if len(w) <= radius}
+
+            def vertex(w):
+                return index[least[uf.find(w)]]
+
+            for n in range(radius + 1):
+                for w in product(P.alphabet, repeat=n):
+                    assert ball.vertex_of(w) == vertex(w)
+                    assert ball.vertex_of(w + ("c",)) is None
+            expected = [(i, x, vertex(v + (x,)))
+                        for i, v in enumerate(ball.vertices)
+                        if len(v) < radius for x in P.alphabet]
+            assert list(ball.edges) == expected
 
 
 # ---------------------------------------------------------- attach_cells
@@ -895,6 +1107,20 @@ def test_dot_export_is_deterministic():
     assert out.startswith("digraph cayley_ball {")
     assert 'label="ε"' in out
     assert '[label="a"]' in out or 'label="a"' in out
+
+
+def test_dot_labels_are_escaped():
+    # a quote or a backslash letter must not end or escape its label early
+    label = re.compile(r'label=("(?:[^"\\]|\\.)*")[ \]]')
+    for text, spelled in (('alphabet: a "\nrelation: a" = "a', '"a\\""'),
+                          ('alphabet: a \\\nrelation: a\\ = \\a',
+                           '"a\\\\"')):
+        ball = build_ball(parse_presentation(text), 2)
+        out = to_dot(ball)
+        labels = [m.group(1) for m in label.finditer(out)]
+        assert len(labels) == out.count("label=")
+        assert len(labels) == len(ball.vertices) + len(ball.edges)
+        assert spelled in labels
 
 
 def test_json_export_shape():

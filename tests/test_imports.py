@@ -1,6 +1,6 @@
 """Every module uses each name it imports, no package module imports a
 sibling's private name, no package module catches a broad exception,
-and the package has one frontier loop.
+and the package has one frontier loop and one ball builder.
 
 Package __init__ files re-export names and are left out.  A name counts
 as used when it appears as an identifier anywhere in the module, which
@@ -88,17 +88,29 @@ def test_no_broad_excepts(path):
     assert broad_excepts(path.read_text()) == []
 
 
+def call_sites(source: str, name: str) -> list[tuple[str | None, int]]:
+    """(innermost enclosing function, line) of each call of name, as a
+    bare name or as an attribute."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == name
+                    or isinstance(f, ast.Name) and f.id == name):
+                found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def heappop_sites(source: str) -> list[str]:
     """Calls of heapq.heappop, under either spelling."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        f = node.func
-        if (isinstance(f, ast.Attribute) and f.attr == "heappop"
-                or isinstance(f, ast.Name) and f.id == "heappop"):
-            found.append(f"line {node.lineno}")
-    return found
+    return [f"line {line}" for _, line in call_sites(source, "heappop")]
 
 
 def test_one_frontier_loop():
@@ -108,3 +120,14 @@ def test_one_frontier_loop():
              for p in sorted((ROOT / "src" / "ormkit").glob("*.py"))
              for line in heappop_sites(p.read_text())]
     assert len(sites) == 1, sites
+
+
+def test_one_ball_builder():
+    """Every ball is built by one breadth-first loop, the one place in
+    cayley that asks whether the rule is complete; only PsiWellDefined
+    still groups every word of the ball through enumerate_classes."""
+    cayley = (ROOT / "src" / "ormkit" / "cayley.py").read_text()
+    assert len(call_sites(cayley, "is_complete")) == 1
+    sites = [(p.name, func) for p in PACKAGE
+             for func, _ in call_sites(p.read_text(), "enumerate_classes")]
+    assert sites == [("cayley.py", "_check_psi_well_defined")]
