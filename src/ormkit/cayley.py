@@ -30,16 +30,19 @@ attached two ways: one cell per vertex tracing the full relation, or
 cells only at vertices whose representative ends in the longest
 compressing word, tracing the relation with that word stripped from the
 front of both sides; a boundary is traced through one successor list
-per letter, indexed by vertex.  Boundary matrices are sparse integer
-dictionaries and kernels are computed exactly over rationals, then
-scaled to primitive integer vectors.
+per letter, indexed by vertex.  A ball stores its vertices, edges and
+cells once: the boundary matrices d1 and d2, sparse integer
+dictionaries, and the interior mask are views derived from them on
+first read.  The 2-cycle kernel reads the columns of the interior cells
+straight from their boundaries; kernels are computed exactly over
+rationals, then scaled to primitive integer vectors.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -105,15 +108,40 @@ class TwoCell:
 
 @dataclass(frozen=True)
 class CayleyBall:
+    """A finite piece of the Cayley complex.  It stores its vertices,
+    edges and cells; the boundary matrices d1 and d2 and the interior
+    mask are views derived from them on first read."""
+
     presentation: Presentation
     radius: int
     vertices: tuple[Word, ...]
     edges: tuple[tuple[int, str, int], ...]
-    interior_mask: tuple[bool, ...]
     cells: tuple[TwoCell, ...]
-    d1: dict[tuple[int, int], int] = field(repr=False)
-    d2: dict[tuple[int, int], int] = field(repr=False)
     approximate: bool
+
+    @cached_property
+    def d1(self) -> dict[tuple[int, int], int]:
+        """Sparse (vertex, edge) boundary of the edges; a loop has none."""
+        d1: dict[tuple[int, int], int] = {}
+        for e, (src, _, dst) in enumerate(self.edges):
+            if src != dst:
+                d1[(dst, e)] = 1
+                d1[(src, e)] = -1
+        return d1
+
+    @cached_property
+    def d2(self) -> dict[tuple[int, int], int]:
+        """Sparse (edge, cell) boundary of the cells, column by column."""
+        return {(e, c): val for c, cell in enumerate(self.cells)
+                for e, val in _column(cell).items()}
+
+    @cached_property
+    def interior_mask(self) -> tuple[bool, ...]:
+        """Vertices far enough inside that a cell based there stays in
+        the ball: length at most radius - max(|u|, |v|)."""
+        P = self.presentation
+        margin = self.radius - max(len(P.u), len(P.v))
+        return tuple(len(rep) <= margin for rep in self.vertices)
 
     @cached_property
     def _successors(self) -> dict[str, list[tuple[int, int] | None]]:
@@ -327,24 +355,8 @@ def build_ball(P: Presentation, radius: int,
     """
     reps, edges, approximate = _ball(Oracle(P, budget or DEFAULT_BUDGET),
                                      radius, sphere=True)
-    margin = max(len(P.u), len(P.v))
-    interior = tuple(len(rep) <= radius - margin for rep in reps)
-    d1: dict[tuple[int, int], int] = {}
-    for e, (src, _, dst) in enumerate(edges):
-        if src != dst:
-            d1[(dst, e)] = 1
-            d1[(src, e)] = -1
-    return CayleyBall(
-        presentation=P,
-        radius=radius,
-        vertices=reps,
-        edges=tuple(edges),
-        interior_mask=interior,
-        cells=(),
-        d1=d1,
-        d2={},
-        approximate=approximate,
-    )
+    return CayleyBall(presentation=P, radius=radius, vertices=reps,
+                      edges=tuple(edges), cells=(), approximate=approximate)
 
 
 def _trace(rows: list[list[tuple[int, int] | None]],
@@ -363,7 +375,7 @@ def _trace(rows: list[list[tuple[int, int] | None]],
 
 
 def attach_cells(ball: CayleyBall, variant: CellVariant) -> CayleyBall:
-    """Attach 2-cells of the requested variant and recompute d2.
+    """Attach 2-cells of the requested variant; d2 is read from them.
 
     FullRelation puts a cell at every vertex whose whole boundary path
     stays in the ball.  CompressedIdeal strips the longest compressing
@@ -383,7 +395,6 @@ def attach_cells(ball: CayleyBall, variant: CellVariant) -> CayleyBall:
     rows_u = [succ[x] for x in side_u]
     rows_v = [succ[x] for x in side_v]
     cells: list[TwoCell] = []
-    d2: dict[tuple[int, int], int] = {}
     for base in bases:
         walked_u = _trace(rows_u, base)
         if walked_u is None:
@@ -399,15 +410,19 @@ def attach_cells(ball: CayleyBall, variant: CellVariant) -> CayleyBall:
             raise AssertionError("boundary paths disagree in an exact ball")
         boundary = tuple((e, 1) for e in u_edges)
         boundary += tuple((e, -1) for e in reversed(v_edges))
-        col = len(cells)
         cells.append(TwoCell(base, variant, boundary))
-        for e, sign in boundary:
-            val = d2.get((e, col), 0) + sign
-            if val:
-                d2[(e, col)] = val
-            else:
-                d2.pop((e, col), None)
-    return replace(ball, cells=tuple(cells), d2=d2)
+    return replace(ball, cells=tuple(cells))
+
+
+def _column(cell: TwoCell) -> dict[int, int]:
+    """The cell's column of d2: its signed boundary edges summed, with
+    the zeros dropped."""
+    col: dict[int, int] = {}
+    for e, sign in cell.boundary_edges:
+        col[e] = col.get(e, 0) + sign
+        if not col[e]:
+            del col[e]
+    return col
 
 
 # ------------------------------------------------------- exact 2-cycles
@@ -465,15 +480,13 @@ def two_cycle_basis(ball: CayleyBall) -> list[dict[int, int]]:
     """Integer kernel basis of d2 restricted to interior cells.
 
     A cell is interior when its base vertex is, which by the interior
-    margin keeps the whole boundary path inside the ball.  Vectors map
-    cell indices to coefficients.
+    margin keeps the whole boundary path inside the ball.  The kernel
+    reads each interior cell's column from its boundary, not from the
+    d2 view.  Vectors map cell indices to coefficients.
     """
     selected = [i for i, cell in enumerate(ball.cells)
                 if ball.interior_mask[cell.base_vertex]]
-    by_cell: dict[int, dict[int, int]] = defaultdict(dict)
-    for (e, c), val in ball.d2.items():
-        by_cell[c][e] = val
-    kernel = _integer_kernel([by_cell.get(i, {}) for i in selected])
+    kernel = _integer_kernel([_column(ball.cells[i]) for i in selected])
     return [{selected[j]: v for j, v in vec.items()} for vec in kernel]
 
 

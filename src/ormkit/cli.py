@@ -582,12 +582,14 @@ def dispatch(argv: list[str]) -> tuple[int, Report]:
 
 
 def _requested_format(argv: list[str]) -> str:
+    """The last --format value in argv, the one argparse keeps."""
+    fmt = "json"
     for i, arg in enumerate(argv):
         if arg == "--format" and i + 1 < len(argv):
-            return argv[i + 1]
-        if arg.startswith("--format="):
-            return arg.split("=", 1)[1]
-    return "json"
+            fmt = argv[i + 1]
+        elif arg.startswith("--format="):
+            fmt = arg.split("=", 1)[1]
+    return fmt
 
 
 def main(argv: list[str] | None = None) -> int:

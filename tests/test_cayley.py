@@ -9,14 +9,18 @@ places through the Oracle when completeness is hidden from it, with the
 normal forms themselves, and with the loops that built them and
 attached their cells before the KMP automaton.  Balls of incomplete
 rules are compared with the loops that enumerated every word of length
-at most the radius before the builder was shared.  Kernel routines are
-checked against hand-computed matrices and an independent rank
-computation over exact rationals.
+at most the radius before the builder was shared.  The views d1, d2,
+the interior mask and the 2-cycle basis they feed are compared with the
+eager loops that computed them before they were derived from the edges
+and cells.  Kernel routines are checked against hand-computed matrices
+and an independent rank computation over exact rationals.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -434,7 +438,39 @@ def reference_attach_cells(ball, variant):
                 d2[(e, col)] = val
             else:
                 d2.pop((e, col), None)
-    return cayley.replace(ball, cells=tuple(cells), d2=d2)
+    return cayley.replace(ball, cells=tuple(cells)), d2
+
+
+# The boundary matrix d1, the interior mask and the 2-cycle kernel as
+# build_ball and two_cycle_basis computed them before d1, d2 and the
+# mask became views of the edges and cells, kept verbatim as the
+# reference; the kernel read d2 regrouped into cell columns.
+
+
+def reference_d1(edges):
+    d1 = {}
+    for e, (src, _, dst) in enumerate(edges):
+        if src != dst:
+            d1[(dst, e)] = 1
+            d1[(src, e)] = -1
+    return d1
+
+
+def reference_interior(P, radius, reps):
+    margin = max(len(P.u), len(P.v))
+    return tuple(len(rep) <= radius - margin for rep in reps)
+
+
+def reference_two_cycle_basis(ball, d2):
+    interior = reference_interior(ball.presentation, ball.radius,
+                                  ball.vertices)
+    selected = [i for i, cell in enumerate(ball.cells)
+                if interior[cell.base_vertex]]
+    by_cell = defaultdict(dict)
+    for (e, c), val in d2.items():
+        by_cell[c][e] = val
+    kernel = _integer_kernel([by_cell.get(i, {}) for i in selected])
+    return [{selected[j]: v for j, v in vec.items()} for vec in kernel]
 
 
 def reference_ball(oracle, radius, sphere):
@@ -453,16 +489,25 @@ def _build_or_error(P, radius, budget, monkeypatch, reference):
             return type(exc)
 
 
-def assert_same_ball(got, want):
-    # field by field, order included
+def assert_same_views(got, want, want_d2):
+    """got's derived views against the reference loops run on want's
+    stored fields and want_d2, the reference's d2, order included."""
+    assert got.interior_mask == reference_interior(
+        want.presentation, want.radius, want.vertices)
+    assert list(got.d1.items()) == list(reference_d1(want.edges).items())
+    assert list(got.d2.items()) == list(want_d2.items())
+    assert two_cycle_basis(got) == reference_two_cycle_basis(want, want_d2)
+
+
+def assert_same_ball(got, want, want_d2=None):
+    # field by field, order included; want_d2 is empty when no cells are
+    # attached
     assert got.vertices == want.vertices
     assert got.edges == want.edges
     assert ([got.vertex_of(v) for v in got.vertices]
             == [want.vertex_of(v) for v in want.vertices])
-    assert got.interior_mask == want.interior_mask
-    assert list(got.d1.items()) == list(want.d1.items())
     assert got.cells == want.cells
-    assert list(got.d2.items()) == list(want.d2.items())
+    assert_same_views(got, want, want_d2 or {})
     assert got.approximate is want.approximate is False
 
 
@@ -478,7 +523,7 @@ def test_ball_and_cells_match_the_reference_loops(P, monkeypatch):
         assert_same_ball(got, want)
         for variant in variants:
             assert_same_ball(attach_cells(got, variant),
-                             reference_attach_cells(want, variant))
+                             *reference_attach_cells(want, variant))
         # the same caps stop both: max_words at the vertex count, and
         # max_len at the longest word read, the last vertex and a letter
         size, longest = len(got.vertices), len(got.vertices[-1]) + 1
@@ -657,6 +702,43 @@ def test_incomplete_ball_merges_only_proven_words_the_reference_split():
                      ("aba = ab", 5, 5), ("aaa = ab", 4, 4),
                      ("aaa = ab", 5, 5), ("aaa = ab", 5, 6), ("bab = a", 4, 5),
                      ("bab = a", 5, 5), ("bab = a", 5, 6), ("aba = ba", 5, 5)]
+
+
+def test_incomplete_ball_views_match_the_reference_loops():
+    # d1, d2, the interior mask and the 2-cycle basis against the eager
+    # reference loops, on exact and approximate balls of incomplete rules
+    # and with both cell variants where a compressing word exists
+    seen = set()
+    for relation in INCOMPLETE_TWO_LETTER:
+        P = parse_presentation(f"alphabet: a b\nrelation: {relation}")
+        variants = [CellVariant.FULL_RELATION]
+        if compressing_words(P):
+            variants.append(CellVariant.COMPRESSED_IDEAL)
+        for radius in range(5):
+            # the budgets of the reference tests above, under which some
+            # closures are cut short
+            for budget in (OracleBudget(max_words=2 ** (radius + 1) - 1),
+                           OracleBudget(max_words=300),
+                           OracleBudget(max_len=radius + 1)):
+                ball = build_ball(P, radius, budget)
+                seen.add(ball.approximate)
+                assert_same_views(ball, ball, {})
+                for variant in variants:
+                    seen.add(variant)
+                    assert_same_views(attach_cells(ball, variant),
+                                      *reference_attach_cells(ball, variant))
+    assert seen == {False, True, *CellVariant}
+
+
+def test_cell_pipeline_builds_no_boundary_matrix():
+    # the fields are what a ball cannot derive; build, attach and the
+    # kernel never build d1 or d2, which exist only once read
+    assert [f.name for f in fields(CayleyBall)] == [
+        "presentation", "radius", "vertices", "edges", "cells", "approximate"]
+    ball = attach_cells(build_ball(aba_aca(), 6), CellVariant.FULL_RELATION)
+    assert two_cycle_basis(ball)
+    assert "d1" not in ball.__dict__ and "d2" not in ball.__dict__
+    assert ball.d2 and "d2" in ball.__dict__
 
 
 def incomplete_length_preserving_relations():

@@ -470,6 +470,24 @@ def test_flags_are_spelled_in_full(capsysbinary):
     assert capsysbinary.readouterr().out.startswith(b"command: classify\n")
 
 
+@pytest.mark.parametrize("spell", [lambda f: ["--format", f],
+                                   lambda f: [f"--format={f}"]],
+                         ids=["space", "equals"])
+def test_repeated_format_renders_the_last(spell, capsysbinary):
+    # argparse keeps the last value of a repeated flag; the rendering
+    # must follow the parsed value, not the first one written
+    import ormkit.cli as cli
+
+    for first, last in (("text", "json"), ("json", "text")):
+        argv = ["classify", fx("ab-ba.orm"), *spell(first), *spell(last)]
+        assert cli._parser().parse_args(argv).format == last
+        assert main(argv) == 0
+        out = capsysbinary.readouterr().out
+        assert out.startswith(b"command: classify\n") == (last == "text")
+        if last == "json":
+            assert json.loads(out)["command"] == "classify"
+
+
 def test_commands_in_a_row_share_one_parser():
     # the parser is built once per process; no flag value, default or
     # mutually exclusive choice of one call may reach the next

@@ -27,6 +27,10 @@ def test_render_digest_prints_one_sha256():
                           cwd=ROOT, capture_output=True, text=True,
                           check=True)
     assert re.fullmatch(r"[0-9a-f]{64}\n", done.stdout)
+    # the renders are byte-identical across hash seeds; a change that
+    # alters any render updates this value and says why in CHANGES.md
+    assert done.stdout == (
+        "568702ce6061321b14ad28e83651a56e62aaf9310a1591174f8b45bcca08be8b\n")
 
 
 def test_every_traced_layer_resolves():
