@@ -30,24 +30,26 @@ attached two ways: one cell per vertex tracing the full relation, or
 cells only at vertices whose representative ends in the longest
 compressing word, tracing the relation with that word stripped from the
 front of both sides; a boundary is traced through one successor list
-per letter, indexed by vertex.  A ball stores its vertices, edges and
-cells once: the boundary matrices d1 and d2, sparse integer
-dictionaries, and the interior mask are views derived from them on
-first read.  The 2-cycle kernel reads the columns of the interior cells
-straight from their boundaries; kernels are computed exactly over
-rationals, then scaled to primitive integer vectors.
+per letter, which holds each vertex's edge index for that letter.  A
+ball stores its vertices, edges and cells once: the boundary matrices
+d1 and d2, sparse integer dictionaries, and the interior mask are views
+derived from them on first read.  Vertex lengths never decrease along
+the vertex list, so the interior vertices are a prefix of it.  The
+2-cycle kernel reads the columns of the interior cells straight from
+their boundaries and eliminates over the integers, fraction-free; each
+kernel vector is primitive with its first nonzero entry positive.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .classify import is_subspecial
 from .compress import (
@@ -138,19 +140,20 @@ class CayleyBall:
     @cached_property
     def interior_mask(self) -> tuple[bool, ...]:
         """Vertices far enough inside that a cell based there stays in
-        the ball: length at most radius - max(|u|, |v|)."""
-        P = self.presentation
-        margin = self.radius - max(len(P.u), len(P.v))
-        return tuple(len(rep) <= margin for rep in self.vertices)
+        the ball: length at most radius - max(|u|, |v|).  The builder
+        appends w·x only after w, so vertex lengths never decrease and
+        the interior vertices are a prefix of them."""
+        k = _interior_count(self)
+        return (True,) * k + (False,) * (len(self.vertices) - k)
 
     @cached_property
-    def _successors(self) -> dict[str, list[tuple[int, int] | None]]:
-        """succ[x][i]: (edge, target) of the edge reading x out of
-        vertex i, None when that edge leaves the ball."""
-        succ: dict[str, list[tuple[int, int] | None]] = {
+    def _successors(self) -> dict[str, list[int | None]]:
+        """succ[x][i]: index of the edge reading x out of vertex i, None
+        when that edge leaves the ball; its target is edges[e][2]."""
+        succ: dict[str, list[int | None]] = {
             x: [None] * len(self.vertices) for x in self.presentation.alphabet}
-        for e, (s, x, t) in enumerate(self.edges):
-            succ[x][s] = (e, t)
+        for e, (s, x, _) in enumerate(self.edges):
+            succ[x][s] = e
         return succ
 
     def vertex_of(self, w: Word) -> int | None:
@@ -159,8 +162,20 @@ class CayleyBall:
         rows = [self._successors.get(x) for x in w]
         if len(rows) > self.radius or None in rows:
             return None
-        walked = _trace(rows, 0)
-        return None if walked is None else walked[1]
+        cur = 0
+        for row in rows:
+            e = row[cur]
+            if e is None:
+                return None
+            cur = self.edges[e][2]
+        return cur
+
+
+def _interior_count(ball: CayleyBall) -> int:
+    """How many vertices are interior, the first ones in vertex order."""
+    P = ball.presentation
+    margin = ball.radius - max(len(P.u), len(P.v))
+    return bisect_right(ball.vertices, margin, key=len)
 
 
 def _compressing_words(P: Presentation) -> tuple[Word, ...]:
@@ -359,28 +374,14 @@ def build_ball(P: Presentation, radius: int,
                       edges=tuple(edges), cells=(), approximate=approximate)
 
 
-def _trace(rows: list[list[tuple[int, int] | None]],
-           base: int) -> tuple[list[int], int] | None:
-    """Follow a label from base, given as the successor list of each of
-    its letters; None if any edge is missing from the ball."""
-    cur = base
-    path: list[int] = []
-    for row in rows:
-        hop = row[cur]
-        if hop is None:
-            return None
-        e, cur = hop
-        path.append(e)
-    return path, cur
-
-
 def attach_cells(ball: CayleyBall, variant: CellVariant) -> CayleyBall:
     """Attach 2-cells of the requested variant; d2 is read from them.
 
     FullRelation puts a cell at every vertex whose whole boundary path
     stays in the ball.  CompressedIdeal strips the longest compressing
     word z from both relation sides and puts cells only at vertices
-    whose representative ends in z.
+    whose representative ends in z.  Both sides are traced from the
+    base through the ball's successor lists, one edge index per letter.
     """
     P = ball.presentation
     if variant is CellVariant.COMPRESSED_IDEAL:
@@ -391,26 +392,35 @@ def attach_cells(ball: CayleyBall, variant: CellVariant) -> CayleyBall:
     else:
         side_u, side_v = P.u, P.v
         bases = list(range(len(ball.vertices)))
-    succ = ball._successors
+    succ, edges = ball._successors, ball.edges
     rows_u = [succ[x] for x in side_u]
     rows_v = [succ[x] for x in side_v]
     cells: list[TwoCell] = []
     for base in bases:
-        walked_u = _trace(rows_u, base)
-        if walked_u is None:
+        u_edges, end_u = [], base
+        for row in rows_u:
+            e = row[end_u]
+            if e is None:
+                break
+            u_edges.append((e, 1))
+            end_u = edges[e][2]
+        if len(u_edges) < len(side_u):
             continue
-        walked_v = _trace(rows_v, base)
-        if walked_v is None:
+        v_edges, end_v = [], base
+        for row in rows_v:
+            e = row[end_v]
+            if e is None:
+                break
+            v_edges.append((e, -1))
+            end_v = edges[e][2]
+        if len(v_edges) < len(side_v):
             continue
-        u_edges, end_u = walked_u
-        v_edges, end_v = walked_v
         if end_u != end_v:
             if ball.approximate:
                 continue
             raise AssertionError("boundary paths disagree in an exact ball")
-        boundary = tuple((e, 1) for e in u_edges)
-        boundary += tuple((e, -1) for e in reversed(v_edges))
-        cells.append(TwoCell(base, variant, boundary))
+        v_edges.reverse()
+        cells.append(TwoCell(base, variant, tuple(u_edges + v_edges)))
     return replace(ball, cells=tuple(cells))
 
 
@@ -428,51 +438,56 @@ def _column(cell: TwoCell) -> dict[int, int]:
 # ------------------------------------------------------- exact 2-cycles
 
 
-def _axpy(x: dict[int, Fraction], y: dict[int, Fraction],
-          f: Fraction) -> dict[int, Fraction]:
-    out = dict(x)
+def _combine(a: int, x: dict[int, int], b: int,
+             y: dict[int, int]) -> dict[int, int]:
+    """a·x - b·y for b nonzero, with the zeros dropped; keys keep x's
+    order, then y's."""
+    out = {k: a * v for k, v in x.items()}
     for k, v in y.items():
-        nv = out.get(k, Fraction(0)) - f * v
+        nv = out.get(k, 0) - b * v
         if nv:
             out[k] = nv
         else:
-            out.pop(k, None)
+            del out[k]
     return out
-
-
-def _primitive(vec: dict[int, Fraction]) -> dict[int, int]:
-    den = lcm(*(c.denominator for c in vec.values()))
-    ints = {k: int(c * den) for k, c in vec.items()}
-    g = gcd(*(abs(v) for v in ints.values()))
-    ints = {k: v // g for k, v in ints.items()}
-    if ints[min(ints)] < 0:
-        ints = {k: -v for k, v in ints.items()}
-    return ints
 
 
 def _integer_kernel(columns: list[dict[int, int]]) -> list[dict[int, int]]:
     """Kernel basis of the sparse integer matrix given column by column.
 
-    Companion-vector Gaussian elimination over exact rationals; every
-    dependent column yields one kernel vector, normalized to a primitive
-    integer vector whose first nonzero entry is positive.
+    Fraction-free companion-vector Gaussian elimination: a column vec
+    meets the pivot pv stored for its least row r, and with
+    g = gcd(pv[r], vec[r]) becomes (pv[r]/g)·vec - (vec[r]/g)·pv, its
+    companion vector alike; then both are divided by the gcd of all
+    their entries.
+    Each vector stays a nonzero multiple of the one elimination over the
+    rationals would give, so every dependent column yields the same
+    kernel vector: its companion divided by its content, with the first
+    nonzero entry positive.
     """
-    pivots: dict[int, tuple[dict[int, Fraction], dict[int, Fraction]]] = {}
+    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     basis: list[dict[int, int]] = []
     for j, col in enumerate(columns):
-        vec = {r: Fraction(c) for r, c in col.items() if c}
-        comp = {j: Fraction(1)}
+        vec = {r: c for r, c in col.items() if c}
+        comp = {j: 1}
         while vec:
             r = min(vec)
             if r not in pivots:
                 pivots[r] = (vec, comp)
                 break
             pv, pc = pivots[r]
-            f = vec[r] / pv[r]
-            vec = _axpy(vec, pv, f)
-            comp = _axpy(comp, pc, f)
+            g = gcd(pv[r], vec[r])
+            a, b = pv[r] // g, vec[r] // g
+            vec, comp = _combine(a, vec, b, pv), _combine(a, comp, b, pc)
+            g = gcd(*vec.values(), *comp.values())
+            if g != 1:
+                vec = {k: v // g for k, v in vec.items()}
+                comp = {k: v // g for k, v in comp.items()}
         else:
-            basis.append(_primitive(comp))
+            g = gcd(*comp.values())
+            if comp[min(comp)] < 0:
+                g = -g
+            basis.append({k: v // g for k, v in comp.items()})
     return basis
 
 
@@ -484,8 +499,8 @@ def two_cycle_basis(ball: CayleyBall) -> list[dict[int, int]]:
     reads each interior cell's column from its boundary, not from the
     d2 view.  Vectors map cell indices to coefficients.
     """
-    selected = [i for i, cell in enumerate(ball.cells)
-                if ball.interior_mask[cell.base_vertex]]
+    k = _interior_count(ball)
+    selected = [i for i, cell in enumerate(ball.cells) if cell.base_vertex < k]
     kernel = _integer_kernel([_column(ball.cells[i]) for i in selected])
     return [{selected[j]: v for j, v in vec.items()} for vec in kernel]
 

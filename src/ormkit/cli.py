@@ -582,9 +582,12 @@ def dispatch(argv: list[str]) -> tuple[int, Report]:
 
 
 def _requested_format(argv: list[str]) -> str:
-    """The last --format value in argv, the one argparse keeps."""
+    """The last --format value in argv, the one argparse keeps; after
+    the first "--" every argument is positional."""
     fmt = "json"
     for i, arg in enumerate(argv):
+        if arg == "--":
+            break
         if arg == "--format" and i + 1 < len(argv):
             fmt = argv[i + 1]
         elif arg.startswith("--format="):

@@ -12,8 +12,10 @@ rules are compared with the loops that enumerated every word of length
 at most the radius before the builder was shared.  The views d1, d2,
 the interior mask and the 2-cycle basis they feed are compared with the
 eager loops that computed them before they were derived from the edges
-and cells.  Kernel routines are checked against hand-computed matrices
-and an independent rank computation over exact rationals.
+and cells; vertex lengths never decrease, so the interior vertices are a
+prefix.  Kernel routines are checked against hand-computed matrices, an
+independent rank computation over exact rationals, and the elimination
+over rationals that the fraction-free one replaced.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from collections import defaultdict
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import re
 
@@ -444,7 +449,8 @@ def reference_attach_cells(ball, variant):
 # The boundary matrix d1, the interior mask and the 2-cycle kernel as
 # build_ball and two_cycle_basis computed them before d1, d2 and the
 # mask became views of the edges and cells, kept verbatim as the
-# reference; the kernel read d2 regrouped into cell columns.
+# reference; the kernel read d2 regrouped into cell columns, and runs the
+# rational elimination reference_integer_kernel below.
 
 
 def reference_d1(edges):
@@ -469,7 +475,7 @@ def reference_two_cycle_basis(ball, d2):
     by_cell = defaultdict(dict)
     for (e, c), val in d2.items():
         by_cell[c][e] = val
-    kernel = _integer_kernel([by_cell.get(i, {}) for i in selected])
+    kernel = reference_integer_kernel([by_cell.get(i, {}) for i in selected])
     return [{selected[j]: v for j, v in vec.items()} for vec in kernel]
 
 
@@ -492,11 +498,21 @@ def _build_or_error(P, radius, budget, monkeypatch, reference):
 def assert_same_views(got, want, want_d2):
     """got's derived views against the reference loops run on want's
     stored fields and want_d2, the reference's d2, order included."""
+    # the interior vertices are a prefix because lengths never decrease
+    lengths = [len(v) for v in got.vertices]
+    assert lengths == sorted(lengths)
     assert got.interior_mask == reference_interior(
         want.presentation, want.radius, want.vertices)
     assert list(got.d1.items()) == list(reference_d1(want.edges).items())
     assert list(got.d2.items()) == list(want_d2.items())
     assert two_cycle_basis(got) == reference_two_cycle_basis(want, want_d2)
+    # with the cells reversed, a selection that assumed them in base
+    # order would pick the wrong ones
+    last = len(want.cells) - 1
+    assert two_cycle_basis(cayley.replace(got, cells=got.cells[::-1])) == (
+        reference_two_cycle_basis(
+            cayley.replace(want, cells=want.cells[::-1]),
+            {(e, last - c): v for (e, c), v in want_d2.items()}))
 
 
 def assert_same_ball(got, want, want_d2=None):
@@ -827,6 +843,74 @@ def test_big_example_ideal_ball_has_no_attachable_cells():
 
 
 # --------------------------------------------------------- exact kernels
+
+
+# The kernel as it was computed over exact rationals before elimination
+# went fraction-free, kept verbatim as the reference.
+
+
+def reference_axpy(x, y, f):
+    out = dict(x)
+    for k, v in y.items():
+        nv = out.get(k, Fraction(0)) - f * v
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+    return out
+
+
+def reference_primitive(vec):
+    den = lcm(*(c.denominator for c in vec.values()))
+    ints = {k: int(c * den) for k, c in vec.items()}
+    g = gcd(*(abs(v) for v in ints.values()))
+    ints = {k: v // g for k, v in ints.items()}
+    if ints[min(ints)] < 0:
+        ints = {k: -v for k, v in ints.items()}
+    return ints
+
+
+def reference_integer_kernel(columns):
+    pivots = {}
+    basis = []
+    for j, col in enumerate(columns):
+        vec = {r: Fraction(c) for r, c in col.items() if c}
+        comp = {j: Fraction(1)}
+        while vec:
+            r = min(vec)
+            if r not in pivots:
+                pivots[r] = (vec, comp)
+                break
+            pv, pc = pivots[r]
+            f = vec[r] / pv[r]
+            vec = reference_axpy(vec, pv, f)
+            comp = reference_axpy(comp, pc, f)
+        else:
+            basis.append(reference_primitive(comp))
+    return basis
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """0-12 columns over 0-10 rows with entries -3..3, zeros included,
+    drawn from a small pool so that empty and repeated columns occur."""
+    rows = draw(st.integers(0, 10))
+    column = st.dictionaries(st.integers(0, max(rows - 1, 0)),
+                             st.integers(-3, 3), max_size=rows)
+    pool = draw(st.lists(column, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+    return [dict(pool[i]) for i in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_integer_matrices())
+@example([{0: 2, 1: 1}, {0: 3, 1: 2}, {0: 1, 1: 1}, {}, {0: 2, 1: 1}])
+@example([{0: -2, 2: 3}, {0: 3, 1: -2}, {1: 3, 2: 2}, {0: 1, 1: 1, 2: 1}])
+def test_integer_kernel_matches_the_rational_reference(columns):
+    # the same vectors in the same order, their keys in the same order
+    got = _integer_kernel(columns)
+    want = reference_integer_kernel(columns)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
 
 
 def test_integer_kernel_hand_matrices():

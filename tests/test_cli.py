@@ -488,6 +488,16 @@ def test_repeated_format_renders_the_last(spell, capsysbinary):
             assert json.loads(out)["command"] == "classify"
 
 
+def test_format_after_double_dash_is_a_word(capsysbinary):
+    # after "--" argparse reads "--format=text" as the word w2, so no
+    # format was requested and the error report is JSON
+    argv = ["wp", fx("ab-ba.orm"), "a", "--", "--format=text"]
+    assert main(argv) == 2
+    report = json.loads(capsysbinary.readouterr().out)
+    assert report["command"] == "wp"
+    assert "--format=text" in report["payload"]["error"]
+
+
 def test_commands_in_a_row_share_one_parser():
     # the parser is built once per process; no flag value, default or
     # mutually exclusive choice of one call may reach the next

@@ -33,6 +33,20 @@ def test_render_digest_prints_one_sha256():
         "568702ce6061321b14ad28e83651a56e62aaf9310a1591174f8b45bcca08be8b\n")
 
 
+def test_ladder_phases_prints_every_phase():
+    done = subprocess.run([sys.executable, "scripts/ladder_phases.py",
+                           "--seed", "1", "--repeats", "1"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "seed 1, 13 rungs, minimum of 1 rounds"
+    assert lines[1].split() == ["phase", "cpu_ms", "gc_ms"]
+    assert [line.split()[0] for line in lines[2:]] == [
+        "build", "successors", "attach", "kernel", "total"]
+    for line in lines[2:]:
+        assert all(float(ms) >= 0 for ms in line.split()[1:])
+
+
 def test_every_traced_layer_resolves():
     """A layer the tracer cannot find drops its metrics from a traced
     benchmark run: installing must find every layer, and uninstalling
