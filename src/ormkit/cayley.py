@@ -9,11 +9,14 @@ of w·x.  When the rule u -> v is complete, the vertices are the
 irreducible words of length at most r, a prefix-closed set, and each
 edge target is a normal form.  Every vertex carries its state in the
 Knuth-Morris-Pratt automaton of u, so one table step says whether the
-vertex followed by a letter ends in u; only those words are reduced,
-every other one is a new vertex or lies beyond the radius, and the
-budget's max_words bounds the number of vertices.  A vertex is found
-from any word by reading the word's letters along the edges from the
-empty word.
+vertex followed by a letter ends in u; every other such word is a new
+vertex or lies beyond the radius.  A word w·x that ends in u is w'·u,
+and its target, the normal form of w'·v, is read along the edges the
+ball has already built, from the ancestor w' of w along the letters of
+v; a complete rule computes no normal form and keeps no index of vertex
+words.  The budget's max_words bounds the number of vertices.  A vertex
+is found from any word by reading the word's letters along the edges
+from the empty word.
 
 Every other class lookup (w·x on an incomplete rule, and the keys of
 the structure checks) asks one Oracle per presentation: rep for the
@@ -30,14 +33,15 @@ attached two ways: one cell per vertex tracing the full relation, or
 cells only at vertices whose representative ends in the longest
 compressing word, tracing the relation with that word stripped from the
 front of both sides; a boundary is traced through one successor list
-per letter, which holds each vertex's edge index for that letter.  A
-ball stores its vertices, edges and cells once: the boundary matrices
-d1 and d2, sparse integer dictionaries, and the interior mask are views
-derived from them on first read.  Vertex lengths never decrease along
-the vertex list, so the interior vertices are a prefix of it.  The
-2-cycle kernel reads the columns of the interior cells straight from
-their boundaries and eliminates over the integers, fraction-free; each
-kernel vector is primitive with its first nonzero entry positive.
+per letter, which holds each vertex's edge index for that letter, from
+the bases that have an edge for each side's first letter.  A ball
+stores its vertices, edges and cells once: the boundary matrices d1 and
+d2, sparse integer dictionaries, and the interior mask are views derived
+from them on first read.  Vertex lengths never decrease along the
+vertex list, so the interior vertices are a prefix of it.  The 2-cycle
+kernel reads the columns of the interior cells straight from their
+boundaries and eliminates over the integers, fraction-free; each kernel
+vector is primitive with its first nonzero entry positive.
 """
 
 from __future__ import annotations
@@ -79,7 +83,6 @@ from .wp import (
     OracleBudget,
     Unknown,
     is_complete,
-    normal_form,
     replay,
 )
 
@@ -269,28 +272,34 @@ def _ball(oracle: Oracle, radius: int, sphere: bool,
     has not been placed before.  The degenerate rule u = v rewrites
     nothing, so its automaton never matches.
 
-    Only when w·x ends in u is the reduction run, resuming after the
-    irreducible prefix w, and its target is always indexed already.
-    Vertices are read in shortlex order and letters in alphabet order,
-    so new vertices are appended in shortlex order, and while w is read
-    every normal form of length at most |w| is indexed, and so is every
-    normal form y·z of length |w| + 1 with y before w, or y = w and z
-    before x.  The rule is shortlex-decreasing, so the target is
-    shortlex-less than w·x: shorter, hence indexed, or of length |w| + 1
-    and then one of those.  It can be that long only when |u| = |v|,
-    and it lies beyond the radius only when |w| = radius; those edges
-    are skipped without reducing.  Each vertex is the shortlex-least
-    word of its class, and max_words bounds the number of vertices.  A
-    length cap below the last vertex followed by a letter, the longest
-    word the build reads with sphere True, raises BudgetTooShort either
-    way.
+    Only when w·x ends in u is it reduced, and the target is read along
+    edges the ball has built, with no normal form computed and no word
+    index kept.  Then w·x = w'·u, and w' is a prefix of w, so it is
+    irreducible and a vertex: the ancestor |u| - 1 parent links up from
+    w.  The target nf(w·x) = nf(w'·v) is read from w' along the letters
+    of v, each edge leading from the normal form of a prefix p of w'·v
+    to that of p·y.  Vertices are read in shortlex order and letters in
+    alphabet order, so new vertices are appended in shortlex order, and
+    every edge read is built already: a prefix w'·v[:i] with i < |v| is
+    shorter than w, or of the same length when |u| = |v| and then
+    shortlex-less than w = w'·u[:-1], since v is less than u, unless
+    v[:-1] = u[:-1].  In the first cases its normal form is a vertex read
+    before w, shorter than the radius, so all its edges are built; in
+    the last it is w itself, whose edge for v[-1] is built already
+    because v[-1] comes before x = u[-1].  The target is at most |w| + 1
+    long, that long only when |u| = |v|, and it lies beyond the radius
+    only when |w| = radius; those edges are skipped without reducing.
+    Each vertex is the shortlex-least word of its class, and max_words
+    bounds the number of vertices.  A length cap below the last vertex
+    followed by a letter, the longest word the build reads with sphere
+    True, raises BudgetTooShort either way.
 
     On any other rule the automaton has one state that always matches,
     and every w·x is placed by _locate among the vertices so far, all
-    shortlex-less than w·x; an Unknown verdict marks the ball
-    approximate.  max_words bounds the count of words of length at most
-    radius, and the oracle raises BudgetTooShort on a word read beyond
-    its length cap.
+    shortlex-less than w·x, through an index of the vertex words; an
+    Unknown verdict marks the ball approximate.  max_words bounds the
+    count of words of length at most radius, and the oracle raises
+    BudgetTooShort on a word read beyond its length cap.
     """
     P, budget, alphabet = oracle.P, oracle.budget, oracle.P.alphabet
     complete = is_complete(P)
@@ -312,9 +321,14 @@ def _ball(oracle: Oracle, radius: int, sphere: bool,
             if s:
                 restart = step[restart][k]
     stop = not sphere or complete and len(P.u) == len(P.v)
+    m, max_words = len(alphabet), budget.max_words
+    climb, v_letters = len(P.u) - 1, [alphabet.index(y) for y in P.v]
     vertices: list[Word] = [()]
-    states = [0]
-    index: dict[Word, int] = {(): 0}
+    states, parents = [0], [0]
+    # out[i·m + k]: target of the edge reading letter k out of vertex i,
+    # -1 when it leaves the ball
+    out: list[int] = []
+    index: dict[Word, int] | None = None if complete else {(): 0}
     edges: list[tuple[int, str, int]] = []
     approximate = False
     for i, w in enumerate(vertices):
@@ -322,25 +336,36 @@ def _ball(oracle: Oracle, radius: int, sphere: bool,
         if not inside and stop:
             break
         for x, t in zip(alphabet, step[states[i]]):
-            j = None
-            if t == accept and complete:
-                j = index.get(normal_form(P, (x,), w))
-                if j is None:
-                    raise AssertionError("a reduced edge target is not indexed")
-            elif t == accept:
+            if t != accept:
+                j = None
+            elif complete:
+                j = i
+                for _ in range(climb):
+                    j = parents[j]
+                for k in v_letters:
+                    e = j * m + k
+                    j = out[e] if e < len(out) else -1
+                    if j < 0:
+                        raise AssertionError("a reduced edge target is not "
+                                             "built")
+            else:
                 j, unknown = _locate(oracle, w + (x,), index, vertices)
                 approximate = approximate or unknown
             if j is None:
                 if not inside:
+                    out.append(-1)
                     continue
                 j = len(vertices)
-                if j >= budget.max_words:
-                    raise BudgetExceeded(f"more than {budget.max_words} "
+                if j >= max_words:
+                    raise BudgetExceeded(f"more than {max_words} "
                                          f"vertices at radius {radius}")
                 target = w + (x,)
-                index[target] = j
+                if index is not None:
+                    index[target] = j
                 vertices.append(target)
                 states.append(t)
+                parents.append(i)
+            out.append(j)
             edges.append((i, x, j))
     if complete:
         budget.cap_for(P, vertices[-1] + alphabet[:1])
@@ -381,7 +406,9 @@ def attach_cells(ball: CayleyBall, variant: CellVariant) -> CayleyBall:
     stays in the ball.  CompressedIdeal strips the longest compressing
     word z from both relation sides and puts cells only at vertices
     whose representative ends in z.  Both sides are traced from the
-    base through the ball's successor lists, one edge index per letter.
+    base through the ball's successor lists, one edge index per letter,
+    from the bases with an edge for each side's first letter; an empty
+    side keeps every base.
     """
     P = ball.presentation
     if variant is CellVariant.COMPRESSED_IDEAL:
@@ -393,6 +420,11 @@ def attach_cells(ball: CayleyBall, variant: CellVariant) -> CayleyBall:
         side_u, side_v = P.u, P.v
         bases = list(range(len(ball.vertices)))
     succ, edges = ball._successors, ball.edges
+    # a base with no edge for a side's first letter carries no cell
+    for side in (side_u, side_v):
+        if side:
+            first = succ[side[0]]
+            bases = [base for base in bases if first[base] is not None]
     rows_u = [succ[x] for x in side_u]
     rows_v = [succ[x] for x in side_v]
     cells: list[TwoCell] = []

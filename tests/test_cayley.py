@@ -339,14 +339,15 @@ def test_idempotent_ball_is_exact_and_tiny():
     assert ball.vertex_of(word("aaaa")) == ball.vertex_of(word("a"))
 
 
-def complete_small_relations():
+def complete_small_relations(orders=(("a", "b"),)):
     # every two-letter relation with distinct sides of length at most 3
-    # whose single rule is complete
+    # whose single rule is complete, in each alphabet order given
     words = [w for n in range(4) for w in product("ab", repeat=n)]
-    for lhs, rhs in combinations(words, 2):
-        P = make_presentation(("a", "b"), lhs, rhs)
-        if is_complete(P):
-            yield P
+    for order in orders:
+        for lhs, rhs in combinations(words, 2):
+            P = make_presentation(order, lhs, rhs)
+            if is_complete(P):
+                yield P
 
 
 def test_exact_ball_has_one_vertex_per_normal_form():
@@ -557,6 +558,27 @@ def test_ball_and_cells_match_the_reference_loops(P, monkeypatch):
                 assert outcomes[0].vertices == got.vertices
             else:
                 assert outcomes == [stopped, stopped]
+
+
+def test_small_complete_balls_match_the_reference_loops():
+    # reduced edge targets are read along built edges from an ancestor;
+    # |u| = |v| reads an edge out of w itself, and an empty v reads none
+    relations = list(complete_small_relations((("a", "b"), ("b", "a"))))
+    assert len(relations) == 138
+    assert sum(len(P.u) == len(P.v) for P in relations) == 38
+    assert sum(not P.v for P in relations) == 24
+    for P in relations:
+        for radius in range(7):
+            got = build_ball(P, radius)
+            vertices, _, edges = reference_normal_form_ball(
+                P, radius, cayley.DEFAULT_BUDGET)
+            assert got.vertices == vertices
+            assert list(got.edges) == edges
+            want, want_d2 = reference_attach_cells(got,
+                                                   CellVariant.FULL_RELATION)
+            cells = attach_cells(got, CellVariant.FULL_RELATION)
+            assert cells.cells == want.cells
+            assert list(cells.d2.items()) == list(want_d2.items())
 
 
 # The ball of an incomplete rule as it was built before the builder was
