@@ -14,22 +14,23 @@ vertex or lies beyond the radius.  A word w·x that ends in u is w'·u,
 and its target, the normal form of w'·v, is read along the edges the
 ball has already built, from the ancestor w' of w along the letters of
 v; a complete rule computes no normal form and keeps no index of vertex
-words.  The budget's max_words bounds the number of vertices.  A vertex
-is found from any word by reading the word's letters along the edges
-from the empty word.
+words.  On every rule the budget's max_words bounds the number of
+vertices.  A vertex is found from any word by reading the word's
+letters along the edges from the empty word, and the one class
+placement loop is this builder: enumerate_classes assigns every word of
+length at most r that way.
 
 Every other class lookup (w·x on an incomplete rule, and the keys of
 the structure checks) asks one Oracle per presentation: rep for the
 class's shortlex-least member, None when undecided, and equal for a
-certified verdict.  On an incomplete rule max_words bounds the number of
-words of length at most r; an undecided w·x joins the first vertex
-proven Equal to it, so a ball is never over-merged, and if any needed
-verdict comes back Unknown the ball is marked approximate instead of
-guessing.  The pair checks key each witness once and count pairs from
-the key groups, skipping a pair with an undecided key, so their cost
-follows the witnesses and the collisions, not the pairs; the two witness
-checks replay a path built from the relation instead.  Cells can be
-attached two ways: one cell per vertex tracing the full relation, or
+certified verdict.  An undecided w·x joins the first vertex proven
+Equal to it, so a ball is never over-merged, and if any needed verdict
+comes back Unknown the ball is marked approximate instead of guessing.
+The pair checks key each witness once and count pairs from the key
+groups, skipping a pair with an undecided key, so their cost follows the
+witnesses and the collisions, not the pairs; the two witness checks
+replay a path built from the relation instead.  Cells can be attached
+two ways: one cell per vertex tracing the full relation, or
 cells only at vertices whose representative ends in the longest
 compressing word, tracing the relation with that word stripped from the
 front of both sides; a boundary is traced through one successor list
@@ -88,8 +89,8 @@ from .wp import (
 
 
 class BudgetExceeded(Exception):
-    """Building the ball would overrun the word budget: its vertex count
-    on a complete rule, its count of words otherwise."""
+    """The work would overrun the word budget: a ball's vertex count on
+    any rule, or the count of words enumerate_classes assigns."""
 
 
 class NotCompressible(PreconditionError):
@@ -189,60 +190,49 @@ def _compressing_words(P: Presentation) -> tuple[Word, ...]:
     return cands
 
 
-def _ball_word_count(k: int, max_len: int) -> int:
-    if k == 1:
-        return max_len + 1
-    return (k ** (max_len + 1) - 1) // (k - 1)
-
-
 def enumerate_classes(
     oracle: Oracle, max_len: int,
 ) -> tuple[tuple[Word, ...], dict[Word, int], bool]:
     """Partition all words of length at most max_len into congruence
-    classes of oracle.P.
+    classes of oracle.P: the vertices of the ball of radius max_len,
+    built without the edges out of the sphere, each word's vertex index
+    and the ball's approximate flag.
 
-    Words are visited in shortlex order, so each class's least member,
-    its representative, comes first.  A word whose representative
-    oracle.rep decides opens a new class when it is that representative
-    and otherwise joins the representative's class; the partition is
-    exact when every class is decided.  An undecided word falls back to
-    pairwise oracle verdicts against existing representatives, and any
-    Unknown verdict flips the approximate flag.
+    Words are read in shortlex order, each from its prefix's vertex
+    along the edge for its last letter, so no word is placed twice and
+    the partition merges only what the ball merges with proof.  Every
+    word is read, so max_words caps the count of words; a length cap is
+    checked as the ball checks it.
     """
-    P = oracle.P
-    if _ball_word_count(len(P.alphabet), max_len) > oracle.budget.max_words:
-        raise BudgetExceeded(f"{len(P.alphabet)} letters at radius {max_len}")
-    reps: list[Word] = []
+    k = len(oracle.P.alphabet)
+    words = max_len + 1 if k == 1 else (k ** (max_len + 1) - 1) // (k - 1)
+    if words > oracle.budget.max_words:
+        raise BudgetExceeded(f"{k} letters at radius {max_len}")
+    vertices, edges, approximate = _ball(oracle, max_len, sphere=False)
+    target = {(i, x): j for i, x, j in edges}
     assign: dict[Word, int] = {}
-    approximate = False
-    for w in _all_words(P.alphabet, max_len):
-        idx, unknown = _locate(oracle, w, assign, reps)
-        approximate = approximate or unknown
-        if idx is None:
-            idx = len(reps)
-            reps.append(w)
-        assign[w] = idx
-    return tuple(reps), assign, approximate
+    for w in _all_words(oracle.P.alphabet, max_len):
+        assign[w] = target[assign[w[:-1]], w[-1]] if w else 0
+    return vertices, assign, approximate
 
 
-def _locate(oracle: Oracle, w: Word, assign: dict[Word, int],
-            reps: Sequence[Word]) -> tuple[int | None, bool]:
-    """Index of w's class among the classes placed so far, whose
-    representatives are reps; assign indexes every word placed.
+def _locate(oracle: Oracle, w: Word, index: dict[Word, int],
+            vertices: Sequence[Word]) -> tuple[int | None, bool]:
+    """Index of w's class among the vertices _ball has placed so far,
+    all shortlex-less than w; index maps each vertex word to its
+    position.  _ball is the one caller.
 
     Returns (index or None, sawUnknown).  A decided representative is
     the shortest member of its class, so the class is placed exactly
     when its representative is.  An undecided word takes the first
-    representative proven Equal to it; None with sawUnknown False is a
-    proof that no placed class holds w.
+    vertex proven Equal to it; None with sawUnknown False is a proof
+    that no placed class holds w.
     """
-    if w in assign:
-        return assign[w], False
     rep = oracle.rep(w)
     if rep is not None:
-        return assign.get(rep), False
+        return index.get(rep), False
     unknown = False
-    for i, r in enumerate(reps):
+    for i, r in enumerate(vertices):
         verdict = oracle.equal(w, r)
         if isinstance(verdict, Equal):
             return i, unknown
@@ -289,23 +279,20 @@ def _ball(oracle: Oracle, radius: int, sphere: bool,
     because v[-1] comes before x = u[-1].  The target is at most |w| + 1
     long, that long only when |u| = |v|, and it lies beyond the radius
     only when |w| = radius; those edges are skipped without reducing.
-    Each vertex is the shortlex-least word of its class, and max_words
-    bounds the number of vertices.  A length cap below the last vertex
-    followed by a letter, the longest word the build reads with sphere
-    True, raises BudgetTooShort either way.
+    Each vertex is the shortlex-least word of its class.  A length cap
+    below the longest word the build reads raises BudgetTooShort: the
+    last vertex followed by a letter, cut to the radius with sphere
+    False.
 
     On any other rule the automaton has one state that always matches,
     and every w·x is placed by _locate among the vertices so far, all
     shortlex-less than w·x, through an index of the vertex words; an
-    Unknown verdict marks the ball approximate.  max_words bounds the
-    count of words of length at most radius, and the oracle raises
-    BudgetTooShort on a word read beyond its length cap.
+    Unknown verdict marks the ball approximate, and the oracle raises
+    BudgetTooShort on a word read beyond its length cap.  On every rule
+    max_words bounds the number of vertices.
     """
     P, budget, alphabet = oracle.P, oracle.budget, oracle.P.alphabet
     complete = is_complete(P)
-    if not complete and (_ball_word_count(len(alphabet), radius)
-                         > budget.max_words):
-        raise BudgetExceeded(f"{len(alphabet)} letters at radius {radius}")
     if not complete or P.u == P.v:
         # one state, a match on every letter of an incomplete rule and on
         # none of the degenerate rule
@@ -368,16 +355,18 @@ def _ball(oracle: Oracle, radius: int, sphere: bool,
             out.append(j)
             edges.append((i, x, j))
     if complete:
-        budget.cap_for(P, vertices[-1] + alphabet[:1])
+        # the longest word read: the last vertex and a letter, no longer
+        # than the radius when the sphere's edges are not located
+        budget.cap_for(P, (vertices[-1] + alphabet[:1])[:radius + sphere])
     return tuple(vertices), edges, approximate
 
 
 def ball_vertices(oracle: Oracle, radius: int) -> tuple[Word, ...]:
     """The class representatives of the ball, in shortlex order: the
     vertices of build_ball, built without locating the edges out of the
-    sphere.  max_words caps them as it caps build_ball; on an incomplete
-    rule the longest word read, which a length cap must not be below,
-    is then a sphere vertex."""
+    sphere.  max_words caps them as it caps build_ball; the longest word
+    read, which a length cap must not be below, is then no longer than
+    the radius."""
     return _ball(oracle, radius, sphere=False)[0]
 
 
@@ -387,10 +376,9 @@ def build_ball(P: Presentation, radius: int,
 
     Edges carry right multiplication by a letter and are included
     whenever both endpoint classes are present.  The ball is built
-    breadth first (see _ball): exact on a complete rule, where the
-    budget's max_words caps its vertices; otherwise placed through one
-    Oracle, where max_words caps the count of words of length at most
-    radius.  Either way a length cap below the longest word the build
+    breadth first (see _ball): exact on a complete rule, otherwise
+    placed through one Oracle.  Either way the budget's max_words caps
+    its vertices, and a length cap below the longest word the build
     reads raises BudgetTooShort.  Cells start empty; see attach_cells.
     """
     reps, edges, approximate = _ball(Oracle(P, budget or DEFAULT_BUDGET),

@@ -8,7 +8,8 @@ built over normal forms, are also compared with the balls the builder
 places through the Oracle when completeness is hidden from it, with the
 normal forms themselves, and with the loops that built them and
 attached their cells before the KMP automaton.  Balls of incomplete
-rules are compared with the loops that enumerated every word of length
+rules, and enumerate_classes, which reads every word along a ball's
+edges, are compared with the loops that enumerated every word of length
 at most the radius before the builder was shared.  The views d1, d2,
 the interior mask and the 2-cycle basis they feed are compared with the
 eager loops that computed them before they were derived from the edges
@@ -69,6 +70,7 @@ from ormkit.wp import (
     Equal,
     Oracle,
     OracleBudget,
+    Unknown,
     equal_bounded,
     is_complete,
     neighbors,
@@ -327,9 +329,31 @@ def test_normal_form_ball_matches_enumerated_ball(P, monkeypatch):
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.orm")),
                          ids=lambda p: p.stem)
 def test_ball_vertices_are_the_ball_vertices(path):
-    # breadth first on a complete rule, enumerate_classes otherwise
     P = parse_presentation(path.read_text())
     assert ball_vertices(Oracle(P), 4) == build_ball(P, 4).vertices
+
+
+@pytest.mark.parametrize("P", complete_fixture_orders())
+def test_classes_read_no_word_beyond_the_radius(P):
+    # without the edges out of the sphere the longest word read is the
+    # last vertex followed by a letter, cut to the radius, and that is
+    # the length cap ball_vertices and enumerate_classes need; each word
+    # of the ball is assigned the vertex it reads to in build_ball
+    for radius in range(6):
+        ball = build_ball(P, radius)
+        longest = min(len(ball.vertices[-1]) + 1, radius)
+        for max_len in range(max(longest - 1, 0), longest + 1):
+            budget = OracleBudget(max_len=max_len)
+            vertices = _outcome(ball_vertices, Oracle(P, budget), radius)
+            classes = _outcome(enumerate_classes, Oracle(P, budget), radius)
+            if max_len < longest:
+                assert vertices is classes is BudgetTooShort
+                continue
+            reps, assign, approximate = classes
+            assert vertices == reps == ball.vertices
+            assert not approximate
+            assert assign == {w: ball.vertex_of(w) for w in
+                              cayley._all_words(P.alphabet, radius)}
 
 
 def test_idempotent_ball_is_exact_and_tiny():
@@ -583,8 +607,48 @@ def test_small_complete_balls_match_the_reference_loops():
 
 # The ball of an incomplete rule as it was built before the builder was
 # shared: every word of length at most the radius placed in shortlex
-# order, then one edge located per vertex and letter, kept verbatim as
-# the reference.
+# order by its own loop, which capped the count of words, then one edge
+# located per vertex and letter, kept verbatim as the reference.
+
+
+def reference_ball_word_count(k, max_len):
+    if k == 1:
+        return max_len + 1
+    return (k ** (max_len + 1) - 1) // (k - 1)
+
+
+def reference_enumerate_classes(oracle, max_len):
+    P = oracle.P
+    if reference_ball_word_count(len(P.alphabet), max_len) > (
+            oracle.budget.max_words):
+        raise BudgetExceeded(f"{len(P.alphabet)} letters at radius {max_len}")
+    reps = []
+    assign = {}
+    approximate = False
+    for w in cayley._all_words(P.alphabet, max_len):
+        idx, unknown = reference_locate(oracle, w, assign, reps)
+        approximate = approximate or unknown
+        if idx is None:
+            idx = len(reps)
+            reps.append(w)
+        assign[w] = idx
+    return tuple(reps), assign, approximate
+
+
+def reference_locate(oracle, w, assign, reps):
+    if w in assign:
+        return assign[w], False
+    rep = oracle.rep(w)
+    if rep is not None:
+        return assign.get(rep), False
+    unknown = False
+    for i, r in enumerate(reps):
+        verdict = oracle.equal(w, r)
+        if isinstance(verdict, Equal):
+            return i, unknown
+        if isinstance(verdict, Unknown):
+            unknown = True
+    return None, unknown
 
 
 def reference_incomplete_ball(P, radius, budget):
@@ -593,15 +657,16 @@ def reference_incomplete_ball(P, radius, budget):
     the exception type raised, if one was."""
     oracle = Oracle(P, budget)
     try:
-        reps, assign, approximate = enumerate_classes(oracle, radius)
+        reps, assign, approximate = reference_enumerate_classes(oracle,
+                                                                radius)
     except (BudgetExceeded, BudgetTooShort) as exc:
         return type(exc), type(exc)
     edges = []
     try:
         for i, rep in enumerate(reps):
             for letter in P.alphabet:
-                j, unknown = cayley._locate(oracle, rep + (letter,), assign,
-                                            reps)
+                j, unknown = reference_locate(oracle, rep + (letter,), assign,
+                                              reps)
                 approximate = approximate or unknown
                 if j is not None:
                     edges.append((i, letter, j))
@@ -619,8 +684,7 @@ def _outcome(build, *args):
 
 def assert_same_incomplete_ball(P, radius, budget):
     """build_ball and ball_vertices against the reference loops; returns
-    build_ball's outcome, an exception type or the vertex count and the
-    approximate flag."""
+    build_ball's outcome, an exception type or the ball."""
     vertices, want = reference_incomplete_ball(P, radius, budget)
     assert _outcome(ball_vertices, Oracle(P, budget), radius) == vertices
     got = _outcome(build_ball, P, radius, budget)
@@ -634,7 +698,7 @@ def assert_same_incomplete_ball(P, radius, budget):
     assert {w: got.vertex_of(w) for w in assign} == assign
     for w in product(P.alphabet, repeat=radius + 1):
         assert got.vertex_of(w) is None
-    return len(reps), approximate
+    return got
 
 
 INCOMPLETE_TWO_LETTER = ["bb = ab", "bbb = bab", "aa = b", "aba = ab",
@@ -645,31 +709,62 @@ INCOMPLETE_THREE_LETTER = ["aba = ac", "aca = b", "bab = c", "bcb = a",
 
 
 def test_incomplete_ball_matches_the_reference_loops():
-    # max_words below the word count stops both builds, at the vertex
-    # count too; at the word count or 300, closures are cut short and
-    # some balls come out approximate
+    # at the word count or 300, closures are cut short and some balls
+    # come out approximate.  The reference refused every max_words below
+    # the word count; the builder caps the vertices instead, as on a
+    # complete rule: one below the vertex count stops it, and from there
+    # up it builds the ball the word count gives, unless closures cut at
+    # so few words leave classes undecided and the ball outgrows the cap
     approximate = 0
+    outgrown = []
     for relation in INCOMPLETE_TWO_LETTER:
         P = parse_presentation(f"alphabet: a b\nrelation: {relation}")
         assert not is_complete(P)
         for radius in range(6):
             words = 2 ** (radius + 1) - 1
-            size, flag = assert_same_incomplete_ball(
+            want = assert_same_incomplete_ball(
                 P, radius, OracleBudget(max_words=words))
-            approximate += flag
+            size = len(want.vertices)
+            approximate += want.approximate
             for max_words in (size - 1, size, words - 1):
-                outcome = assert_same_incomplete_ball(
-                    P, radius, OracleBudget(max_words=max_words))
-                assert (outcome is BudgetExceeded) == (max_words < words)
+                budget = OracleBudget(max_words=max_words)
+                got = _outcome(build_ball, P, radius, budget)
+                vertices = _outcome(ball_vertices, Oracle(P, budget), radius)
+                if got is BudgetExceeded:
+                    assert vertices is BudgetExceeded
+                    if max_words >= size:
+                        outgrown.append((relation, radius, max_words))
+                    continue
+                assert max_words >= size or size == 1
+                assert vertices == got.vertices == want.vertices
+                assert got.edges == want.edges
+                assert got.approximate is want.approximate
             if radius < 4:
                 approximate += assert_same_incomplete_ball(
-                    P, radius, OracleBudget(max_words=300))[1]
+                    P, radius, OracleBudget(max_words=300)).approximate
             # the edges out of the sphere read words one longer than it
             budget = OracleBudget(max_len=radius)
             assert _outcome(build_ball, P, radius, budget) is BudgetTooShort
             assert reference_incomplete_ball(P, radius, budget)[1] is (
                 BudgetTooShort)
     assert approximate
+    # closures cut at max_words words leave these balls with 8, 11, 15
+    # and 43 vertices
+    assert outgrown == [("aa = b", 3, 7), ("aa = b", 4, 9), ("aa = b", 5, 11),
+                        ("abba = 1", 5, 42)]
+
+
+def test_incomplete_ball_caps_vertices_not_words():
+    # the 511 words of length at most 8 overrun a 300-word budget, but
+    # the builder reads only its 45 vertices, each followed by a letter
+    P = parse_presentation("alphabet: a b\nrelation: bb = ab")
+    ball = build_ball(P, 8, OracleBudget(max_words=300))
+    assert not ball.approximate
+    assert len(ball.vertices) == 45
+    uncapped = build_ball(P, 8)
+    assert (ball.vertices, ball.edges) == (uncapped.vertices, uncapped.edges)
+    with pytest.raises(BudgetExceeded):
+        build_ball(P, 8, OracleBudget(max_words=44))
 
 
 def test_incomplete_ball_length_caps_match_the_reference_loops():
@@ -684,7 +779,7 @@ def test_incomplete_ball_length_caps_match_the_reference_loops():
                 budget = OracleBudget(max_len=max_len)
                 outcome = assert_same_incomplete_ball(P, radius, budget)
                 seen.add(outcome if isinstance(outcome, type)
-                         else outcome[1])
+                         else outcome.approximate)
                 if max_len == radius:
                     assert outcome is BudgetTooShort
                     assert ball_vertices(Oracle(P, budget), radius)
@@ -706,15 +801,23 @@ def test_incomplete_ball_merges_only_proven_words_the_reference_split():
     # when its pairwise search was cut short; the builder reaches that
     # class through the prefix's class instead, so it keeps a subset of
     # the reference's vertices, in the same order, and each word it
-    # drops is proven equal to the vertex it reads to
-    split = []
+    # drops is proven equal to the vertex it reads to.  enumerate_classes
+    # reads every word along the same edges, so its classes are the
+    # builder's vertices and each word is proven equal to its vertex.
+    # Its partition is the reference's on an exact ball; on an
+    # approximate one it can still leave apart two words the reference
+    # merged: under max_len 3, aa = b reads baa from ba's vertex ab to
+    # aba, which no search within length 3 proves equal to bb, while the
+    # reference proved baa = bb in one step
+    split, finer = [], []
     for relation in INCOMPLETE_TWO_LETTER:
         P = parse_presentation(f"alphabet: a b\nrelation: {relation}")
         for radius in range(6):
             for max_len in (radius, radius + 1):
                 budget = OracleBudget(max_len=max_len)
                 reps, want = reference_incomplete_ball(P, radius, budget)
-                vertices, edges, _ = cayley._ball(Oracle(P, budget), radius,
+                oracle = Oracle(P, budget)
+                vertices, edges, _ = cayley._ball(oracle, radius,
                                                   sphere=False)
                 assert vertices == ball_vertices(Oracle(P, budget), radius)
                 kept = set(vertices)
@@ -725,6 +828,29 @@ def test_incomplete_ball_merges_only_proven_words_the_reference_split():
                     verdict = equal_bounded(P, w, target)
                     assert isinstance(verdict, Equal)
                     assert replay(P, verdict.path)
+                classes, assign, approximate = enumerate_classes(
+                    Oracle(P, budget), radius)
+                assert classes == vertices
+                _, split_assign, split_flag = reference_enumerate_classes(
+                    Oracle(P, budget), radius)
+                assert list(assign) == list(split_assign)
+                merged = defaultdict(set)
+                for w, i in split_assign.items():
+                    merged[i].add(assign[w])
+                    assert assign[w] == _read(edges, w)
+                # a word is its vertex by the edges it reads along, each
+                # proven here by the oracle that placed it
+                for i, x, j in edges:
+                    if vertices[i] + (x,) != vertices[j]:
+                        verdict = oracle.equal(vertices[i] + (x,),
+                                               vertices[j])
+                        assert isinstance(verdict, Equal)
+                        assert replay(P, verdict.path)
+                if not approximate:
+                    assert assign == split_assign
+                elif any(len(c) > 1 for c in merged.values()):
+                    finer.append((relation, radius, max_len))
+                    assert split_flag
                 if max_len == radius:
                     split += [(relation, radius, max_len)] if dropped else []
                     continue
@@ -740,6 +866,8 @@ def test_incomplete_ball_merges_only_proven_words_the_reference_split():
                      ("aba = ab", 5, 5), ("aaa = ab", 4, 4),
                      ("aaa = ab", 5, 5), ("aaa = ab", 5, 6), ("bab = a", 4, 5),
                      ("bab = a", 5, 5), ("bab = a", 5, 6), ("aba = ba", 5, 5)]
+    assert finer == [("aa = b", 3, 3), ("aa = b", 4, 4), ("aa = b", 5, 5),
+                     ("aaa = ab", 5, 5)]
 
 
 def test_incomplete_ball_views_match_the_reference_loops():
@@ -1031,6 +1159,18 @@ def test_psi_checks_pass_on_small_ball():
         assert report.skipped == 0
 
 
+@pytest.mark.parametrize("relation", ["aaaa = aba", "bbbb = bab"])
+def test_psi_well_defined_groups_what_the_ball_merges(relation):
+    # under max_len 5 the searches of some words of length 5 are cut
+    # short; read along the ball's edges they join their classes, so 7
+    # pairs are compared where grouping word by word compared 5
+    P = parse_presentation(f"alphabet: a b\nrelation: {relation}")
+    assert not is_complete(P)
+    report = structure_checks(P, CheckKind.PSI_WELL_DEFINED,
+                              OracleBudget(max_len=5), 5)
+    assert (report.checked, report.skipped, report.passed) == (7, 0, True)
+
+
 def test_basis_freeness_small():
     report = structure_checks(aba_aca(), CheckKind.BASIS_FREENESS, radius=3)
     assert report.passed and report.checked > 0
@@ -1099,8 +1239,11 @@ class _Collapsing:
 ])
 def test_pair_checks_report_what_a_collapsing_oracle_merges(
         monkeypatch, kind, count, first):
-    # merging every class must fail each pair check, one line per pair
+    # merging every class must fail each pair check, one line per pair;
+    # with completeness hidden, the ball behind PsiWellDefined's grouping
+    # places its words through the stand-in too
     monkeypatch.setattr(cayley, "Oracle", _Collapsing)
+    monkeypatch.setattr(cayley, "is_complete", lambda _: False)
     report = structure_checks(aba_aca(), kind, radius=2)
     assert not report.passed
     assert len(report.failures) == count
@@ -1328,6 +1471,17 @@ def test_matrices_csv_shape():
     assert lines[0] == "matrix,row,col,value"
     assert all(len(line.split(",")) == 4 for line in lines[1:])
     assert {line.split(",")[0] for line in lines[1:]} == {"d1", "d2"}
+
+
+def test_enumerate_classes_caps_the_word_count():
+    # every word is assigned, so the 40 words of length at most 3 must
+    # fit, though the ball has 39 vertices
+    P = aba_aca()
+    assert len(enumerate_classes(Oracle(P, OracleBudget(max_words=40)),
+                                 3)[1]) == 40
+    with pytest.raises(BudgetExceeded):
+        enumerate_classes(Oracle(P, OracleBudget(max_words=39)), 3)
+    assert len(ball_vertices(Oracle(P, OracleBudget(max_words=39)), 3)) == 39
 
 
 def test_enumerate_classes_membership_is_total():

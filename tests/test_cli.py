@@ -246,6 +246,32 @@ def test_ball_vertices_cap_counts_vertices_on_a_complete_rule():
     assert (entry["passed"], entry["checked"]) == (True, 43660)
 
 
+def test_ball_budget_words_caps_vertices_on_an_incomplete_rule(tmp_path):
+    # bb -> ab is not complete; its radius-8 ball has 45 vertices, though
+    # the 511 words of length at most 8 would overrun a 300-word budget
+    path = tmp_path / "bb-ab.orm"
+    path.write_text("alphabet: a b\nrelation: bb = ab\n")
+    args = ["ball", str(path), "--radius", "8", "--budget-words"]
+    code, report = dispatch(args + ["300"])
+    assert code == 0
+    graph = report.payload["graph"]
+    assert (len(graph["vertices"]), graph["approximate"]) == (45, False)
+    code, report = dispatch(args + ["44"])
+    assert code == 3
+    assert report.payload["error"] == ("budget exhausted: more than 44 "
+                                       "vertices at radius 8")
+
+
+@pytest.mark.parametrize("kind", ["PsiWellDefined", "PsiInjectiveOnIdeal"])
+def test_ball_checks_read_no_word_beyond_the_radius(kind):
+    # both checks read the radius-6 ball of aba -> aca without the edges
+    # out of its sphere, so a length cap of 6 covers every word read
+    for budget_len, exit_code in (("6", 0), ("5", 2)):
+        code, _ = dispatch(["structure-check", fx("aba-aca.orm"), kind,
+                            "--budget-len", budget_len])
+        assert code == exit_code
+
+
 @pytest.mark.parametrize("name", ["aa-a.orm", "abab-ab.orm", "babab-b.orm"])
 def test_inject_check_decides_by_normal_forms(name):
     # the closure store cannot saturate the translated classes of these

@@ -1,6 +1,7 @@
 """Every module uses each name it imports, no package module imports a
 sibling's private name, no package module catches a broad exception,
-and the package has one frontier loop and one ball builder.
+and the package has one frontier loop and one ball builder, which is
+also its one class-placement loop.
 
 Package __init__ files re-export names and are left out.  A name counts
 as used when it appears as an identifier anywhere in the module, which
@@ -124,10 +125,17 @@ def test_one_frontier_loop():
 
 def test_one_ball_builder():
     """Every ball is built by one breadth-first loop, the one place in
-    cayley that asks whether the rule is complete; only PsiWellDefined
-    still groups every word of the ball through enumerate_classes."""
+    cayley that asks whether the rule is complete and the one that
+    places a class; only PsiWellDefined still groups every word of the
+    ball, through enumerate_classes, which reads them along the ball's
+    edges."""
     cayley = (ROOT / "src" / "ormkit" / "cayley.py").read_text()
     assert len(call_sites(cayley, "is_complete")) == 1
     sites = [(p.name, func) for p in PACKAGE
              for func, _ in call_sites(p.read_text(), "enumerate_classes")]
     assert sites == [("cayley.py", "_check_psi_well_defined")]
+    sites = [(p.name, func) for p in PACKAGE
+             for func, _ in call_sites(p.read_text(), "_locate")]
+    assert sites == [("cayley.py", "_ball")]
+    assert ("enumerate_classes" in
+            [func for func, _ in call_sites(cayley, "_ball")])
