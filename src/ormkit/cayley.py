@@ -15,27 +15,34 @@ and its target, the normal form of w'·v, is read along the edges the
 ball has already built, from the ancestor w' of w along the letters of
 v; a complete rule computes no normal form and keeps no index of vertex
 words.  On every rule the budget's max_words bounds the number of
-vertices.  A vertex is found from any word by reading the word's
+vertices, and on an incomplete rule also each closure that places an
+edge, so a budget at the vertex count can leave the ball approximate
+or refuse it.  A vertex is found from any word by reading the word's
 letters along the edges from the empty word, and the one class
 placement loop is this builder: enumerate_classes assigns every word of
 length at most r that way.
 
 Every other class lookup (w·x on an incomplete rule, and the keys of
-the structure checks) asks one Oracle per presentation: rep for the
-class's shortlex-least member, None when undecided, and equal for a
-certified verdict.  An undecided w·x joins the first vertex proven
-Equal to it, so a ball is never over-merged, and if any needed verdict
-comes back Unknown the ball is marked approximate instead of guessing.
-The pair checks key each witness once and count pairs from the key
-groups, skipping a pair with an undecided key, so their cost follows the
-witnesses and the collisions, not the pairs; the two witness checks
-replay a path built from the relation instead.  Cells can be attached
-two ways: one cell per vertex tracing the full relation, or
-cells only at vertices whose representative ends in the longest
-compressing word, tracing the relation with that word stripped from the
-front of both sides; a boundary is traced through one successor list
-per letter, which holds each vertex's edge index for that letter, from
-the bases that have an edge for each side's first letter.  A ball
+the structure checks) asks one Oracle per presentation: normal_form on
+a complete rule, which never runs a closure, rep for the class's
+shortlex-least member, None when undecided, and equal for a certified
+verdict.  An undecided w·x joins the first vertex proven Equal to it,
+so a ball is never over-merged, and if any needed verdict comes back
+Unknown the ball is marked approximate instead of guessing.  The pair
+checks key each witness once and count pairs from the key groups,
+skipping a pair with an undecided key, so their cost follows the
+witnesses and the collisions, not the pairs.  RTrivial keys every word
+of length at most the radius once by its normal form and compares the
+two keys of a pair where both are known; every other pair, which is
+every pair on an incomplete rule, asks equal, so the report is the one
+a verdict per pair gives.  The two witness checks replay a path built
+from the relation instead.  Cells can be attached two ways: one cell
+per vertex tracing the full relation, or cells only at vertices whose
+representative ends in the longest compressing word, tracing the
+relation with that word stripped from the front of both sides; a
+boundary is traced through one successor list per letter, which holds
+each vertex's edge index for that letter, from the bases that have an
+edge for each side's first letter.  A ball
 stores its vertices, edges and cells once: the boundary matrices d1 and
 d2, sparse integer dictionaries, and the interior mask are views derived
 from them on first read.  Vertex lengths never decrease along the
@@ -766,18 +773,30 @@ def _check_r_trivial(P: Presentation, b: OracleBudget,
         raise PreconditionError("R-triviality needs the longer side to not "
                                 "start with the shorter")
     oracle = Oracle(P, b)
+    words = list(_all_words(P.alphabet, radius))
+    # words[1:ends[k]] are the nonempty words of length at most k
+    ends = [bisect_right(words, k, key=len) for k in range(radius + 1)]
+    # every word keyed once; a pair with an unknown key asks equal
+    key = {w: oracle.normal_form(w) for w in words}
     checked = skipped = 0
     failures: list[str] = []
-    for w in _all_words(P.alphabet, radius - 1):
-        for extra in _all_words(P.alphabet, radius - len(w)):
-            if not extra:
-                continue
-            checked += 1
-            verdict = oracle.equal(w, w + extra)
-            if isinstance(verdict, Unknown):
-                skipped += 1
-            elif isinstance(verdict, Equal):
-                failures.append(f"[{P.text(w)}] = [{P.text(w + extra)}]")
+    for w in words:
+        kw = key[w]
+        extras = words[1:ends[radius - len(w)]]
+        checked += len(extras)
+        for extra in extras:
+            x = w + extra
+            kx = None if kw is None else key[x]
+            if kx is None:
+                verdict = oracle.equal(w, x)
+                if isinstance(verdict, Unknown):
+                    skipped += 1
+                    continue
+                same = isinstance(verdict, Equal)
+            else:
+                same = kx == kw
+            if same:
+                failures.append(f"[{P.text(w)}] = [{P.text(x)}]")
     return CheckReport(CheckKind.R_TRIVIAL, checked, skipped, tuple(failures))
 
 

@@ -93,7 +93,12 @@ class BudgetTooShort(ValueError):
 @dataclass(frozen=True)
 class OracleBudget:
     """Exploration caps.  max_len defaults per query to
-    |w1| + |w2| + 4 max(|u|, |v|)."""
+    |w1| + |w2| + 4 max(|u|, |v|).  max_words caps the words of each
+    closure and search; a Cayley ball also takes it as its vertex cap.
+    On an incomplete rule the ball's edges are placed by closures under
+    the same cap, so a max_words at the vertex count can cut them short:
+    aa = b at radius 3 has 7 vertices, is refused at max_words 7, comes
+    out approximate at 8 and exact at 15."""
 
     max_words: int = 200_000
     max_len: int | None = None
@@ -363,8 +368,11 @@ def equal_bounded(P: Presentation, w1: Word, w2: Word,
 class Oracle:
     """Class interface: equal walks the decider order of equal_bounded
     with this oracle as the class store, consulted just before the
-    search; rep answers by normal forms when u -> v is complete, else
-    from the store, which class_of alone reads on any rule.
+    search; normal_form answers when u -> v is complete and never runs a
+    closure; rep answers from normal_form first, else from the store,
+    which class_of alone reads on any rule.  Bulk callers key each word
+    once by normal_form, compare keys where both are known, and ask
+    equal only for the other pairs.
 
     The store memoizes closure: each saturated class is stored once, as
     its parent map and its shortlex-least member, and indexed by every
@@ -378,6 +386,7 @@ class Oracle:
         self.budget = budget or DEFAULT_BUDGET
         self._classes: dict[Word, tuple[dict[Word, Word | None], Word]] = {}
         self._unsaturated: set[Word] = set()
+        self._complete = is_complete(P)
 
     def class_of(self, w: Word) -> tuple[dict[Word, Word | None], Word] | None:
         """(parent map, representative) of the class of w, or None when
@@ -398,12 +407,18 @@ class Oracle:
             self._classes[m] = entry
         return entry
 
+    def normal_form(self, w: Word) -> Word | None:
+        """Normal form of w when u -> v is complete, None otherwise; it
+        never runs a closure.  A length cap below |w| is a usage error."""
+        self.budget.cap_for(self.P, w)
+        return _reduce(self.P, tuple(w)) if self._complete else None
+
     def rep(self, w: Word) -> Word | None:
         """Shortlex-least member of the class of w; None when undecided.
         A length cap below |w| is a usage error."""
-        if is_complete(self.P):
-            self.budget.cap_for(self.P, w)
-            return _reduce(self.P, w)
+        nf = self.normal_form(w)
+        if nf is not None:
+            return nf
         got = self.class_of(w)
         return None if got is None else got[1]
 

@@ -16,7 +16,9 @@ eager loops that computed them before they were derived from the edges
 and cells; vertex lengths never decrease, so the interior vertices are a
 prefix.  Kernel routines are checked against hand-computed matrices, an
 independent rank computation over exact rationals, and the elimination
-over rationals that the fraction-free one replaced.
+over rationals that the fraction-free one replaced.  RTrivial, which
+keys each word once by its normal form, is compared with the loop that
+asked Oracle.equal for every pair.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from hypothesis import strategies as st
 import re
 
 import ormkit.cayley as cayley
+import ormkit.squier as squier
 from ormkit.cayley import (
     BudgetExceeded,
     CayleyBall,
@@ -67,6 +70,7 @@ from ormkit.words import (
 )
 from ormkit.wp import (
     BudgetTooShort,
+    Distinct,
     Equal,
     Oracle,
     OracleBudget,
@@ -767,6 +771,19 @@ def test_incomplete_ball_caps_vertices_not_words():
         build_ball(P, 8, OracleBudget(max_words=44))
 
 
+def test_incomplete_ball_budget_also_caps_the_placing_closures():
+    # aa = b at radius 3 has 7 vertices, but max_words also caps each
+    # closure that places an edge: at 7 the cut closures leave two
+    # classes apart and the ball outgrows the cap, at 8 it keeps 7
+    # vertices without proof, and at 15 it is exact
+    P = parse_presentation("alphabet: a b\nrelation: aa = b")
+    with pytest.raises(BudgetExceeded):
+        build_ball(P, 3, OracleBudget(max_words=7))
+    for max_words, approximate in ((8, True), (15, False)):
+        ball = build_ball(P, 3, OracleBudget(max_words=max_words))
+        assert (len(ball.vertices), ball.approximate) == (7, approximate)
+
+
 def test_incomplete_ball_length_caps_match_the_reference_loops():
     # max_len = radius stops build_ball at the edges out of the sphere,
     # but not ball_vertices, which reads no word longer than the radius
@@ -1203,6 +1220,142 @@ def test_r_trivial_check():
         structure_checks(idempotent(), CheckKind.R_TRIVIAL)
 
 
+def reference_r_trivial(P, b, radius):
+    """The per-pair loop RTrivial ran before it keyed each word by its
+    normal form: every pair goes to Oracle.equal."""
+    if cayley.starts_with(P.u, P.v):
+        raise PreconditionError("R-triviality needs the longer side to not "
+                                "start with the shorter")
+    oracle = cayley.Oracle(P, b)
+    checked = skipped = 0
+    failures: list[str] = []
+    for w in cayley._all_words(P.alphabet, radius - 1):
+        for extra in cayley._all_words(P.alphabet, radius - len(w)):
+            if not extra:
+                continue
+            checked += 1
+            verdict = oracle.equal(w, w + extra)
+            if isinstance(verdict, Unknown):
+                skipped += 1
+            elif isinstance(verdict, Equal):
+                failures.append(f"[{P.text(w)}] = [{P.text(w + extra)}]")
+    return cayley.CheckReport(CheckKind.R_TRIVIAL, checked, skipped,
+                              tuple(failures))
+
+
+def _r_trivial_outcome(check, P, budget, radius):
+    try:
+        return check(P, budget, radius)
+    except (PreconditionError, BudgetTooShort) as exc:
+        return type(exc)
+
+
+def keyed_r_trivial(P, budget, radius):
+    return structure_checks(P, CheckKind.R_TRIVIAL, budget, radius)
+
+
+two_letter_sides = st.lists(st.sampled_from("ab"), max_size=3).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sides=st.tuples(two_letter_sides, two_letter_sides),
+       radius=st.integers(0, 4),
+       max_words=st.sampled_from([20, 300, 2000]),
+       max_len=st.sampled_from([None, 3, 6]))
+# an incomplete rule whose cut closures leave 6 of its 98 pairs skipped
+@example(sides=(word("bab"), word("ab")), radius=4, max_words=300,
+         max_len=None)
+def test_r_trivial_matches_the_reference_property(sides, radius, max_words,
+                                                  max_len):
+    # complete and incomplete rules alike: the same checked and skipped
+    # counts and the same failure lines in the same order, or the same
+    # error
+    P = make_presentation(("a", "b"), *sides)
+    budget = OracleBudget(max_words=max_words, max_len=max_len)
+    assert (_r_trivial_outcome(keyed_r_trivial, P, budget, radius)
+            == _r_trivial_outcome(reference_r_trivial, P, budget, radius))
+
+
+@pytest.mark.parametrize("name,checked", [
+    ("aba-aca", 6015), ("ab-c", 6015), ("ab-ba", 642),
+    ("ababbaba-ababa", 642),
+])
+def test_r_trivial_counts_at_radius_six(name, checked):
+    P = parse_presentation((FIXTURES / f"{name}.orm").read_text())
+    report = structure_checks(P, CheckKind.R_TRIVIAL, radius=6)
+    assert (report.checked, report.skipped, report.failures) == (
+        checked, 0, ())
+    assert report == reference_r_trivial(P, cayley.DEFAULT_BUDGET, 6)
+
+
+class _PartlyKeyed(Oracle):
+    """Stand-in: words in classes by weight modulo 3, those of length 1
+    and 4 without a key; equal agrees with the classes and is Unknown
+    when neither word has a key."""
+
+    def normal_form(self, w):
+        return None if len(w) % 3 == 1 else (_weight(w) % 3,)
+
+    def equal(self, w1, w2):
+        if self.normal_form(w1) is None and self.normal_form(w2) is None:
+            return Unknown("stand-in")
+        if _weight(w1) % 3 == _weight(w2) % 3:
+            return Equal((tuple(w1), tuple(w2)))
+        return Distinct("stand-in")
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.orm")),
+                         ids=lambda p: p.stem)
+def test_r_trivial_mixes_keys_and_verdicts_like_the_reference(path,
+                                                              monkeypatch):
+    # keyed pairs compare keys, the others ask equal: skipped pairs and
+    # failure lines come out as the per-pair loop gives them
+    P = parse_presentation(path.read_text())
+    monkeypatch.setattr(cayley, "Oracle", _PartlyKeyed)
+    got = _r_trivial_outcome(keyed_r_trivial, P, cayley.DEFAULT_BUDGET, 4)
+    assert got == _r_trivial_outcome(reference_r_trivial, P,
+                                     cayley.DEFAULT_BUDGET, 4)
+    if path.stem == "aba-aca":
+        assert got.skipped and got.failures
+
+
+class _CountingOracle(Oracle):
+    calls = defaultdict(int)
+
+    def equal(self, w1, w2):
+        _CountingOracle.calls["equal"] += 1
+        return super().equal(w1, w2)
+
+    def class_of(self, w):
+        _CountingOracle.calls["class_of"] += 1
+        return super().class_of(w)
+
+
+def test_keyed_checks_ask_equal_only_for_unkeyed_pairs(monkeypatch):
+    # on a complete rule every key is a normal form, so RTrivial and the
+    # injectivity harness never ask Oracle.equal; on an incomplete rule
+    # RTrivial asks what the per-pair loop asked, and no more
+    monkeypatch.setattr(cayley, "Oracle", _CountingOracle)
+    monkeypatch.setattr(squier, "Oracle", _CountingOracle)
+    calls = _CountingOracle.calls
+    calls.clear()
+    structure_checks(aba_aca(), CheckKind.R_TRIVIAL, radius=6)
+    assert calls["equal"] == 0
+    report = squier.injectivity_harness(aba_aca(), samples=1000,
+                                        max_support=4, seed=20260816,
+                                        radius=6)
+    assert report.passed and report.singleton_checked == 959
+    assert calls["equal"] == 0
+    P = parse_presentation("alphabet: a b\nrelation: aaba = ab")
+    assert not is_complete(P)
+    calls.clear()
+    want = reference_r_trivial(P, cayley.DEFAULT_BUDGET, 4)
+    reference_class_of = calls["class_of"]
+    calls.clear()
+    assert structure_checks(P, CheckKind.R_TRIVIAL, radius=4) == want
+    assert 0 < calls["class_of"] <= reference_class_of
+
+
 def test_kernel_inclusion_check():
     report = structure_checks(aba_aca(), CheckKind.KERNEL_INCLUSION)
     assert report.passed and report.checked == 1
@@ -1222,6 +1375,10 @@ class _Collapsing:
     def __init__(self, P, budget=None):
         self.P = P
         self.budget = budget or OracleBudget()
+
+    def normal_form(self, w):
+        # completeness is hidden: no word has a known normal form
+        return None
 
     def rep(self, w):
         return EMPTY

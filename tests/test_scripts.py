@@ -47,6 +47,26 @@ def test_ladder_phases_prints_every_phase():
         assert all(float(ms) >= 0 for ms in line.split()[1:])
 
 
+def test_cli_phases_prints_every_command_kind():
+    done = subprocess.run([sys.executable, "scripts/cli_phases.py",
+                           "--seed", "1", "--repeats", "1"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "seed 1, 61 commands, minimum of 1 rounds"
+    assert lines[1].split() == ["kind", "fixture", "cpu_ms"]
+    rows = [line.split() for line in lines[2:]]
+    kinds = ["classify", "compress", "inject-check", "squier-check",
+             "structure-check"]
+    assert [r[0] for r in rows if r[1] == "total"] == kinds
+    assert [r[1] for r in rows if r[0] == "inject-check"] == [
+        "aba-aca", "total"]
+    # ten fixtures and a total for four kinds, one fixture for inject-check
+    assert rows[-1][0] == "total" and len(rows) == 4 * 11 + 2 + 1
+    for r in rows:
+        assert float(r[-1]) >= 0
+
+
 def test_every_traced_layer_resolves():
     """A layer the tracer cannot find drops its metrics from a traced
     benchmark run: installing must find every layer, and uninstalling

@@ -6,7 +6,10 @@ the length-preserving running example, where every class is finite and
 the canonical representative is computable by exhaustion.  The walk,
 which keeps its move pools and its parity vector between steps, is
 compared against a reference walk that rebuilds every pool and
-recomputes the parity in full at every step.
+recomputes the parity in full at every step.  The injectivity harness,
+which keys each singleton by normal forms and memoizes the reps of its
+formal sums, is compared with the harness that asked the oracle again
+for every singleton and sample.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ormkit import squier
+from ormkit.cayley import BudgetExceeded
 from ormkit.cli import parse_presentation
 from ormkit.squier import (
     DeleteCancelPair,
@@ -55,7 +59,7 @@ from ormkit.words import (
     make_presentation,
     word,
 )
-from ormkit.wp import normal_form
+from ormkit.wp import BudgetTooShort, OracleBudget, normal_form
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -505,6 +509,107 @@ def test_harness_drops_zero_terms():
     assert report.skipped == 0 and report.violations
     for terms in report.violations:
         assert sum(int(t.split("·")[0]) for t in terms.split(" + ")) == 0
+
+
+def reference_harness(P, samples, max_support, seed, budget=None,
+                      radius=6):
+    """The harness as it ran before it keyed singletons by normal form
+    and memoized the reps of its formal sums: every singleton goes to
+    Oracle.equal and every sample asks rep again."""
+    if not P.u or not P.v or P.u[-1] != P.v[-1]:
+        raise PreconditionError("relation sides must share their last letter")
+    if max_support < 1:
+        raise PreconditionError("max_support must be at least 1")
+    head_u, head_v = P.u[:-1], P.v[:-1]
+    oracle = squier.Oracle(P, budget)
+    reps = squier.ball_vertices(oracle, radius)
+
+    singleton_skipped = 0
+    singleton_violations = []
+    for w in reps:
+        verdict = oracle.equal(w + head_u, w + head_v)
+        if isinstance(verdict, squier.Unknown):
+            singleton_skipped += 1
+        elif isinstance(verdict, squier.Equal):
+            singleton_violations.append(P.text(w))
+
+    def formal_sum(support, weights, head):
+        acc = {}
+        for w, z in zip(support, weights):
+            rep = oracle.rep(w + head)
+            if rep is None:
+                return None
+            acc[rep] = acc.get(rep, 0) + z
+        return {k: z for k, z in acc.items() if z}
+
+    rng = random.Random(seed)
+    skipped = 0
+    violations = []
+    coeffs = [z for z in range(-3, 4) if z]
+    for _ in range(samples):
+        k = rng.randint(1, min(max_support, len(reps)))
+        support = rng.sample(reps, k)
+        weights = [rng.choice(coeffs) for _ in support]
+        sum_u = formal_sum(support, weights, head_u)
+        sum_v = None if sum_u is None else formal_sum(support, weights, head_v)
+        if sum_v is None:
+            skipped += 1
+        elif sum_u == sum_v:
+            violations.append(" + ".join(f"{z}·[{P.text(w)}]"
+                                         for w, z in zip(support, weights)))
+    return HarnessReport(
+        samples=samples, skipped=skipped, violations=tuple(violations),
+        singleton_checked=len(reps), singleton_skipped=singleton_skipped,
+        singleton_violations=tuple(singleton_violations),
+        pre_incompressible=not squier.compressing_words(P),
+        pre_shared_last_letter=True,
+        pre_aspherical=(squier.asphericity_certificate(P)
+                        is squier.Asphericity.PROVEN_STRICTLY_ASPHERICAL))
+
+
+def harness_outcome(harness, *args):
+    try:
+        return harness(*args)
+    except (PreconditionError, BudgetTooShort, BudgetExceeded) as exc:
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sides=st.tuples(short_words, short_words), radius=st.integers(0, 4),
+       samples=st.integers(0, 40), max_support=st.integers(1, 4),
+       seed=st.integers(0, 10_000),
+       max_words=st.sampled_from([20, 300, 2000]),
+       max_len=st.sampled_from([None, 4, 8]))
+# an incomplete rule whose cut closures skip 4 singletons and 7 samples
+@example(sides=(word("bab"), word("ab")), radius=3, samples=10,
+         max_support=3, seed=5, max_words=300, max_len=None)
+def test_harness_matches_the_reference_property(sides, radius, samples,
+                                                max_support, seed, max_words,
+                                                max_len):
+    # complete and incomplete rules alike: the same report, or the same
+    # error
+    P = make_presentation(("a", "b"), *sides)
+    args = (P, samples, max_support, seed,
+            OracleBudget(max_words=max_words, max_len=max_len), radius)
+    assert (harness_outcome(injectivity_harness, *args)
+            == harness_outcome(reference_harness, *args))
+
+
+class PartlyKeyed(squier.Oracle):
+    """Exact verdicts, but about a third of the words have no normal
+    form to key by, so their singletons ask Oracle.equal."""
+
+    def normal_form(self, w):
+        return None if len(w) % 3 == 1 else super().normal_form(w)
+
+
+@pytest.mark.parametrize("name", ["aba-aca", "ababbaba-ababa", "aa-a"])
+def test_harness_mixes_keys_and_verdicts_like_the_reference(name):
+    P = parse_presentation((FIXTURES / f"{name}.orm").read_text())
+    with mock.patch.object(squier, "Oracle", PartlyKeyed):
+        got = injectivity_harness(P, 300, 4, 1, None, 5)
+        want = reference_harness(P, 300, 4, 1, None, 5)
+    assert got == want
 
 
 def test_harness_requires_shared_last_letter():
