@@ -4,8 +4,8 @@ For a word r sealing both sides of the relation, the set
 T(r) = {w : r w ends with r} is a free submonoid (left unitary in the
 ambient free monoid), freely generated by the prefix code Delta_r of its
 nonzero-length irreducible elements.  Every member of T(r) factorizes
-uniquely over Delta_r, and the greedy rule (repeatedly split off the
-shortest nonempty prefix lying in T(r)) computes that factorization.
+uniquely over Delta_r, cut after every prefix w[:k] lying in T(r), that
+is wherever r occurs at k in r w, so one occurrence scan factorizes it.
 
 Compressing the relation u = r u', v = r v' rewrites both tails over
 Delta_r and keeps only the letters that actually occur; the result is a
@@ -20,7 +20,7 @@ presentations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 
@@ -75,11 +75,14 @@ def t_membership(r: Word, w: Word) -> bool:
     return ends_with(r + w, r)
 
 
-def _shortest_t_prefix(r: Word, w: Word) -> int | None:
-    for k in range(1, len(w) + 1):
-        if t_membership(r, w[:k]):
-            return k
-    return None
+def delta_cuts(r: Word, w: Word) -> list[int]:
+    """Every k with w[:k] in T(r), ascending: the starts of r in r w.
+
+    w is in T(r) when the last is len(w), and by left unitarity its
+    Delta_r letters are then the pieces between consecutive cuts."""
+    if not r:
+        raise ValueError("T(r) requires nonempty r")
+    return find_occurrences(r + w, r)
 
 
 def p_delta_membership(r: Word, w: Word) -> bool:
@@ -88,25 +91,17 @@ def p_delta_membership(r: Word, w: Word) -> bool:
     These are exactly the proper prefixes of Delta_r elements, the words
     that appear as right tails of right canonical factorizations.
     """
-    return _shortest_t_prefix(r, w) is None
+    return delta_cuts(r, w) == [0]
 
 
 def delta_factorize(r: Word, w: Word) -> tuple[DeltaLetter, ...]:
-    """Unique factorization of w over the prefix code Delta_r.
-
-    Greedy: split off the shortest nonempty prefix lying in T(r); that
-    prefix is automatically irreducible, and the remainder stays in T(r)
-    by left unitarity.  Raises NotInT when w is not in T(r).
+    """Unique factorization of w over the prefix code Delta_r: w cut at
+    every prefix lying in T(r).  Raises NotInT when w is not in T(r).
     """
-    parts: list[DeltaLetter] = []
-    rest = w
-    while rest:
-        k = _shortest_t_prefix(r, rest)
-        if k is None:
-            raise NotInT(f"{''.join(w)!r} is not in T({''.join(r)!r})")
-        parts.append(DeltaLetter(rest[:k]))
-        rest = rest[k:]
-    return tuple(parts)
+    cuts = delta_cuts(r, w)
+    if cuts[-1] != len(w):
+        raise NotInT(f"{''.join(w)!r} is not in T({''.join(r)!r})")
+    return tuple(DeltaLetter(w[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 def right_canonical(r: Word, s: Word) -> tuple[Word, Word]:
@@ -132,16 +127,16 @@ def left_canonical(r: Word, s: Word) -> tuple[Word, tuple[DeltaLetter, ...]]:
 
     Requires s to end in r (so s is in the left ideal of words ending in
     r); raises NoOccurrence otherwise.  The part after the first
-    occurrence lies in T(r) and comes back factorized.
+    occurrence lies in T(r) and comes back factorized: its Delta_r
+    letters end where the later occurrences of r in s end.
     """
     if not r:
         raise ValueError("left canonical factorization requires nonempty r")
     if len(s) < len(r) or not ends_with(s, r):
         raise NoOccurrence(f"{''.join(s)!r} does not end in {''.join(r)!r}")
-    first = find_occurrences(s, r)[0]
-    y = s[:first]
-    tail = s[first + len(r):]
-    return y, delta_factorize(r, tail)
+    ends = [i + len(r) for i in find_occurrences(s, r)]
+    return (s[:ends[0] - len(r)],
+            tuple(DeltaLetter(s[a:b]) for a, b in zip(ends, ends[1:])))
 
 
 @dataclass(frozen=True)
@@ -156,6 +151,8 @@ class CompressionData:
     v_factors: tuple[DeltaLetter, ...]
     lambda_r: frozenset[DeltaLetter]
     compressed: Presentation
+    # each compressed letter's spelling over the base alphabet, by name
+    spellings: dict[str, Word] = field(compare=False, repr=False)
 
 
 def syllables(C: CompressionData,
@@ -198,8 +195,8 @@ def compress_step(P: Presentation, r: Word) -> CompressionData:
     compressed = make_presentation(alphabet,
                                    tuple(d.name for d in u_factors),
                                    tuple(d.name for d in v_factors))
-    return CompressionData(P, r, u_prime, v_prime, u_factors, v_factors,
-                           lam, compressed)
+    return CompressionData(P, r, u_prime, v_prime, u_factors, v_factors, lam,
+                           compressed, {d.name: d.spelling for d in ordered})
 
 
 class Strategy(enum.Enum):

@@ -6,25 +6,27 @@ of the relation), so it can be replayed; Distinct always names a sound
 separation certificate; Unknown only ever means a budget ran out.
 
 Two independent deciders are provided.  equal_bounded walks the one
-decider order: identity; the cheap invariant certificates (for every
+decider order: identity; normal forms when the shortlex-oriented rule
+u -> v is complete; the cheap invariant certificates (for every
 compressing word r, membership in the words-ending-in-r ideal and in
 the words-starting-with-r ideal are congruence invariants, and the
 letter-count difference must be an integer multiple of the relation's
-count vector); normal forms when the shortlex-oriented rule u -> v is
-complete; and last a bidirectional closure search, where a side whose
-closure saturates without meeting the other word proves distinctness
-outright.  Oracle.equal walks the same order and reads its class store
-just before the search.  One frontier engine grows every closure:
-closure runs it from one word, the search from two.
+count vector), which on a complete rule only name the Distinct that
+the normal forms found, since a sound certificate never separates an
+Equal pair; and last a bidirectional closure search, where a side
+whose closure saturates without meeting the other word proves
+distinctness outright.  Oracle.equal walks the same order and reads its
+class store just before the search.  One frontier engine grows every
+closure: closure runs it from one word, the search from two.
 
-equal_via_compression instead peels one compression level: words split
-around their last and first occurrence of the longest compressing word,
-equality reduces to literal equality of the outer parts plus equality
-of Delta-letter sequences in a free product, whose syllables are
-compared recursively in the compressed presentation.  Equal paths found
-downstairs are lifted back upstairs through the factorizations, so
-replayability survives the recursion.  Bulk callers ask Oracle, the one
-class interface.
+equal_via_compression instead peels one compression level: one scan
+for the longest compressing word r splits each word around its first
+and last occurrence of r, equality reduces to literal equality of the
+outer parts plus equality of Delta_r-letter sequences in a free
+product, whose syllables are compared recursively, by letter name, in
+the compressed presentation.  Equal paths found downstairs are lifted
+back upstairs, so replayability survives the recursion.  Bulk callers
+ask Oracle, the one class interface.
 """
 
 from __future__ import annotations
@@ -37,11 +39,8 @@ from .compress import (
     CompressionData,
     DeltaLetter,
     compress_step,
-    left_canonical,
-    p_delta_membership,
-    right_canonical,
-    syllables,
-    t_membership,
+    delta_cuts,
+    delta_factorize,
 )
 from .words import (
     Presentation,
@@ -153,24 +152,22 @@ def replay(P: Presentation, path: tuple[Word, ...]) -> bool:
 # --------------------------------------------------------- normal forms
 
 
-def _reduce(P: Presentation, w: Word, trail: list[Word] | None = None,
-            done: Word = ()) -> Word:
-    """An irreducible descendant of done + w under the rule u -> v.
+def _reduce(P: Presentation, w: Word, starts: list[int] | None = None) -> Word:
+    """The irreducible descendant of w under the rule u -> v.
 
     One left-to-right stack pass: letters move from the input to the
     output, and whenever the output ends in u, u is popped and v pushed
     back onto the input.  The output never contains u, so each new
     occurrence ends at its top.  The rule is shortlex-decreasing, so the
-    pass terminates.  done must be irreducible: the pass starts with it
-    as the output, so only the letters of w are read.  When trail is
-    given, every intermediate word is appended to it; consecutive words
-    differ by one application of the relation.
+    pass terminates.  When starts is given, the position where each
+    rewrite replaces u by v in the word it rewrites is appended to it;
+    _rewrites spells the chain of words from them.
     """
     u, v = P.u, P.v
     if u == v:
-        return done + tuple(w)
+        return tuple(w)
     n, last = len(u), u[-1]
-    out: list[str] = list(done)
+    out: list[str] = []
     todo = list(reversed(w))
     while todo:
         x = todo.pop()
@@ -178,9 +175,19 @@ def _reduce(P: Presentation, w: Word, trail: list[Word] | None = None,
         if x == last and len(out) >= n and tuple(out[-n:]) == u:
             del out[-n:]
             todo.extend(reversed(v))
-            if trail is not None:
-                trail.append(tuple(out) + tuple(reversed(todo)))
+            if starts is not None:
+                starts.append(len(out))
     return tuple(out)
+
+
+def _rewrites(P: Presentation, w: Word, starts: list[int]) -> list[Word]:
+    """The words of the reduction of w whose rewrites start at starts."""
+    n, v = len(P.u), P.v
+    chain = [w]
+    for i in starts:
+        w = w[:i] + v + w[i + n:]
+        chain.append(w)
+    return chain
 
 
 @lru_cache(maxsize=1024)
@@ -198,12 +205,11 @@ def is_complete(P: Presentation) -> bool:
                          for k in range(1, len(u)) if u[-k:] == u[:k])
 
 
-def normal_form(P: Presentation, w: Word, done: Word = ()) -> Word | None:
-    """Normal form of done + w under u -> v, which is the shortlex-least
-    member of its congruence class; None when the rule is not complete,
-    so normal forms do not decide the word problem.  done must be a
-    normal form: the reduction resumes after it."""
-    return _reduce(P, tuple(w), done=done) if is_complete(P) else None
+def normal_form(P: Presentation, w: Word) -> Word | None:
+    """Normal form of w under u -> v, which is the shortlex-least member
+    of its congruence class; None when the rule is not complete, so
+    normal forms do not decide the word problem."""
+    return _reduce(P, tuple(w)) if is_complete(P) else None
 
 
 def _join(c1: list[Word], c2: list[Word]) -> tuple[Word, ...]:
@@ -318,23 +324,26 @@ def closure(P: Presentation, w: Word, max_len: int,
 
 def _decide(P: Presentation, w1: Word, w2: Word, budget: OracleBudget,
             store: Oracle | None) -> Verdict:
-    """The one decider order: identity, the ideal certificates, the
-    abelian certificate, normal forms when u -> v is complete, the class
-    of w1 in store when it saturates, and last the two-sided search."""
+    """The one decider order: identity; normal forms when u -> v is
+    complete, the ideal and abelian certificates then only naming a
+    Distinct; on any other rule those certificates, the class of w1 in
+    store when it saturates, and last the two-sided search."""
     max_len = budget.cap_for(P, w1, w2)
     if w1 == w2:
         return Equal((w1,))
+    complete = is_complete(P)
+    if complete:
+        s1, s2 = [], []
+        if _reduce(P, w1, s1) == _reduce(P, w2, s2):
+            # each chain runs from its word to the common normal form
+            return Equal(_join(_rewrites(P, w1, s1), _rewrites(P, w2, s2)))
     cert = _ideal_certificate(P, w1, w2)
     if cert:
         return Distinct(cert)
     if _abelian_mismatch(P, w1, w2):
         return Distinct(CERT_ABELIAN)
-    if is_complete(P):
-        # each chain runs from its word to its normal form
-        c1, c2 = [w1], [w2]
-        if _reduce(P, w1, c1) != _reduce(P, w2, c2):
-            return Distinct(CERT_NORMAL_FORM)
-        return Equal(_join(c1, c2))
+    if complete:
+        return Distinct(CERT_NORMAL_FORM)
     got = store.class_of(w1) if store is not None else None
     if got is not None:
         parent, _ = got
@@ -429,77 +438,84 @@ class Oracle:
 # ------------------------------------------- compression-based decider
 
 
-def _flatten(parts: tuple[DeltaLetter, ...]) -> Word:
-    return tuple(x for d in parts for x in d.spelling)
+def _syllables(C: CompressionData, w: Word, ends: list[int]) -> tuple[list, list]:
+    """The maximal runs of C's compressed letters among the Delta letters
+    between consecutive ends of w, each as (names, start, end) in w, and
+    the spellings of the outside letters between them; n separators give
+    n+1 runs, empties included."""
+    runs, seps, cur, start = [], [], [], ends[0]
+    for a, b in zip(ends, ends[1:]):
+        name = "".join(w[a:b])
+        if name in C.spellings:
+            cur.append(name)
+        else:
+            runs.append((tuple(cur), start, a))
+            seps.append(w[a:b])
+            cur, start = [], b
+    runs.append((tuple(cur), start, ends[-1]))
+    return runs, seps
 
 
-def _validate_delta(C: CompressionData, seq: tuple[DeltaLetter, ...]) -> None:
-    for d in seq:
-        if not d.spelling or not t_membership(C.r, d.spelling):
-            raise ValueError(f"{d!r} is not an irreducible block for this step")
-        # irreducible: no proper nonempty prefix lies in T(r)
-        if not p_delta_membership(C.r, d.spelling[:-1]):
-            raise ValueError(f"{d!r} is reducible, not a Delta letter")
-
-
-def freeproduct_equal(C: CompressionData, m1: tuple[DeltaLetter, ...],
-                      m2: tuple[DeltaLetter, ...],
-                      budget: OracleBudget | None = None) -> Verdict:
-    """Equality of Delta-letter sequences in the free product of the free
-    monoid on the outside letters with the compressed monoid.
-
-    Outside letters must agree positionally; the compressed-letter runs
-    between them (empty runs included) are compared in the compressed
-    presentation.  An Equal verdict carries a path of Delta-letter
-    sequences, one run rewritten at a time.
-    """
-    _validate_delta(C, m1)
-    _validate_delta(C, m2)
-    if m1 == m2:
-        return Equal((m1,))
-    runs1, seps1 = syllables(C, m1)
-    runs2, seps2 = syllables(C, m2)
+def _free_product(C: CompressionData, w1: Word, ends1: list[int], w2: Word,
+                  ends2: list[int], budget: OracleBudget | None) -> Verdict:
+    """Equality of the Delta letters of w1 and w2, cut at ends1 and ends2,
+    in the free product of the free monoid on the outside letters with
+    the compressed monoid; what lies outside the first and last cut must
+    agree.  Outside letters must agree positionally and the runs between
+    them (empties included) recurse in the compressed presentation.  An
+    Equal path rewrites one run at a time."""
+    runs1, seps1 = _syllables(C, w1, ends1)
+    runs2, seps2 = _syllables(C, w2, ends2)
     if seps1 != seps2:
         return Distinct(CERT_SYLLABLE)
-
-    by_name = {d.name: d for d in C.lambda_r}
-    sub_paths: list[list[tuple[DeltaLetter, ...]]] = []
-    for r1, r2 in zip(runs1, runs2):
-        word1 = tuple(d.name for d in r1)
-        word2 = tuple(d.name for d in r2)
-        verdict = equal_via_compression(C.compressed, word1, word2, budget)
+    path = [w1]
+    for (x1, _, end1), (x2, start2, _) in zip(runs1, runs2):
+        verdict = equal_via_compression(C.compressed, x1, x2, budget)
         if isinstance(verdict, Distinct):
             # the run is proven unequal downstairs, so the syllable
             # decompositions disagree regardless of the inner certificate
             return Distinct(CERT_SYLLABLE)
         if isinstance(verdict, Unknown):
             return verdict
-        sub_paths.append([tuple(by_name[x] for x in w) for w in verdict.path])
-
-    # stitch: rewrite run i while runs < i are already in their m2 form
-    path = [m1]
-    for i, sub in enumerate(sub_paths):
-        for step in sub[1:]:
-            runs = runs2[:i] + [step] + runs1[i + 1:]
-            pieces: list[DeltaLetter] = list(runs[0])
-            for sep, run in zip(seps1, runs[1:]):
-                pieces.append(sep)
-                pieces.extend(run)
-            path.append(tuple(pieces))
-    if path[-1] != m2:
+        # runs before this one are already as in w2, later ones as in w1
+        head, tail = w2[:start2], w1[end1:]
+        path.extend(head + tuple(x for name in step for x in C.spellings[name])
+                    + tail for step in verdict.path[1:])
+    if path[-1] != w2:
         raise AssertionError("stitched free-product path missed its endpoint")
     return Equal(tuple(path))
+
+
+def freeproduct_equal(C: CompressionData, m1: tuple[DeltaLetter, ...],
+                      m2: tuple[DeltaLetter, ...],
+                      budget: OracleBudget | None = None) -> Verdict:
+    """Equality of Delta-letter sequences in the free product of the free
+    monoid on the outside letters with the compressed monoid, decided on
+    the flattened sequences as equal_via_compression decides; an Equal
+    path holds Delta-letter sequences, one run rewritten at a time."""
+    for d in m1 + m2:
+        # d is a Delta letter exactly when r occurs in r d at its two ends only
+        if delta_cuts(C.r, d.spelling) != [0, len(d.spelling)]:
+            raise ValueError(f"{d!r} is not a Delta letter of this step")
+    w1, w2 = (tuple(x for d in m for x in d.spelling) for m in (m1, m2))
+    verdict = _free_product(C, w1, delta_cuts(C.r, w1), w2,
+                            delta_cuts(C.r, w2), budget)
+    if not isinstance(verdict, Equal):
+        return verdict
+    return Equal(tuple(delta_factorize(C.r, w) for w in verdict.path))
 
 
 def equal_via_compression(P: Presentation, w1: Word, w2: Word,
                           budget: OracleBudget | None = None) -> Verdict:
     """Decide equality by peeling one compression level.
 
-    Incompressible presentations fall through to equal_bounded.  Equal
-    paths from the compressed level are lifted back: a sequence element
-    m downstairs becomes  t + r + flatten(m) + z  upstairs, which turns
-    one application of the compressed relation into one application of
-    the original relation.
+    Incompressible presentations fall through to equal_bounded.  Else one
+    scan for the longest compressing word r reads each word as  t r m z:
+    t before the first occurrence, z after the last, and m over Delta_r,
+    whose letters end where the later occurrences end.  The z must agree,
+    then the t, then the m in the free product.  A downstairs Equal path
+    lifts word by word to  t r spell(m) z,  which turns one application
+    of the compressed relation into one of the original relation.
     """
     w1, w2 = tuple(w1), tuple(w2)
     if w1 == w2:
@@ -509,27 +525,13 @@ def equal_via_compression(P: Presentation, w1: Word, w2: Word,
         return equal_bounded(P, w1, w2, budget)
     r = cands[-1]
     C = compress_step(P, r)
-
-    y1, z1 = right_canonical(r, w1)
-    y2, z2 = right_canonical(r, w2)
-    if z1 != z2:
+    n = len(r)
+    ends1 = [i + n for i in find_occurrences(w1, r)]
+    ends2 = [i + n for i in find_occurrences(w2, r)]
+    # with no occurrence of r, z is the whole word; the empty word is
+    # congruent only to itself, as both relation sides are nonempty
+    if not ends1 or not ends2 or w1[ends1[-1]:] != w2[ends2[-1]:]:
         return Distinct(CERT_RIGHT_TAIL)
-    if (not y1) != (not y2):
-        # the empty word is congruent only to itself when both relation
-        # sides are nonempty, which holds for any compressible presentation
-        return Distinct(CERT_RIGHT_TAIL)
-    if not y1:
-        # both tails equal and both heads empty would mean w1 == w2
-        raise AssertionError("unreachable: identical words handled above")
-
-    t1, m1 = left_canonical(r, y1)
-    t2, m2 = left_canonical(r, y2)
-    if t1 != t2:
+    if w1[:ends1[0] - n] != w2[:ends2[0] - n]:
         return Distinct(CERT_LEFT_PREFIX)
-
-    verdict = freeproduct_equal(C, m1, m2, budget)
-    if not isinstance(verdict, Equal):
-        return verdict
-    z = z1
-    lifted = tuple(t1 + r + _flatten(m) + z for m in verdict.path)
-    return Equal(lifted)
+    return _free_product(C, w1, ends1, w2, ends2, budget)

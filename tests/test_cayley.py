@@ -412,7 +412,7 @@ def reference_normal_form_ball(P, radius, budget):
         for x in P.alphabet:
             target = w + (x,)
             if cayley.ends_with(target, P.u):
-                target = normal_form(P, (x,), w)
+                target = normal_form(P, target)
             j = index.get(target)
             if j is None and len(target) <= radius:
                 if len(vertices) >= budget.max_words:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ormkit import compress
 from ormkit.compress import (
     DeltaLetter,
     NoOccurrence,
@@ -224,6 +225,60 @@ def test_left_canonical_shape(s, r):
         assert y + r + flat == s
         # y is the part before the first occurrence
         assert all(s[i:i + len(r)] != r for i in range(len(y)))
+
+
+# ------------------------------------------------ one occurrence scan
+
+
+WORDS = st.builds(tuple, st.lists(st.sampled_from("abc"), max_size=9))
+SEALS = st.sampled_from([("a",), ("a", "b", "a"), ("a", "b"), ("b", "a"),
+                         ("a", "a"), ("a", "b", "a", "b", "a")])
+
+
+@given(WORDS, SEALS)
+def test_delta_factorize_cuts_where_r_ends_in_r_w(w, r):
+    rw, n = r + w, len(r)
+    ends = [e for e in range(n, len(rw) + 1) if rw[e - n:e] == r]
+    if not t_membership(r, w):
+        with pytest.raises(NotInT):
+            delta_factorize(r, w)
+        return
+    cuts = [0]
+    for d in delta_factorize(r, w):
+        cuts.append(cuts[-1] + len(d.spelling))
+    assert cuts == [e - n for e in ends]
+
+
+@given(WORDS, SEALS)
+def test_right_canonical_is_the_brute_force_split(s, r):
+    """y is the longest prefix of s ending in r, and when r occurs no
+    nonempty prefix of the tail lies in T(r)."""
+    n = len(r)
+    k = max((k for k in range(n, len(s) + 1) if s[k - n:k] == r), default=0)
+    assert right_canonical(r, s) == (s[:k], s[k:])
+    if k:
+        assert not any(t_membership(r, s[k:j]) for j in range(k + 1, len(s) + 1))
+
+
+@given(WORDS, SEALS)
+def test_left_canonical_is_the_brute_force_split(s, r):
+    """y ends before the first occurrence of r, and the rest after it is
+    the unique splitting into irreducible members of T(r)."""
+    n = len(r)
+    if len(s) < n or s[-n:] != r:
+        with pytest.raises(NoOccurrence):
+            left_canonical(r, s)
+        return
+    first = min(i for i in range(len(s)) if s[i:i + n] == r)
+    y, parts = left_canonical(r, s)
+    assert y == s[:first]
+    assert brute_splittings(r, s[first + n:]) == [tuple(d.spelling for d in parts)]
+
+
+def test_right_canonical_checks_its_tail(monkeypatch):
+    monkeypatch.setattr(compress, "p_delta_membership", lambda r, w: False)
+    with pytest.raises(AssertionError):
+        right_canonical(word("a"), word("ab"))
 
 
 # --------------------------------------------------------- compress_step

@@ -67,6 +67,26 @@ def test_cli_phases_prints_every_command_kind():
         assert float(r[-1]) >= 0
 
 
+def test_wp_phases_prints_every_fixture_and_decider():
+    done = subprocess.run([sys.executable, "scripts/wp_phases.py",
+                           "--seed", "1", "--repeats", "1"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "seed 1, 40 queries, minimum of 1 rounds"
+    assert lines[1].split() == ["decider", "fixture", "cpu_ms"]
+    rows = [line.split() for line in lines[2:]]
+    assert [r[0] for r in rows if r[1] == "total"] == [
+        "equal_bounded", "equal_via_compression"]
+    # ten fixtures and a total for each decider, then the round's total
+    assert rows[-1][0] == "total" and len(rows) == 2 * 11 + 1
+    assert [r[1] for r in rows[:11]] == [
+        "aa-a", "ab-ba", "ab-c", "aba-aca", "abab-ab", "ababbaba-ababa",
+        "babab-b", "degenerate-ab", "special-aaa", "special-ab", "total"]
+    for r in rows:
+        assert float(r[-1]) >= 0
+
+
 def test_every_traced_layer_resolves():
     """A layer the tracer cannot find drops its metrics from a traced
     benchmark run: installing must find every layer, and uninstalling

@@ -17,8 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ormkit.cli import parse_presentation
-from ormkit.compress import DeltaLetter, compress_step
-from ormkit.words import EMPTY, find_occurrences, make_presentation, word
+from ormkit.compress import (
+    DeltaLetter,
+    compress_step,
+    left_canonical,
+    right_canonical,
+)
+from ormkit.words import (
+    EMPTY,
+    compressing_words,
+    find_occurrences,
+    make_presentation,
+    word,
+)
 from ormkit.wp import (
     CERT_ABELIAN,
     CERT_EXHAUSTED,
@@ -392,8 +403,8 @@ def test_normal_form_on_every_fixture_and_alphabet_order():
                 assert Q.shortlex_key(nf) <= Q.shortlex_key(w)
                 assert normal_form(Q, nf) == nf
                 if w:
-                    # resuming after the normal form of a prefix
-                    assert normal_form(Q, w[-1:], normal_form(Q, w[:-1])) == nf
+                    # the normal form of a prefix, extended by the last letter
+                    assert normal_form(Q, normal_form(Q, w[:-1]) + w[-1:]) == nf
                 if Q.u != Q.v:
                     assert not find_occurrences(nf, Q.u)
 
@@ -648,6 +659,58 @@ def test_equal_via_compression_agrees_with_search():
             if isinstance(a, Equal):
                 assert replay(P, a.path)
                 assert a.path[0] == w1 and a.path[-1] == w2
+
+
+def composed_compression(P, w1, w2):
+    """equal_via_compression composed from the public factorizations:
+    right canonical, then left canonical, then the free product, and the
+    path lifted through the factorizations."""
+    if w1 == w2:
+        return Equal((w1,))
+    cands = compressing_words(P)
+    if not cands:
+        return equal_bounded(P, w1, w2)
+    r = cands[-1]
+    (y1, z1), (y2, z2) = right_canonical(r, w1), right_canonical(r, w2)
+    if z1 != z2 or (not y1) != (not y2):
+        return Distinct(CERT_RIGHT_TAIL)
+    (t1, m1), (t2, m2) = left_canonical(r, y1), left_canonical(r, y2)
+    if t1 != t2:
+        return Distinct(CERT_LEFT_PREFIX)
+    verdict = freeproduct_equal(compress_step(P, r), m1, m2)
+    if not isinstance(verdict, Equal):
+        return verdict
+    return Equal(tuple(t1 + r + tuple(x for d in m for x in d.spelling) + z1
+                       for m in verdict.path))
+
+
+def test_equal_via_compression_matches_the_composed_factorizations():
+    for path in FIXTURES:
+        P = parse_presentation(path.read_text())
+        words = list(all_words(P.alphabet, 4))
+        for w1 in words:
+            for w2 in words:
+                assert (repr(equal_via_compression(P, w1, w2))
+                        == repr(composed_compression(P, w1, w2))), (P, w1, w2)
+
+
+def test_normal_forms_first_keep_the_certificate_order():
+    """On a complete rule equal_bounded decides by normal forms, and a
+    Distinct names the first of the ideal, abelian and normal-form
+    certificates that fires; no certificate fires on an Equal pair."""
+    for path in FIXTURES:
+        P = parse_presentation(path.read_text())
+        assert is_complete(P)
+        words = list(all_words(P.alphabet, 4))
+        for w1 in words:
+            for w2 in words:
+                first = (_ideal_certificate(P, w1, w2)
+                         or _abelian_mismatch(P, w1, w2) and CERT_ABELIAN)
+                verdict = equal_bounded(P, w1, w2)
+                if normal_form(P, w1) == normal_form(P, w2):
+                    assert isinstance(verdict, Equal) and not first
+                else:
+                    assert verdict == Distinct(first or CERT_NORMAL_FORM)
 
 
 # --------------------------------------------------------- free product
