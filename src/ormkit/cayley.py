@@ -60,7 +60,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb, gcd
 
 from .classify import is_subspecial
@@ -70,8 +70,6 @@ from .compress import (
     NotCompressing,
     compress_step,
     delta_factorize,
-    left_canonical,
-    right_canonical,
     syllables,
     t_membership,
 )
@@ -559,13 +557,11 @@ def psi_map(P: Presentation, r: Word, w: Word) -> PsiImage:
     r, w = tuple(r), tuple(w)
     if r not in compressing_words(P):
         raise NotCompressing(f"{P.text(r)!r} does not seal both sides")
-    if not find_occurrences(w, r):
+    ends = [i + len(r) for i in find_occurrences(w, r)]
+    if not ends:
         return Star()
-    y, _ = right_canonical(r, w)
-    t, m = left_canonical(r, y)
-    base = t + r
-    assert find_occurrences(base, r) == [len(t)]
-    return Pair(base, tuple(m))
+    return Pair(w[:ends[0]],
+                tuple(DeltaLetter(w[a:b]) for a, b in zip(ends, ends[1:])))
 
 
 # ------------------------------------------------------ structure checks
@@ -608,10 +604,11 @@ def _free_product_key(C: CompressionData, m: tuple[DeltaLetter, ...],
     separator letters verbatim, maximal compressed-letter runs replaced
     by their class representative.  None when a run cannot be decided.
     """
-    runs, seps = syllables(C, m)
-    key: list = [d.name for d in seps]
-    for run in runs:
-        rep = oracle.rep(tuple(d.name for d in run))
+    w = tuple(x for d in m for x in d.spelling)
+    runs, seps = syllables(C, w, [0, *accumulate(len(d.spelling) for d in m)])
+    key: list = list(seps)
+    for names, _, _ in runs:
+        rep = oracle.rep(names)
         if rep is None:
             return None
         key.append(rep)

@@ -155,22 +155,21 @@ class CompressionData:
     spellings: dict[str, Word] = field(compare=False, repr=False)
 
 
-def syllables(C: CompressionData,
-              seq: tuple[DeltaLetter, ...]) -> tuple[list[tuple[DeltaLetter, ...]],
-                                                     list[DeltaLetter]]:
-    """The maximal runs of C's compressed letters in seq, and the outside
-    letters between them; n separators give n+1 runs, empties included."""
-    runs: list[tuple[DeltaLetter, ...]] = []
-    seps: list[DeltaLetter] = []
-    cur: list[DeltaLetter] = []
-    for d in seq:
-        if d in C.lambda_r:
-            cur.append(d)
+def syllables(C: CompressionData, w: Word, ends: list[int]) -> tuple[list, list]:
+    """The maximal runs of C's compressed letters among the Delta letters
+    between consecutive ends of w, each as (names, start, end) in w, and
+    the spellings of the outside letters between them; n separators give
+    n+1 runs, empties included."""
+    runs, seps, cur, start = [], [], [], ends[0]
+    for a, b in zip(ends, ends[1:]):
+        name = "".join(w[a:b])
+        if name in C.spellings:
+            cur.append(name)
         else:
-            runs.append(tuple(cur))
-            cur = []
-            seps.append(d)
-    runs.append(tuple(cur))
+            runs.append((tuple(cur), start, a))
+            seps.append(w[a:b])
+            cur, start = [], b
+    runs.append((tuple(cur), start, ends[-1]))
     return runs, seps
 
 

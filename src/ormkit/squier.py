@@ -389,16 +389,15 @@ def injectivity_harness(P: Presentation, samples: int, max_support: int,
     Each sample draws up to max_support distinct ball classes with
     nonzero integer coefficients from -3 to 3 and compares the two
     translated formal sums obtained by appending each relation side
-    minus its last letter.  Each ball vertex w is keyed once per head,
-    w·head_u and w·head_v, by Oracle.normal_form: a singleton whose two
-    keys are known compares them, and any other asks Oracle.equal.  A
-    formal sum reads the rep of each (vertex, head) from a memo, filled
-    by Oracle.rep the first time it decides one.  The preconditions of
-    the underlying statement are recorded, not enforced, except for the
-    shared last letter which the construction needs.  A violation on a
-    presentation with all three flags set would refute the statement
-    rather than the sample, so violations are reported verbatim for
-    inspection.
+    minus its last letter.  Singletons and formal sums read the rep of
+    each (vertex, head), w·head_u and w·head_v, from one memo per head,
+    filled by Oracle.rep the first time it decides one; a singleton
+    whose two keys are known compares them, and any other asks
+    Oracle.equal.  The preconditions of the underlying statement are
+    recorded, not enforced, except for the shared last letter which the
+    construction needs.  A violation on a presentation with all three
+    flags set would refute the statement rather than the sample, so
+    violations are reported verbatim for inspection.
     """
     if not P.u or not P.v or P.u[-1] != P.v[-1]:
         raise PreconditionError("relation sides must share their last letter")
@@ -408,11 +407,21 @@ def injectivity_harness(P: Presentation, samples: int, max_support: int,
     oracle = Oracle(P, budget)
     reps = ball_vertices(oracle, radius)
 
+    # decided reps per head, by vertex; an undecided one is asked again
+    memo: dict[Word, dict[Word, Word]] = {head_u: {}, head_v: {}}
+
+    def rep_of(w: Word, head: Word) -> Word | None:
+        rep = memo[head].get(w)
+        if rep is None:
+            rep = oracle.rep(w + head)
+            if rep is not None:
+                memo[head][w] = rep
+        return rep
+
     singleton_skipped = 0
     singleton_violations: list[str] = []
     for w in reps:
-        key_u = oracle.normal_form(w + head_u)
-        key_v = oracle.normal_form(w + head_v)
+        key_u, key_v = rep_of(w, head_u), rep_of(w, head_v)
         if key_u is None or key_v is None:
             verdict = oracle.equal(w + head_u, w + head_v)
             if isinstance(verdict, Unknown):
@@ -424,22 +433,15 @@ def injectivity_harness(P: Presentation, samples: int, max_support: int,
         if same:
             singleton_violations.append(P.text(w))
 
-    # decided reps per head, by vertex; an undecided one is asked again
-    memo: dict[Word, dict[Word, Word]] = {head_u: {}, head_v: {}}
-
     def formal_sum(support: list[Word], weights: list[int],
                    head: Word) -> dict[Word, int] | None:
         """Sum of weight·[w head], zeros dropped; None when a class is
         undecided."""
         acc: dict[Word, int] = {}
-        reps_of = memo[head]
         for w, z in zip(support, weights):
-            rep = reps_of.get(w)
+            rep = rep_of(w, head)
             if rep is None:
-                rep = oracle.rep(w + head)
-                if rep is None:
-                    return None
-                reps_of[w] = rep
+                return None
             acc[rep] = acc.get(rep, 0) + z
         return {k: z for k, z in acc.items() if z}
 

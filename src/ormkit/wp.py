@@ -41,6 +41,7 @@ from .compress import (
     compress_step,
     delta_cuts,
     delta_factorize,
+    syllables,
 )
 from .words import (
     Presentation,
@@ -438,24 +439,6 @@ class Oracle:
 # ------------------------------------------- compression-based decider
 
 
-def _syllables(C: CompressionData, w: Word, ends: list[int]) -> tuple[list, list]:
-    """The maximal runs of C's compressed letters among the Delta letters
-    between consecutive ends of w, each as (names, start, end) in w, and
-    the spellings of the outside letters between them; n separators give
-    n+1 runs, empties included."""
-    runs, seps, cur, start = [], [], [], ends[0]
-    for a, b in zip(ends, ends[1:]):
-        name = "".join(w[a:b])
-        if name in C.spellings:
-            cur.append(name)
-        else:
-            runs.append((tuple(cur), start, a))
-            seps.append(w[a:b])
-            cur, start = [], b
-    runs.append((tuple(cur), start, ends[-1]))
-    return runs, seps
-
-
 def _free_product(C: CompressionData, w1: Word, ends1: list[int], w2: Word,
                   ends2: list[int], budget: OracleBudget | None) -> Verdict:
     """Equality of the Delta letters of w1 and w2, cut at ends1 and ends2,
@@ -464,8 +447,8 @@ def _free_product(C: CompressionData, w1: Word, ends1: list[int], w2: Word,
     agree.  Outside letters must agree positionally and the runs between
     them (empties included) recurse in the compressed presentation.  An
     Equal path rewrites one run at a time."""
-    runs1, seps1 = _syllables(C, w1, ends1)
-    runs2, seps2 = _syllables(C, w2, ends2)
+    runs1, seps1 = syllables(C, w1, ends1)
+    runs2, seps2 = syllables(C, w2, ends2)
     if seps1 != seps2:
         return Distinct(CERT_SYLLABLE)
     path = [w1]

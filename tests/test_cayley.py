@@ -60,7 +60,12 @@ from ormkit.cayley import (
     two_cycle_basis,
 )
 from ormkit.cli import parse_presentation
-from ormkit.compress import DeltaLetter, NotCompressing
+from ormkit.compress import (
+    DeltaLetter,
+    NotCompressing,
+    left_canonical,
+    right_canonical,
+)
 from ormkit.words import (
     EMPTY,
     PreconditionError,
@@ -1162,6 +1167,21 @@ def test_psi_base_has_single_occurrence():
                 img = psi_map(P, r, tup)
                 if isinstance(img, Pair):
                     assert img.base[-len(r):] == r
+
+
+@pytest.mark.parametrize("P", [aba_aca(), big_example()])
+def test_psi_map_is_the_canonical_composition(P):
+    # the right canonical prefix y of w, then y = t r m around the first
+    # occurrence: psi is t r with m, or the star when r does not occur
+    for r in compressing_words(P):
+        for n in range(7):
+            for w in product(P.alphabet, repeat=n):
+                y, _ = right_canonical(r, w)
+                if not y:
+                    assert psi_map(P, r, w) == Star()
+                    continue
+                t, m = left_canonical(r, y)
+                assert psi_map(P, r, w) == Pair(t + r, m)
 
 
 # ------------------------------------------------------ structure checks

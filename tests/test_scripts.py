@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,58 +35,40 @@ def test_render_digest_prints_one_sha256():
         "568702ce6061321b14ad28e83651a56e62aaf9310a1591174f8b45bcca08be8b\n")
 
 
-def test_ladder_phases_prints_every_phase():
-    done = subprocess.run([sys.executable, "scripts/ladder_phases.py",
+TEN = ["aa-a", "ab-ba", "ab-c", "aba-aca", "abab-ab", "ababbaba-ababa",
+       "babab-b", "degenerate-ab", "special-aaa", "special-ab"]
+LADDER = ["ab-c", "aba-aca", "ababbaba-ababa", "babab-b", "special-ab"]
+
+
+# per workload at seed 1: the header's count, and each phase's fixtures
+PHASES = {
+    "ball-ladder": ("13 rungs", {p: LADDER for p in (
+        "build", "successors", "attach", "kernel")}),
+    "cli-checks": ("61 commands", {
+        "classify": TEN, "compress": TEN, "inject-check": ["aba-aca"],
+        "squier-check": TEN, "structure-check": TEN}),
+    "wp-queries": ("40 queries", {
+        "equal_bounded": TEN, "equal_via_compression": TEN}),
+}
+
+
+@pytest.mark.parametrize("workload", PHASES)
+def test_phases_prints_every_phase_and_fixture(workload):
+    header, fixtures = PHASES[workload]
+    done = subprocess.run([sys.executable, "scripts/phases.py", workload,
                            "--seed", "1", "--repeats", "1"],
                           cwd=ROOT, capture_output=True, text=True,
                           check=True)
     lines = done.stdout.splitlines()
-    assert lines[0] == "seed 1, 13 rungs, minimum of 1 rounds"
-    assert lines[1].split() == ["phase", "cpu_ms", "gc_ms"]
-    assert [line.split()[0] for line in lines[2:]] == [
-        "build", "successors", "attach", "kernel", "total"]
-    for line in lines[2:]:
-        assert all(float(ms) >= 0 for ms in line.split()[1:])
-
-
-def test_cli_phases_prints_every_command_kind():
-    done = subprocess.run([sys.executable, "scripts/cli_phases.py",
-                           "--seed", "1", "--repeats", "1"],
-                          cwd=ROOT, capture_output=True, text=True,
-                          check=True)
-    lines = done.stdout.splitlines()
-    assert lines[0] == "seed 1, 61 commands, minimum of 1 rounds"
-    assert lines[1].split() == ["kind", "fixture", "cpu_ms"]
+    assert lines[0] == f"seed 1, {header}, minimum of 1 rounds"
+    assert lines[1].split() == ["phase", "fixture", "cpu_ms", "gc_ms"]
     rows = [line.split() for line in lines[2:]]
-    kinds = ["classify", "compress", "inject-check", "squier-check",
-             "structure-check"]
-    assert [r[0] for r in rows if r[1] == "total"] == kinds
-    assert [r[1] for r in rows if r[0] == "inject-check"] == [
-        "aba-aca", "total"]
-    # ten fixtures and a total for four kinds, one fixture for inject-check
-    assert rows[-1][0] == "total" and len(rows) == 4 * 11 + 2 + 1
+    # each phase's fixtures and its total, then the round's total
+    assert [r[:-2] for r in rows] == [
+        [phase, f] for phase, fs in fixtures.items()
+        for f in [*fs, "total"]] + [["total"]]
     for r in rows:
-        assert float(r[-1]) >= 0
-
-
-def test_wp_phases_prints_every_fixture_and_decider():
-    done = subprocess.run([sys.executable, "scripts/wp_phases.py",
-                           "--seed", "1", "--repeats", "1"],
-                          cwd=ROOT, capture_output=True, text=True,
-                          check=True)
-    lines = done.stdout.splitlines()
-    assert lines[0] == "seed 1, 40 queries, minimum of 1 rounds"
-    assert lines[1].split() == ["decider", "fixture", "cpu_ms"]
-    rows = [line.split() for line in lines[2:]]
-    assert [r[0] for r in rows if r[1] == "total"] == [
-        "equal_bounded", "equal_via_compression"]
-    # ten fixtures and a total for each decider, then the round's total
-    assert rows[-1][0] == "total" and len(rows) == 2 * 11 + 1
-    assert [r[1] for r in rows[:11]] == [
-        "aa-a", "ab-ba", "ab-c", "aba-aca", "abab-ab", "ababbaba-ababa",
-        "babab-b", "degenerate-ab", "special-aaa", "special-ab", "total"]
-    for r in rows:
-        assert float(r[-1]) >= 0
+        assert all(float(ms) >= 0 for ms in r[-2:])
 
 
 def test_every_traced_layer_resolves():

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ormkit import squier
+from ormkit import squier, wp
 from ormkit.cayley import BudgetExceeded
 from ormkit.cli import parse_presentation
 from ormkit.squier import (
@@ -511,11 +511,23 @@ def test_harness_drops_zero_terms():
         assert sum(int(t.split("·")[0]) for t in terms.split(" + ")) == 0
 
 
+def test_harness_reduces_each_keyed_word_once():
+    # criterion 7's settings; singletons and formal sums share one rep
+    # per (vertex, head), so no word is reduced twice
+    P = aba_aca()
+    wp.is_complete(P)
+    with mock.patch.object(wp, "_reduce", wraps=wp._reduce) as reduce:
+        report = injectivity_harness(P, samples=1000, max_support=4,
+                                     seed=20260816, radius=6)
+    assert report.passed and report.singleton_checked == 959
+    assert reduce.call_count <= 2 * report.singleton_checked
+
+
 def reference_harness(P, samples, max_support, seed, budget=None,
                       radius=6):
-    """The harness as it ran before it keyed singletons by normal form
-    and memoized the reps of its formal sums: every singleton goes to
-    Oracle.equal and every sample asks rep again."""
+    """The harness as it ran before singletons and formal sums shared
+    one memo of reps: every singleton goes to Oracle.equal and every
+    sample asks rep again."""
     if not P.u or not P.v or P.u[-1] != P.v[-1]:
         raise PreconditionError("relation sides must share their last letter")
     if max_support < 1:
@@ -596,11 +608,11 @@ def test_harness_matches_the_reference_property(sides, radius, samples,
 
 
 class PartlyKeyed(squier.Oracle):
-    """Exact verdicts, but about a third of the words have no normal
-    form to key by, so their singletons ask Oracle.equal."""
+    """Exact verdicts, but about a third of the words have no rep to
+    key by, so their singletons ask Oracle.equal."""
 
-    def normal_form(self, w):
-        return None if len(w) % 3 == 1 else super().normal_form(w)
+    def rep(self, w):
+        return None if len(w) % 3 == 1 else super().rep(w)
 
 
 @pytest.mark.parametrize("name", ["aba-aca", "ababbaba-ababa", "aa-a"])
