@@ -12,7 +12,10 @@ move by move.  With an empty side it is not: in <a b | ab = 1> one
 exchange turns the path (ab,-,ε) (ab,-,ab) (ab,+,ab) (ab,+,ε) (ε,+,ε),
 with three rightmost edges in the class of ε, into one with four.
 
-The walk keeps its move pools and its parity vector between steps and
+The walk keeps its path as integer edge ids beside the path apply_move
+returns: each distinct edge, its inverse, its target's insertions, its
+class key and each adjacent pair's swap are worked out once, in tables
+by id.  It keeps its move pools and its parity vector between steps and
 updates them by one rule: a move at p replaces the a edges old[p:p+a]
 by the b edges path[p:p+b] apply_move returned, so the rightmost edges
 of both stretches flip the vector, and only the seams and adjacent-pair
@@ -261,26 +264,35 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     uniform instance of the chosen kind.  When the path is empty,
     insertions anchor on the relation side u.
 
-    The move pools are kept between steps: per seam word (seam k is the
-    source of edge k, the last seam the target of the last edge) its
-    insertions, memoized by word; per adjacent edge pair a (cancels,
-    swappable) flag pair.  Every kind is drawn alike, by bisecting the
-    running totals of its pool, and every move goes through apply_move
-    and its checks.  Each step then applies one rule: the move at p
-    replaced the a edges old[p:p+a] by the b edges path[p:p+b], (a, b)
-    being (0, 2) for an insert, (2, 0) for a delete and (2, 2) for a
-    swap.  The rightmost edges of both stretches flip the kept parity
-    vector, seams p+1..p+a give way to the targets of the new edges, and
-    the flag pairs touching the old stretch, p-1..p+a-1, to those
-    touching the new one, p-1..p+b-1 (clipped to the path).
+    The walk keeps, beside the path apply_move returns, a parallel list
+    of edge ids.  Each distinct edge is interned once, with its inverse,
+    the first time it appears (start path, insertions of a seam word or
+    result of a swap); its row holds the edge, its inverse id, the
+    insertion ids of its target (the edges with that source, from
+    _insertions once per distinct word) and its class key.  Seam k is
+    the source of edge k, the last seam the target of the last edge.
+    The move pools are kept between steps: per seam the number of its
+    insertions; per adjacent id pair a cancel flag, inv[a] == b, and a
+    swap flag, read from one memo per ordered id pair that holds the ids
+    _swap_disjoint exchanged them to.  The three pool sizes are running
+    sums.  Every kind is drawn alike, by bisecting the running totals of
+    its pool; the move drawn is one object per (position, edge id) for
+    an insert and per position for a delete or swap, built and described
+    once, and goes through apply_move and its checks.  Each step then applies one rule: the move at p replaced the
+    a edges old[p:p+a] by the b edges path[p:p+b], (a, b) being (0, 2)
+    for an insert, (2, 0) for a delete and (2, 2) for a swap.  The
+    rightmost edges of both stretches flip the kept parity vector, seams
+    p+1..p+a give way to the targets of the new edges, and the flag
+    pairs touching the old stretch, p-1..p+a-1, to those touching the
+    new one, p-1..p+b-1 (clipped to the path).
 
-    The class key of a rightmost edge is memoized by its left context,
-    and class_of is asked only for a context not seen before: a
-    saturated class never changes, and an undecided one raises at the
-    same step and with the same word as a full recompute would.
-    reference_walk in tests/test_squier.py rebuilds every pool and
-    recomputes the parity in full at every step, and must give the same
-    report.
+    An edge's class key is read the first time the edge flips, from a
+    memo by its left context, and class_of is asked only for a context
+    not seen before: a saturated class never changes, and an undecided
+    one raises at the same step and with the same word as a full
+    recompute would.  reference_walk in tests/test_squier.py rebuilds
+    every pool and recomputes the parity in full at every step, and must
+    give the same report.
     """
     validate_path(P, start)
     oracle = Oracle(P, budget)
@@ -288,73 +300,141 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     path = tuple(start)
     log: list[str] = []
 
-    keys: dict[Word, Word] = {}  # class key per rightmost left context
-    bits: dict[Word, int] = {}   # the current parity vector, zeros dropped
+    # one row per edge id: the edge, its inverse id, the insertion ids of
+    # its target (None until that is a seam) and its class key (False
+    # off the right end, None until the edge first flips)
+    ids: dict[SquierEdge, int] = {}
+    edges: list[SquierEdge] = []
+    inv: list[int] = []
+    ins: list[tuple[int, ...] | None] = []
+    keys: list[Word | bool | None] = []
 
-    def flip(edges: SquierPath) -> None:
-        for e in edges:
-            if not is_rightmost(e):
+    def intern(e: SquierEdge) -> int:
+        i = ids.get(e)
+        if i is None:
+            i = len(edges)
+            for f, j in ((e, i + 1), (inverse(e), i)):
+                ids[f] = len(edges)
+                edges.append(f)
+                inv.append(j)
+                ins.append(None)
+                keys.append(None if is_rightmost(f) else False)
+        return i
+
+    memo: dict[Word, tuple[int, ...]] = {}  # insertion ids per seam word
+
+    def insertions(w: Word) -> tuple[int, ...]:
+        got = memo.get(w)
+        if got is None:
+            got = memo[w] = tuple(map(intern, _insertions(P, w)))
+        return got
+
+    def seam(i: int) -> tuple[int, ...]:
+        """Insertion ids of the target of edge i."""
+        got = ins[i]
+        if got is None:
+            got = ins[i] = insertions(edge_target(P, edges[i]))
+        return got
+
+    contexts: dict[Word, Word] = {}  # class key per rightmost left context
+    bits: dict[Word, int] = {}       # the current parity vector, zeros dropped
+
+    def flip(stretch: list[int] | tuple[int, ...]) -> None:
+        for i in stretch:
+            k = keys[i]
+            if k is False:
                 continue
-            k = keys.get(e.w1)
             if k is None:
-                got = oracle.class_of(e.w1)
-                if got is None:
-                    raise UndecidableClass(P.text(e.w1))
-                k = keys[e.w1] = got[1]
+                w1 = edges[i].w1
+                k = contexts.get(w1)
+                if k is None:
+                    got = oracle.class_of(w1)
+                    if got is None:
+                        raise UndecidableClass(P.text(w1))
+                    k = contexts[w1] = got[1]
+                keys[i] = k
             if not bits.pop(k, 0):
                 bits[k] = 1
 
-    flip(path)
+    at = [intern(e) for e in path]
+    flip(at)
     expected = dict(bits)
 
-    memo: dict[Word, tuple[SquierEdge, ...]] = {}
-    seams: list[Word] = []
+    def seam_at(k: int) -> tuple[int, ...]:
+        """Insertion ids of seam k; u's on the empty path."""
+        if k < len(at):
+            return seam(inv[at[k]])
+        return seam(at[-1]) if at else insertions(P.u)
+
+    swapped: dict[tuple[int, int], tuple[int, int] | None] = {}
     counts: list[int] = []
     cancels: list[bool] = []
     swaps: list[bool] = []
+    totals = [0, 0, 0]  # the sums of counts, cancels and swaps
 
-    def set_seams(stale: slice, words: list[Word]) -> None:
-        for w in words:
-            if w not in memo:
-                memo[w] = _insertions(P, w)
-        seams[stale] = words
-        counts[stale] = [len(memo[w]) for w in words]
+    def set_counts(stale: slice, sizes: list[int]) -> None:
+        totals[0] += sum(sizes) - sum(counts[stale])
+        counts[stale] = sizes
+
+    def swap_of(a: int, b: int) -> tuple[int, int] | None:
+        got = swapped.get((a, b), False)
+        if got is False:
+            pair = _swap_disjoint(P, edges[a], edges[b])
+            got = swapped[a, b] = (None if pair is None
+                                   else (intern(pair[0]), intern(pair[1])))
+        return got
 
     def set_pairs(stale: slice, lo: int, hi: int) -> None:
-        pairs = [(path[i], path[i + 1]) for i in range(lo, hi)]
-        cancels[stale] = [b.sign == -a.sign and b.w1 == a.w1
-                          and b.w2 == a.w2 for a, b in pairs]
-        swaps[stale] = [_swap_disjoint(P, a, b) is not None for a, b in pairs]
+        new_cancels, new_swaps = [], []
+        for k in range(lo, hi):
+            a, b = at[k], at[k + 1]
+            new_cancels.append(inv[a] == b)
+            new_swaps.append(swap_of(a, b) is not None)
+        totals[1] += sum(new_cancels) - sum(cancels[stale])
+        totals[2] += sum(new_swaps) - sum(swaps[stale])
+        cancels[stale] = new_cancels
+        swaps[stale] = new_swaps
 
     whole = slice(None)
-    set_seams(whole, [edge_source(P, e) for e in path]
-              + [edge_target(P, path[-1]) if path else P.u])
-    set_pairs(whole, 0, len(path) - 1)
+    set_counts(whole, [len(seam_at(k)) for k in range(len(at) + 1)])
+    set_pairs(whole, 0, len(at) - 1)
     pools = (counts, cancels, swaps)
+    # (move, log line) by (p, edge id) for an insert, by (p, -1) for a
+    # delete and by (p, -2) for a swap
+    moves: dict[tuple[int, int], tuple[Move, str]] = {}
     for _ in range(steps):
-        sizes = (sum(counts), sum(cancels), sum(swaps))
-        kinds = [k for k in range(3) if sizes[k]]
+        kinds = [k for k in range(3) if totals[k]]
         if not kinds:
             break
         kind = kinds[rng.randrange(len(kinds))]
-        j = rng.randrange(sizes[kind])
+        j = rng.randrange(totals[kind])
         ends = list(accumulate(pools[kind]))
         p = bisect_right(ends, j)
-        move: Move
+        new: tuple[int, ...]
         if kind == 0:
-            move = InsertCancelPair(p, memo[seams[p]][j - ends[p] + counts[p]])
+            i = seam_at(p)[j - ends[p] + counts[p]]
+            new = (i, inv[i])
+        elif kind == 1:
+            i, new = -1, ()
         else:
-            move = (DeleteCancelPair, PullUpPushDown)[kind - 1](p)
+            i, new = -2, swapped[at[p], at[p + 1]]
+        got = moves.get((p, i))
+        if got is None:
+            move: Move = (InsertCancelPair(p, edges[i]) if kind == 0 else
+                          (DeleteCancelPair, PullUpPushDown)[kind - 1](p))
+            got = moves[p, i] = (move, _describe(P, move))
         a, b = ((0, 2), (2, 0), (2, 2))[kind]
-        old, path = path, apply_move(P, path, move)
-        new = path[p:p + b]
-        flip(old[p:p + a] + new)
-        set_seams(slice(p + 1, p + a + 1), [edge_target(P, e) for e in new])
-        if not path:
-            set_seams(whole, [P.u])
+        path = apply_move(P, path, got[0])
+        old = at[p:p + a]
+        at[p:p + a] = new
+        flip(old)
+        flip(new)
+        set_counts(slice(p + 1, p + a + 1), [len(seam(i)) for i in new])
+        if not at:
+            set_counts(whole, [len(seam_at(0))])
         lo = max(p - 1, 0)
-        set_pairs(slice(lo, p + a), lo, min(p + b, len(path) - 1))
-        log.append(_describe(P, move))
+        set_pairs(slice(lo, p + a), lo, min(p + b, len(at) - 1))
+        log.append(got[1])
         if bits != expected:
             return WalkReport(seed, steps, len(log), False, tuple(log),
                               f"parity changed after {log[-1]}")

@@ -224,6 +224,24 @@ def _join(c1: list[Word], c2: list[Word]) -> tuple[Word, ...]:
     return tuple(c1[: i1 + 1]) + tuple(reversed(c2[:i2]))
 
 
+def _reduction_path(P: Presentation, w1: Word, s1: list[int], w2: Word,
+                    s2: list[int]) -> tuple[Word, ...]:
+    """_join(_rewrites(P, w1, s1), _rewrites(P, w2, s2)) for two words
+    with one normal form, spelling only the words it keeps.
+
+    _reduce rewrites each word at the leftmost occurrence of u (its
+    output holds none but the one at its top), so two reductions that
+    reach a common word go on alike from it: their shared tail is the
+    common suffix of their start lists, and only the rewrites before it
+    are spelled.
+    """
+    i1, i2 = len(s1), len(s2)
+    while i1 and i2 and s1[i1 - 1] == s2[i2 - 1]:
+        i1, i2 = i1 - 1, i2 - 1
+    c2 = _rewrites(P, w2, s2[:i2])
+    return tuple(_rewrites(P, w1, s1[:i1])) + tuple(reversed(c2[:-1]))
+
+
 # --------------------------------------------------------- certificates
 
 
@@ -336,8 +354,7 @@ def _decide(P: Presentation, w1: Word, w2: Word, budget: OracleBudget,
     if complete:
         s1, s2 = [], []
         if _reduce(P, w1, s1) == _reduce(P, w2, s2):
-            # each chain runs from its word to the common normal form
-            return Equal(_join(_rewrites(P, w1, s1), _rewrites(P, w2, s2)))
+            return Equal(_reduction_path(P, w1, s1, w2, s2))
     cert = _ideal_certificate(P, w1, w2)
     if cert:
         return Distinct(cert)

@@ -475,6 +475,38 @@ def test_walk_looks_up_only_the_edges_a_move_put_in():
     assert CountingOracle.asked == [EMPTY]
 
 
+@pytest.mark.parametrize("start, pairs, swapped, words", [
+    ((relation_edge(),), 2, 0, 2),
+    (C4_START, 16, 331, 4),
+])
+def test_walk_works_out_each_pair_and_seam_word_once(start, pairs, swapped,
+                                                      words):
+    """_swap_disjoint runs once per distinct ordered adjacent pair, and
+    again only inside apply_move for each swap applied; _insertions runs
+    once per distinct seam word."""
+    with mock.patch.object(squier, "_swap_disjoint",
+                           wraps=_swap_disjoint) as swap, \
+            mock.patch.object(squier, "_insertions",
+                              wraps=squier._insertions) as insertions:
+        report = random_walk_check(aba_aca(), start, 1000, seed=0)
+    assert report.passed and report.applied == 1000
+    assert sum(m.startswith("swap@") for m in report.log) == swapped
+    seen = [c.args[1:] for c in swap.call_args_list]
+    assert len(set(seen)) == pairs and len(seen) == pairs + swapped
+    seams = [c.args[1] for c in insertions.call_args_list]
+    assert len(set(seams)) == len(seams) == words
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_long_walk_that_swaps_matches_reference(seed):
+    """The id tables only grow with the walk, so criterion 4's start,
+    which swaps, is compared at 1000 steps."""
+    P = aba_aca()
+    want = reference_walk(P, C4_START, 1000, seed)
+    assert random_walk_check(P, C4_START, 1000, seed) == want
+    assert any(m.startswith("swap@") for m in want.log)
+
+
 # ------------------------------------------------------------ harness
 
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 import heapq
 from itertools import permutations, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ormkit import wp
 from ormkit.cli import parse_presentation
 from ormkit.compress import (
     DeltaLetter,
@@ -46,7 +48,10 @@ from ormkit.wp import (
     Unknown,
     _abelian_mismatch,
     _ideal_certificate,
+    _join,
+    _reduce,
     _relation_counts,
+    _rewrites,
     closure,
     equal_bounded,
     equal_via_compression,
@@ -759,6 +764,41 @@ def test_every_equal_verdict_replays(w1, w2):
         if isinstance(v, Equal):
             assert v.path[0] == w1 and v.path[-1] == w2
             assert replay(P, v.path)
+
+
+def test_complete_rule_paths_spell_only_the_joined_chains():
+    """On a complete rule the Equal path is the one the two full
+    reduction chains give once _join trims their shared tail, and the
+    words spelled for it are the path's, its meeting word twice."""
+    spelled = []
+
+    def rewrites(P, w, starts):
+        chain = _rewrites(P, w, starts)
+        spelled.append(len(chain))
+        return chain
+
+    pairs = 0
+    for path in FIXTURES:
+        P = parse_presentation(path.read_text())
+        if not is_complete(P):
+            continue
+        by_normal_form = {}
+        for w in all_words(P.alphabet, 5):
+            by_normal_form.setdefault(normal_form(P, w), []).append(w)
+        for words in by_normal_form.values():
+            for w1, w2 in product(words[:12], repeat=2):
+                s1, s2 = [], []
+                _reduce(P, w1, s1)
+                _reduce(P, w2, s2)
+                want = _join(_rewrites(P, w1, s1), _rewrites(P, w2, s2))
+                spelled.clear()
+                with mock.patch.object(wp, "_rewrites", rewrites):
+                    got = equal_bounded(P, w1, w2)
+                assert got == Equal(want), (path.name, w1, w2)
+                if w1 != w2:
+                    assert sum(spelled) == len(want) + 1
+                pairs += 1
+    assert pairs == 2194
 
 
 def test_budget_validation():
