@@ -15,13 +15,17 @@ with three rightmost edges in the class of ε, into one with four.
 The walk keeps its path as integer edge ids beside the path apply_move
 returns: each distinct edge, its inverse, its target's insertions, its
 class key and each adjacent pair's swap are worked out once, in tables
-by id.  It keeps its move pools and its parity vector between steps and
-updates them by one rule: a move at p replaces the a edges old[p:p+a]
-by the b edges path[p:p+b] apply_move returned, so the rightmost edges
-of both stretches flip the vector, and only the seams and adjacent-pair
-flags around those stretches are recomputed; drawing a move is all
-that still reads the whole pools.  parity_vector, and the reference
-walk the tests compare against, recompute the vector in full.
+by id.  It keeps its move pools and its parity vector between steps,
+and each move kind updates them in a fixed shape around the position
+it moved.  Inserts and deletes cannot move the parity vector: the pair
+they put in or take out is an edge and its inverse, which share their
+left context and are both rightmost or neither, so their two flips
+cancel.  Only a swap changes which rightmost edges the path holds.
+With an empty side an edge and its inverse can still rewrite disjoint
+sites, so an inserted pair may swap: in <a b | ab = 1>, (ε,+,ε) (ε,-,ε)
+exchanges to (ab,-,ε) (ε,+,ab).  Drawing a move is all that still
+reads the whole pools.  parity_vector, and the reference walk the
+tests compare against, recompute the vector in full.
 """
 
 from __future__ import annotations
@@ -179,7 +183,8 @@ def apply_move(P: Presentation, path: SquierPath, move: Move) -> SquierPath:
     if isinstance(move, DeleteCancelPair):
         if not 0 <= move.pos < n - 1:
             raise NotApplicable("delete position out of range")
-        if path[move.pos + 1] != inverse(path[move.pos]):
+        e, f = path[move.pos], path[move.pos + 1]
+        if f.sign == e.sign or f.w1 != e.w1 or f.w2 != e.w2:
             raise NotApplicable("edges at the position do not cancel")
         return path[:move.pos] + path[move.pos + 2:]
     if isinstance(move, PullUpPushDown):
@@ -253,6 +258,10 @@ def _insertions(P: Presentation, w: Word) -> tuple[SquierEdge, ...]:
                  for i in find_occurrences(w, side))
 
 
+# the applicable move kinds, by which of the three pool totals are nonzero
+_KINDS = tuple(tuple(k for k in range(3) if m >> k & 1) for m in range(8))
+
+
 def random_walk_check(P: Presentation, start: SquierPath, steps: int,
                       seed: int,
                       budget: OracleBudget | None = None) -> WalkReport:
@@ -271,28 +280,38 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     insertion ids of its target (the edges with that source, from
     _insertions once per distinct word) and its class key.  Seam k is
     the source of edge k, the last seam the target of the last edge.
-    The move pools are kept between steps: per seam the number of its
-    insertions; per adjacent id pair a cancel flag, inv[a] == b, and a
-    swap flag, read from one memo per ordered id pair that holds the ids
-    _swap_disjoint exchanged them to.  The three pool sizes are running
-    sums.  Every kind is drawn alike, by bisecting the running totals of
-    its pool; the move drawn is one object per (position, edge id) for
-    an insert and per position for a delete or swap, built and described
-    once, and goes through apply_move and its checks.  Each step then applies one rule: the move at p replaced the
-    a edges old[p:p+a] by the b edges path[p:p+b], (a, b) being (0, 2)
-    for an insert, (2, 0) for a delete and (2, 2) for a swap.  The
-    rightmost edges of both stretches flip the kept parity vector, seams
-    p+1..p+a give way to the targets of the new edges, and the flag
-    pairs touching the old stretch, p-1..p+a-1, to those touching the
-    new one, p-1..p+b-1 (clipped to the path).
+    The move pools are kept by seam between steps: the number of its
+    insertions, and the cancel flag, inv[a] == b, and swap flag of the
+    pair (a, b) of edges meeting there, the swap flag read from one
+    memo per ordered id pair that holds the ids _swap_disjoint exchanged
+    them to; the two end seams carry no pair.  The three pool sizes are
+    running totals, and which of them are nonzero picks the applicable
+    kinds from an 8-entry table.  Every kind is drawn alike, by
+    bisecting the running sums of its pool; the move drawn is one object
+    per (position, edge id) for an insert and per position for a delete
+    or swap, built and described once, and goes through apply_move and
+    its checks.
 
-    An edge's class key is read the first time the edge flips, from a
-    memo by its left context, and class_of is asked only for a context
-    not seen before: a saturated class never changes, and an undecided
-    one raises at the same step and with the same word as a full
-    recompute would.  reference_walk in tests/test_squier.py rebuilds
-    every pool and recomputes the parity in full at every step, and must
-    give the same report.
+    Each kind then updates the pools in a fixed shape.  An insert at p
+    adds seams p+1 and p+2, and the pair at seam p gives way to the
+    pairs at seams p..p+2.  A delete at p removes seams p+1 and p+2, and
+    the pairs at seams p..p+2 give way to the one now meeting at seam p.
+    A swap at p changes only seam p+1, since seam p+2 is the common
+    target of both orders, and recomputes the pairs at seams p..p+2.
+    Only a swap flips the parity vector, by the rightmost edges it took
+    out and put in, and compares it with the start's.  An insert or a
+    delete cannot move it: its pair is an edge and its inverse, which
+    share their left context and are both rightmost or neither.  With
+    an empty side such a pair can still swap, so the middle pair of an
+    insert goes through the swap memo like any other.
+
+    An edge's class key is read from a memo by its left context the
+    first time the edge is inserted or flipped, and class_of is asked
+    only for a context not seen before: a saturated class never changes,
+    and an undecided one raises at the same step and with the same word
+    as a full recompute would.  reference_walk in tests/test_squier.py
+    rebuilds every pool and recomputes the parity in full at every step,
+    and must give the same report.
     """
     validate_path(P, start)
     oracle = Oracle(P, budget)
@@ -301,8 +320,8 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     log: list[str] = []
 
     # one row per edge id: the edge, its inverse id, the insertion ids of
-    # its target (None until that is a seam) and its class key (False
-    # off the right end, None until the edge first flips)
+    # its target (None until that is a seam) and its class key (False off
+    # the right end, None until the edge is first inserted or flipped)
     ids: dict[SquierEdge, int] = {}
     edges: list[SquierEdge] = []
     inv: list[int] = []
@@ -339,21 +358,24 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     contexts: dict[Word, Word] = {}  # class key per rightmost left context
     bits: dict[Word, int] = {}       # the current parity vector, zeros dropped
 
+    def key(i: int) -> Word | bool:
+        """Class key of edge i, False off the right end."""
+        k = keys[i]
+        if k is None:
+            w1 = edges[i].w1
+            k = contexts.get(w1)
+            if k is None:
+                got = oracle.class_of(w1)
+                if got is None:
+                    raise UndecidableClass(P.text(w1))
+                k = contexts[w1] = got[1]
+            keys[i] = k
+        return k
+
     def flip(stretch: list[int] | tuple[int, ...]) -> None:
         for i in stretch:
-            k = keys[i]
-            if k is False:
-                continue
-            if k is None:
-                w1 = edges[i].w1
-                k = contexts.get(w1)
-                if k is None:
-                    got = oracle.class_of(w1)
-                    if got is None:
-                        raise UndecidableClass(P.text(w1))
-                    k = contexts[w1] = got[1]
-                keys[i] = k
-            if not bits.pop(k, 0):
+            k = key(i)
+            if k is not False and not bits.pop(k, 0):
                 bits[k] = 1
 
     at = [intern(e) for e in path]
@@ -367,14 +389,6 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
         return seam(at[-1]) if at else insertions(P.u)
 
     swapped: dict[tuple[int, int], tuple[int, int] | None] = {}
-    counts: list[int] = []
-    cancels: list[bool] = []
-    swaps: list[bool] = []
-    totals = [0, 0, 0]  # the sums of counts, cancels and swaps
-
-    def set_counts(stale: slice, sizes: list[int]) -> None:
-        totals[0] += sum(sizes) - sum(counts[stale])
-        counts[stale] = sizes
 
     def swap_of(a: int, b: int) -> tuple[int, int] | None:
         got = swapped.get((a, b), False)
@@ -384,60 +398,91 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
                                    else (intern(pair[0]), intern(pair[1])))
         return got
 
-    def set_pairs(stale: slice, lo: int, hi: int) -> None:
-        new_cancels, new_swaps = [], []
-        for k in range(lo, hi):
-            a, b = at[k], at[k + 1]
-            new_cancels.append(inv[a] == b)
-            new_swaps.append(swap_of(a, b) is not None)
-        totals[1] += sum(new_cancels) - sum(cancels[stale])
-        totals[2] += sum(new_swaps) - sum(swaps[stale])
-        cancels[stale] = new_cancels
-        swaps[stale] = new_swaps
+    def flags(k: int) -> tuple[bool, bool]:
+        """Cancel and swap flag of the pair meeting at seam k; the two
+        end seams carry no pair."""
+        if 0 < k < len(at):
+            a, b = at[k - 1], at[k]
+            return inv[a] == b, swap_of(a, b) is not None
+        return False, False
 
-    whole = slice(None)
-    set_counts(whole, [len(seam_at(k)) for k in range(len(at) + 1)])
-    set_pairs(whole, 0, len(at) - 1)
+    # the pools, by seam: its insertion count and the cancel and swap
+    # flags of the pair meeting there
+    counts = [len(seam_at(k)) for k in range(len(at) + 1)]
+    flagged = [flags(k) for k in range(len(at) + 1)]
+    cancels = [c for c, _ in flagged]
+    swaps = [s for _, s in flagged]
+    n_ins, n_del, n_swp = sum(counts), sum(cancels), sum(swaps)
     pools = (counts, cancels, swaps)
     # (move, log line) by (p, edge id) for an insert, by (p, -1) for a
     # delete and by (p, -2) for a swap
     moves: dict[tuple[int, int], tuple[Move, str]] = {}
     for _ in range(steps):
-        kinds = [k for k in range(3) if totals[k]]
+        kinds = _KINDS[(n_ins > 0) | (n_del > 0) << 1 | (n_swp > 0) << 2]
         if not kinds:
             break
         kind = kinds[rng.randrange(len(kinds))]
-        j = rng.randrange(totals[kind])
+        j = rng.randrange((n_ins, n_del, n_swp)[kind])
         ends = list(accumulate(pools[kind]))
         p = bisect_right(ends, j)
-        new: tuple[int, ...]
         if kind == 0:
             i = seam_at(p)[j - ends[p] + counts[p]]
-            new = (i, inv[i])
-        elif kind == 1:
-            i, new = -1, ()
         else:
-            i, new = -2, swapped[at[p], at[p + 1]]
+            i, p = -kind, p - 1  # the pair at seam p is pair p-1
         got = moves.get((p, i))
         if got is None:
             move: Move = (InsertCancelPair(p, edges[i]) if kind == 0 else
                           (DeleteCancelPair, PullUpPushDown)[kind - 1](p))
             got = moves[p, i] = (move, _describe(P, move))
-        a, b = ((0, 2), (2, 0), (2, 2))[kind]
         path = apply_move(P, path, got[0])
-        old = at[p:p + a]
-        at[p:p + a] = new
-        flip(old)
-        flip(new)
-        set_counts(slice(p + 1, p + a + 1), [len(seam(i)) for i in new])
-        if not at:
-            set_counts(whole, [len(seam_at(0))])
-        lo = max(p - 1, 0)
-        set_pairs(slice(lo, p + a), lo, min(p + b, len(at) - 1))
         log.append(got[1])
-        if bits != expected:
-            return WalkReport(seed, steps, len(log), False, tuple(log),
-                              f"parity changed after {log[-1]}")
+        if kind == 0:
+            # the parity stays; the key is read so that class_of is
+            # asked at this step
+            if keys[i] is None:
+                key(i)
+            e = inv[i]
+            at[p:p] = i, e
+            a, b = len(seam(i)), len(seam(e))
+            counts[p + 1:p + 1] = a, b
+            n_ins += a + b
+            # the pair at seam p gives way to those at seams p..p+2
+            (c0, s0), (c1, s1), (c2, s2) = flags(p), flags(p + 1), flags(p + 2)
+            n_del += c0 + c1 + c2 - cancels[p]
+            n_swp += s0 + s1 + s2 - swaps[p]
+            cancels[p:p + 1] = c0, c1, c2
+            swaps[p:p + 1] = s0, s1, s2
+        elif kind == 1:
+            # seams p+1 and p+2 go; the pairs at seams p..p+2 give way to
+            # the one now meeting at seam p
+            del at[p:p + 2]
+            n_ins -= counts[p + 1] + counts[p + 2]
+            n_del -= cancels[p + 1] + cancels[p + 2]
+            n_swp -= swaps[p + 1] + swaps[p + 2]
+            del counts[p + 1:p + 3], cancels[p + 1:p + 3], swaps[p + 1:p + 3]
+            c, s = flags(p)
+            n_del += c - cancels[p]
+            n_swp += s - swaps[p]
+            cancels[p], swaps[p] = c, s
+            if not at:
+                n_ins = counts[0] = len(insertions(P.u))
+        else:
+            old = at[p:p + 2]
+            at[p:p + 2] = swapped[old[0], old[1]]
+            flip(old)
+            flip(at[p:p + 2])
+            # seam p+1 is the new first edge's target; p+2 is unchanged
+            n_ins -= counts[p + 1]
+            counts[p + 1] = len(seam(at[p]))
+            n_ins += counts[p + 1]
+            for k in range(p, p + 3):
+                c, s = flags(k)
+                n_del += c - cancels[k]
+                n_swp += s - swaps[k]
+                cancels[k], swaps[k] = c, s
+            if bits != expected:
+                return WalkReport(seed, steps, len(log), False, tuple(log),
+                                  f"parity changed after {log[-1]}")
     return WalkReport(seed, steps, len(log), True, tuple(log))
 
 

@@ -1,10 +1,12 @@
-"""Smoke tests for the scripts shipped next to the library, and for the
-benchmark tracer, which finds each traced layer by name."""
+"""Smoke tests for the scripts shipped next to the library, for the
+benchmark tracer, which finds each traced layer by name, and for a short
+traced benchmark run."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -71,14 +73,19 @@ def test_phases_prints_every_phase_and_fixture(workload):
         assert all(float(ms) >= 0 for ms in r[-2:])
 
 
-def test_every_traced_layer_resolves():
-    """A layer the tracer cannot find drops its metrics from a traced
-    benchmark run: installing must find every layer, and uninstalling
-    must put every original back."""
+def load_tracer():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_layer_resolves():
+    """A layer the tracer cannot find drops its metrics from a traced
+    benchmark run: installing must find every layer, and uninstalling
+    must put every original back."""
+    tracer = load_tracer()
     for _, module, _, _ in tracer.LAYERS:
         importlib.import_module(module)
     cli = sys.modules["ormkit.cli"]
@@ -100,3 +107,28 @@ def test_every_traced_layer_resolves():
     finally:
         t.uninstall()
     assert originals() == before
+
+
+def no_constant(name):
+    raise ValueError(f"{name} in a benchmark result")
+
+
+@pytest.mark.parametrize("workload", ["wp-queries", "cli-checks"])
+def test_traced_benchmark_run_reports_every_layer(workload):
+    """The traced run as the benchmark starts it: run.py imports ormkit
+    itself, so a layer that `import ormkit` no longer loads shows up as
+    absent here, and its last line must be the result."""
+    done = subprocess.run([sys.executable, "perfbench/run.py",
+                           "--workload", workload, "--seed", "1",
+                           "--seconds", "0.5", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          check=True)
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1], parse_constant=no_constant)
+    assert result["correct"] is True
+    names = [name for name, _, _ in load_tracer().METRICS]
+    assert [n for n in names if n not in result["metrics"]] == []
+    record, = [json.loads(line.removeprefix("record: "),
+                          parse_constant=no_constant)
+               for line in lines if line.startswith("record: ")]
+    assert record["absent_layers"] == []

@@ -206,6 +206,11 @@ def test_delete_requires_cancelling_pair():
         apply_move(P, skew, DeleteCancelPair(0))
     with pytest.raises(NotApplicable):
         apply_move(P, (E_TOP,), DeleteCancelPair(0))
+    # near misses: each differs from the inverse in one field only
+    for near in (E_TOP, SquierEdge(word("a"), -1, EMPTY),
+                 SquierEdge(EMPTY, -1, word("a"))):
+        with pytest.raises(NotApplicable):
+            apply_move(P, (E_TOP, near), DeleteCancelPair(0))
 
 
 def test_swap_frozen_example_and_involution():
@@ -505,6 +510,42 @@ def test_long_walk_that_swaps_matches_reference(seed):
     want = reference_walk(P, C4_START, 1000, seed)
     assert random_walk_check(P, C4_START, 1000, seed) == want
     assert any(m.startswith("swap@") for m in want.log)
+
+
+PASSING = ["ab-ba", "ab-c", "aba-aca", "ababbaba-ababa", "degenerate-ab"]
+
+
+@pytest.mark.parametrize("name", PASSING)
+def test_walk_applies_each_move_once_through_apply_move(name):
+    """The walk updates its pools by move kind, but every step it takes
+    is still one call of the module's apply_move."""
+    P = parse_presentation((FIXTURES / f"{name}.orm").read_text())
+    for seed in range(3):
+        with mock.patch.object(squier, "apply_move",
+                               wraps=apply_move) as applied:
+            report = random_walk_check(P, (relation_edge(),), 1000, seed)
+        assert report.passed
+        assert applied.call_count == report.applied == 1000
+
+
+def test_inserted_pair_can_swap_with_an_empty_side():
+    """With an empty side an edge and its inverse rewrite disjoint
+    sites, so the pair an insert puts in can be swapped at once."""
+    P = make_presentation(("a", "b"), word("ab"), EMPTY)
+    assert _swap_disjoint(P, E_TOP, E_DOWN) == (
+        SquierEdge(word("ab"), -1, EMPTY), SquierEdge(EMPTY, 1, word("ab")))
+    start = (E_TOP, E_DOWN)
+    with mock.patch.object(squier, "Oracle", NormalFormKeys):
+        # the pair inserted at 2 is still at 2 when it swaps
+        want = reference_walk(P, start, 1000, seed=2)
+        assert random_walk_check(P, start, 1000, seed=2) == want
+        assert want.log == ("insert@0 (ε,-,ab)", "insert@2 (ε,+,ε)",
+                            "insert@6 (a,-,b)", "swap@2")
+        assert want.violation == "parity changed after swap@2"
+        # the start pair itself swaps first
+        want = reference_walk(P, start, 1000, seed=5)
+        assert random_walk_check(P, start, 1000, seed=5) == want
+        assert want.log == ("swap@0",)
 
 
 # ------------------------------------------------------------ harness
