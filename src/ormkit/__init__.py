@@ -31,14 +31,11 @@ from .classify import (
 from .compress import (
     CompressionChain,
     CompressionData,
-    DeltaLetter,
     NotCompressing,
     Strategy,
     compress_chain,
     compress_step,
     delta_factorize,
-    left_canonical,
-    right_canonical,
     t_membership,
 )
 from .squier import (

@@ -66,7 +66,6 @@ from math import comb, gcd
 from .classify import is_subspecial
 from .compress import (
     CompressionData,
-    DeltaLetter,
     NotCompressing,
     compress_step,
     delta_factorize,
@@ -540,12 +539,12 @@ class Star:
 
 @dataclass(frozen=True)
 class Pair:
-    """Image of a vertex inside the ideal: the prefix up to the first
-    occurrence (extended by the compressing word itself) plus the
-    factorized remainder."""
+    """Image of a vertex inside the ideal: the prefix through the first
+    occurrence of the compressing word, and the rest up to the end of the
+    last occurrence as its Delta_r factorization, a tuple of words."""
 
     base: Word
-    tail: tuple[DeltaLetter, ...]
+    tail: tuple[Word, ...]
 
 
 PsiImage = Star | Pair
@@ -553,15 +552,16 @@ PsiImage = Star | Pair
 
 def psi_map(P: Presentation, r: Word, w: Word) -> PsiImage:
     """Vertex map that collapses everything outside the two-sided ideal
-    of the compressing word r to a single point."""
+    of the compressing word r to a single point.  Inside it, one scan for
+    r gives the ends of its occurrences: the base runs to the first, and
+    the tail's Delta_r letters are the slices between consecutive ends."""
     r, w = tuple(r), tuple(w)
     if r not in compressing_words(P):
         raise NotCompressing(f"{P.text(r)!r} does not seal both sides")
     ends = [i + len(r) for i in find_occurrences(w, r)]
     if not ends:
         return Star()
-    return Pair(w[:ends[0]],
-                tuple(DeltaLetter(w[a:b]) for a, b in zip(ends, ends[1:])))
+    return Pair(w[:ends[0]], tuple(w[a:b] for a, b in zip(ends, ends[1:])))
 
 
 # ------------------------------------------------------ structure checks
@@ -598,14 +598,15 @@ def _all_words(alphabet: tuple[str, ...], max_len: int):
         yield from product(alphabet, repeat=n)
 
 
-def _free_product_key(C: CompressionData, m: tuple[DeltaLetter, ...],
+def _free_product_key(C: CompressionData, m: tuple[Word, ...],
                       oracle: Oracle) -> tuple | None:
-    """Canonical form of a Delta-letter sequence in the free product:
-    separator letters verbatim, maximal compressed-letter runs replaced
-    by their class representative.  None when a run cannot be decided.
+    """Canonical form in the free product of a sequence of Delta_r
+    letters, each given as its word: separator letters verbatim, maximal
+    compressed-letter runs replaced by their class representative.  None
+    when a run cannot be decided.
     """
-    w = tuple(x for d in m for x in d.spelling)
-    runs, seps = syllables(C, w, [0, *accumulate(len(d.spelling) for d in m)])
+    w = tuple(x for d in m for x in d)
+    runs, seps = syllables(C, w, [0, *accumulate(map(len, m))])
     key: list = list(seps)
     for names, _, _ in runs:
         rep = oracle.rep(names)
@@ -728,7 +729,7 @@ def _check_local_divisor(P: Presentation, b: OracleBudget,
         members = [w for w in _all_words(P.alphabet, radius)
                    if t_membership(r, w)]
         keys = [(outer.rep(r + w),
-                 _free_product_key(C, tuple(delta_factorize(r, w)), inner))
+                 _free_product_key(C, delta_factorize(r, w), inner))
                 for w in members]
         keys = [(None, None) if None in k else k for k in keys]
         n, decided = len(keys), sum(mk is not None for mk, _ in keys)

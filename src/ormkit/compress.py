@@ -6,15 +6,18 @@ ambient free monoid), freely generated by the prefix code Delta_r of its
 nonzero-length irreducible elements.  Every member of T(r) factorizes
 uniquely over Delta_r, cut after every prefix w[:k] lying in T(r), that
 is wherever r occurs at k in r w, so one occurrence scan factorizes it.
+A factorization is the tuple of its Delta_r letters, each a plain word
+over the base alphabet.
 
 Compressing the relation u = r u', v = r v' rewrites both tails over
 Delta_r and keeps only the letters that actually occur; the result is a
 presentation with a strictly shorter relation.  Iterating reaches an
 incompressible presentation, and choosing the longest compressing word
 gets there in a single step.  The terminal does not depend on the
-strategy: compressed letters are named by their flattened base spellings,
-which makes iterated and one-step compression produce literally equal
-presentations.
+strategy: each compressed letter is named by spell() of its Delta_r
+word, which makes iterated and one-step compression produce literally
+equal presentations.  Distinct letters get distinct names, since the
+letters in play form a prefix code and so decode uniquely.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from functools import lru_cache
 from itertools import permutations
 
 from .words import (
-    EMPTY,
     Presentation,
     PreconditionError,
     Word,
@@ -34,6 +36,7 @@ from .words import (
     find_occurrences,
     make_presentation,
     seals,
+    spell,
 )
 
 
@@ -41,31 +44,8 @@ class NotInT(ValueError):
     """Word is not a member of T(r)."""
 
 
-class NoOccurrence(ValueError):
-    """Left canonical factorization needs a word ending in r."""
-
-
 class NotCompressing(PreconditionError):
     """The given word does not seal both sides of the relation."""
-
-
-@dataclass(frozen=True)
-class DeltaLetter:
-    """An irreducible element of T(r), identified by its spelling.
-
-    As a letter of a compressed alphabet it is named by the flattened
-    spelling; distinct irreducibles always get distinct names because the
-    letters in play form a prefix code, hence decode uniquely.
-    """
-
-    spelling: Word
-
-    @property
-    def name(self) -> str:
-        return "".join(self.spelling)
-
-    def __repr__(self) -> str:  # compact in test output
-        return f"Δ({self.name})"
 
 
 def t_membership(r: Word, w: Word) -> bool:
@@ -85,71 +65,32 @@ def delta_cuts(r: Word, w: Word) -> list[int]:
     return find_occurrences(r + w, r)
 
 
-def p_delta_membership(r: Word, w: Word) -> bool:
-    """True when no nonempty prefix of w lies in T(r).
-
-    These are exactly the proper prefixes of Delta_r elements, the words
-    that appear as right tails of right canonical factorizations.
-    """
-    return delta_cuts(r, w) == [0]
-
-
-def delta_factorize(r: Word, w: Word) -> tuple[DeltaLetter, ...]:
-    """Unique factorization of w over the prefix code Delta_r: w cut at
-    every prefix lying in T(r).  Raises NotInT when w is not in T(r).
+def delta_factorize(r: Word, w: Word) -> tuple[Word, ...]:
+    """Unique factorization of w over the prefix code Delta_r, as the
+    pieces of w cut at every prefix lying in T(r).  Raises NotInT when w
+    is not in T(r).
     """
     cuts = delta_cuts(r, w)
     if cuts[-1] != len(w):
         raise NotInT(f"{''.join(w)!r} is not in T({''.join(r)!r})")
-    return tuple(DeltaLetter(w[a:b]) for a, b in zip(cuts, cuts[1:]))
-
-
-def right_canonical(r: Word, s: Word) -> tuple[Word, Word]:
-    """Split s = y w with y the longest prefix ending in r (or empty).
-
-    y ends at the last occurrence of r in s; the tail w then has no
-    nonempty prefix in T(r), which is checked.
-    """
-    if not r:
-        raise ValueError("right canonical factorization requires nonempty r")
-    occ = find_occurrences(s, r)
-    if not occ:
-        return EMPTY, s
-    cut = occ[-1] + len(r)
-    y, tail = s[:cut], s[cut:]
-    if not p_delta_membership(r, tail):
-        raise AssertionError("tail after last occurrence has a prefix in T(r)")
-    return y, tail
-
-
-def left_canonical(r: Word, s: Word) -> tuple[Word, tuple[DeltaLetter, ...]]:
-    """Split s = y r w around the first occurrence of r, with w over Delta_r.
-
-    Requires s to end in r (so s is in the left ideal of words ending in
-    r); raises NoOccurrence otherwise.  The part after the first
-    occurrence lies in T(r) and comes back factorized: its Delta_r
-    letters end where the later occurrences of r in s end.
-    """
-    if not r:
-        raise ValueError("left canonical factorization requires nonempty r")
-    if len(s) < len(r) or not ends_with(s, r):
-        raise NoOccurrence(f"{''.join(s)!r} does not end in {''.join(r)!r}")
-    ends = [i + len(r) for i in find_occurrences(s, r)]
-    return (s[:ends[0] - len(r)],
-            tuple(DeltaLetter(s[a:b]) for a, b in zip(ends, ends[1:])))
+    return tuple(w[a:b] for a, b in zip(cuts, cuts[1:]))
 
 
 @dataclass(frozen=True)
 class CompressionData:
-    """Everything produced by one compression step."""
+    """Everything produced by one compression step.
+
+    u_factors and v_factors factorize the tails u' and v' over Delta_r,
+    each as a tuple of words.  Each letter of the compressed alphabet is
+    named by spell() of its Delta_r word, and spellings maps it back.
+    """
 
     base: Presentation
     r: Word
     u_prime: Word
     v_prime: Word
-    u_factors: tuple[DeltaLetter, ...]
-    v_factors: tuple[DeltaLetter, ...]
-    lambda_r: frozenset[DeltaLetter]
+    u_factors: tuple[Word, ...]
+    v_factors: tuple[Word, ...]
     compressed: Presentation
     # each compressed letter's spelling over the base alphabet, by name
     spellings: dict[str, Word] = field(compare=False, repr=False)
@@ -188,14 +129,12 @@ def compress_step(P: Presentation, r: Word) -> CompressionData:
     v_prime = P.v[len(r):]
     u_factors = delta_factorize(r, u_prime)
     v_factors = delta_factorize(r, v_prime)
-    lam = frozenset(u_factors) | frozenset(v_factors)
-    ordered = sorted(lam, key=lambda d: P.shortlex_key(d.spelling))
-    alphabet = tuple(d.name for d in ordered)
-    compressed = make_presentation(alphabet,
-                                   tuple(d.name for d in u_factors),
-                                   tuple(d.name for d in v_factors))
-    return CompressionData(P, r, u_prime, v_prime, u_factors, v_factors, lam,
-                           compressed, {d.name: d.spelling for d in ordered})
+    letters = sorted({*u_factors, *v_factors}, key=P.shortlex_key)
+    compressed = make_presentation(tuple(map(spell, letters)),
+                                   tuple(map(spell, u_factors)),
+                                   tuple(map(spell, v_factors)))
+    return CompressionData(P, r, u_prime, v_prime, u_factors, v_factors,
+                           compressed, {spell(d): d for d in letters})
 
 
 class Strategy(enum.Enum):

@@ -37,10 +37,7 @@ from functools import lru_cache
 
 from .compress import (
     CompressionData,
-    DeltaLetter,
     compress_step,
-    delta_cuts,
-    delta_factorize,
     syllables,
 )
 from .words import (
@@ -484,25 +481,6 @@ def _free_product(C: CompressionData, w1: Word, ends1: list[int], w2: Word,
     if path[-1] != w2:
         raise AssertionError("stitched free-product path missed its endpoint")
     return Equal(tuple(path))
-
-
-def freeproduct_equal(C: CompressionData, m1: tuple[DeltaLetter, ...],
-                      m2: tuple[DeltaLetter, ...],
-                      budget: OracleBudget | None = None) -> Verdict:
-    """Equality of Delta-letter sequences in the free product of the free
-    monoid on the outside letters with the compressed monoid, decided on
-    the flattened sequences as equal_via_compression decides; an Equal
-    path holds Delta-letter sequences, one run rewritten at a time."""
-    for d in m1 + m2:
-        # d is a Delta letter exactly when r occurs in r d at its two ends only
-        if delta_cuts(C.r, d.spelling) != [0, len(d.spelling)]:
-            raise ValueError(f"{d!r} is not a Delta letter of this step")
-    w1, w2 = (tuple(x for d in m for x in d.spelling) for m in (m1, m2))
-    verdict = _free_product(C, w1, delta_cuts(C.r, w1), w2,
-                            delta_cuts(C.r, w2), budget)
-    if not isinstance(verdict, Equal):
-        return verdict
-    return Equal(tuple(delta_factorize(C.r, w) for w in verdict.path))
 
 
 def equal_via_compression(P: Presentation, w1: Word, w2: Word,

@@ -291,8 +291,8 @@ def test_criterion_10_small_word_invariants():
                     assert not starts_with(d2, d1), (r, d1, d2)
             for m in members:
                 factors = delta_factorize(r, m)
-                assert tuple(x for f in factors for x in f.spelling) == m
-                assert all(f.spelling in delta for f in factors), (r, m)
+                assert tuple(x for f in factors for x in f) == m
+                assert all(f in delta for f in factors), (r, m)
             if is_sof(r):
                 formula = {s + r for s in words
                            if len(s) + len(r) <= 6

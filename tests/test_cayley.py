@@ -60,12 +60,7 @@ from ormkit.cayley import (
     two_cycle_basis,
 )
 from ormkit.cli import parse_presentation
-from ormkit.compress import (
-    DeltaLetter,
-    NotCompressing,
-    left_canonical,
-    right_canonical,
-)
+from ormkit.compress import NotCompressing, delta_factorize
 from ormkit.words import (
     EMPTY,
     PreconditionError,
@@ -1154,7 +1149,7 @@ def test_psi_examples():
     assert psi_map(P, word("a"), word("bcb")) == Star()
     assert psi_map(P, word("a"), word("bab")) == Pair(word("ba"), ())
     assert psi_map(P, word("a"), word("abac")) == \
-        Pair(word("a"), (DeltaLetter(word("ba")),))
+        Pair(word("a"), (word("ba"),))
     with pytest.raises(NotCompressing):
         psi_map(P, word("ab"), word("aba"))
 
@@ -1171,17 +1166,20 @@ def test_psi_base_has_single_occurrence():
 
 @pytest.mark.parametrize("P", [aba_aca(), big_example()])
 def test_psi_map_is_the_canonical_composition(P):
-    # the right canonical prefix y of w, then y = t r m around the first
-    # occurrence: psi is t r with m, or the star when r does not occur
+    # with the ends of r's occurrences in w found by testing every
+    # position, psi is w up to the first end with the Delta_r
+    # factorization of what lies between the first and the last end, or
+    # the star when r does not occur
     for r in compressing_words(P):
         for n in range(7):
             for w in product(P.alphabet, repeat=n):
-                y, _ = right_canonical(r, w)
-                if not y:
+                ends = [e for e in range(len(r), len(w) + 1)
+                        if w[e - len(r):e] == r]
+                if not ends:
                     assert psi_map(P, r, w) == Star()
                     continue
-                t, m = left_canonical(r, y)
-                assert psi_map(P, r, w) == Pair(t + r, m)
+                assert psi_map(P, r, w) == Pair(
+                    w[:ends[0]], delta_factorize(r, w[ends[0]:ends[-1]]))
 
 
 # ------------------------------------------------------ structure checks

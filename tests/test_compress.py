@@ -9,25 +9,21 @@ the unique splitting everywhere.
 from __future__ import annotations
 
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ormkit import compress
+from ormkit.cli import parse_presentation
 from ormkit.compress import (
-    DeltaLetter,
-    NoOccurrence,
     NotCompressing,
     NotInT,
     Strategy,
     compress_chain,
     compress_step,
     delta_factorize,
-    left_canonical,
-    p_delta_membership,
     relabel_equivalent,
-    right_canonical,
     t_membership,
 )
 from ormkit.words import (
@@ -35,8 +31,12 @@ from ormkit.words import (
     compressing_words,
     is_sof,
     make_presentation,
+    spell,
     word,
 )
+
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures")
+                  .glob("*.orm"))
 
 # ---------------------------------------------------------------- oracles
 
@@ -121,21 +121,20 @@ def test_sof_delta_formula():
         assert is_sof(r)
         for w in all_words("ab", 6):
             lhs = in_delta(r, w)
-            stem = w[: len(w) - len(r)]
             rhs = (len(w) >= len(r) and w[len(w) - len(r):] == r
                    and all(w[i:i + len(r)] != r for i in range(len(w) - len(r))))
             assert lhs == rhs, (r, w)
 
 
 def test_non_sof_delta_differs_from_sof_formula():
-    # r = aba is not self-overlap-free: bbaba is irreducible even though
-    # its stem does not avoid r in the formula sense; spot-check members
+    # r = aba overlaps itself, so Delta_r is not (words avoiding r)·r:
+    # ba is a letter although it is not of the form s·r, and baba, which
+    # is b·aba with b avoiding r, is not one letter but two
     r = word("aba")
-    assert in_delta(r, word("ba"))
-    assert in_delta(r, word("bbaba"))
-    assert not in_delta(r, word("baba"))  # wait: checked against oracle below
-    # full agreement with oracle is covered by test_delta_is_a_prefix_code
-    # plus factorization tests; this test freezes a few shapes.
+    assert delta_factorize(r, word("ba")) == (word("ba"),)
+    assert delta_factorize(r, word("baba")) == (word("ba"), word("ba"))
+    assert delta_factorize(r, word("bbaba")) == (word("bbaba"),)
+    assert in_delta(r, word("ba")) and not in_delta(r, word("baba"))
 
 
 # --------------------------------------------------------- factorization
@@ -143,9 +142,9 @@ def test_non_sof_delta_differs_from_sof_formula():
 
 def test_delta_factorize_worked_examples():
     fa = delta_factorize(word("a"), word("babbaba"))
-    assert [d.spelling for d in fa] == [word("ba"), word("bba"), word("ba")]
+    assert fa == (word("ba"), word("bba"), word("ba"))
     fb = delta_factorize(word("aba"), word("bbaba"))
-    assert [d.spelling for d in fb] == [word("bbaba")]
+    assert fb == (word("bbaba"),)
     assert delta_factorize(word("a"), EMPTY) == ()
     with pytest.raises(NotInT):
         delta_factorize(word("a"), word("b"))
@@ -157,7 +156,7 @@ def test_factorization_unique_and_greedy_agrees(w, r):
     splits = brute_splittings(r, w)
     if t_membership(r, w):
         assert len(splits) == 1
-        assert tuple(DeltaLetter(p) for p in splits[0]) == delta_factorize(r, w)
+        assert splits[0] == delta_factorize(r, w)
     else:
         assert splits == []
         if w:
@@ -170,61 +169,8 @@ def test_factorization_unique_and_greedy_agrees(w, r):
 def test_factorize_roundtrip(w, r):
     if t_membership(r, w):
         parts = delta_factorize(r, w)
-        flat = tuple(x for d in parts for x in d.spelling)
+        flat = tuple(x for d in parts for x in d)
         assert flat == w
-
-
-def test_p_delta_membership():
-    r = word("a")
-    assert p_delta_membership(r, word("b"))
-    assert p_delta_membership(r, word("bb"))
-    assert not p_delta_membership(r, word("ba"))
-    assert p_delta_membership(r, EMPTY)
-
-
-# ------------------------------------------------- canonical factorizations
-
-
-def test_right_canonical_examples():
-    r = word("a")
-    assert right_canonical(r, word("bab")) == (word("ba"), word("b"))
-    assert right_canonical(r, word("abac")) == (word("aba"), word("c"))
-    assert right_canonical(r, word("bbb")) == (EMPTY, word("bbb"))
-    y, tail = right_canonical(word("aba"), word("ababab"))
-    assert y == word("ababa") and tail == word("b")
-
-
-@given(st.builds(tuple, st.lists(st.sampled_from("abc"), max_size=8)),
-       st.sampled_from([("a",), ("a", "b", "a"), ("a", "b")]))
-def test_right_canonical_shape(s, r):
-    y, tail = right_canonical(r, s)
-    assert y + tail == s
-    if y:
-        assert y[-len(r):] == r
-        assert p_delta_membership(r, tail)
-    else:
-        assert not [i for i in range(len(s) - len(r) + 1) if s[i:i + len(r)] == r]
-
-
-def test_left_canonical_examples():
-    r = word("a")
-    y, parts = left_canonical(r, word("ba"))
-    assert y == word("b") and parts == ()
-    y, parts = left_canonical(r, word("aba"))
-    assert y == EMPTY and [d.spelling for d in parts] == [word("ba")]
-    with pytest.raises(NoOccurrence):
-        left_canonical(r, word("ab"))
-
-
-@given(st.builds(tuple, st.lists(st.sampled_from("ab"), max_size=8)),
-       st.sampled_from([("a",), ("a", "b", "a")]))
-def test_left_canonical_shape(s, r):
-    if len(s) >= len(r) and s[-len(r):] == r:
-        y, parts = left_canonical(r, s)
-        flat = tuple(x for d in parts for x in d.spelling)
-        assert y + r + flat == s
-        # y is the part before the first occurrence
-        assert all(s[i:i + len(r)] != r for i in range(len(y)))
 
 
 # ------------------------------------------------ one occurrence scan
@@ -245,40 +191,8 @@ def test_delta_factorize_cuts_where_r_ends_in_r_w(w, r):
         return
     cuts = [0]
     for d in delta_factorize(r, w):
-        cuts.append(cuts[-1] + len(d.spelling))
+        cuts.append(cuts[-1] + len(d))
     assert cuts == [e - n for e in ends]
-
-
-@given(WORDS, SEALS)
-def test_right_canonical_is_the_brute_force_split(s, r):
-    """y is the longest prefix of s ending in r, and when r occurs no
-    nonempty prefix of the tail lies in T(r)."""
-    n = len(r)
-    k = max((k for k in range(n, len(s) + 1) if s[k - n:k] == r), default=0)
-    assert right_canonical(r, s) == (s[:k], s[k:])
-    if k:
-        assert not any(t_membership(r, s[k:j]) for j in range(k + 1, len(s) + 1))
-
-
-@given(WORDS, SEALS)
-def test_left_canonical_is_the_brute_force_split(s, r):
-    """y ends before the first occurrence of r, and the rest after it is
-    the unique splitting into irreducible members of T(r)."""
-    n = len(r)
-    if len(s) < n or s[-n:] != r:
-        with pytest.raises(NoOccurrence):
-            left_canonical(r, s)
-        return
-    first = min(i for i in range(len(s)) if s[i:i + n] == r)
-    y, parts = left_canonical(r, s)
-    assert y == s[:first]
-    assert brute_splittings(r, s[first + n:]) == [tuple(d.spelling for d in parts)]
-
-
-def test_right_canonical_checks_its_tail(monkeypatch):
-    monkeypatch.setattr(compress, "p_delta_membership", lambda r, w: False)
-    with pytest.raises(AssertionError):
-        right_canonical(word("a"), word("ab"))
 
 
 # --------------------------------------------------------- compress_step
@@ -288,9 +202,9 @@ def test_compress_by_sof_word_worked_example():
     data = compress_step(big_example(), word("a"))
     assert data.u_prime == word("babbaba")
     assert data.v_prime == word("baba")
-    assert [d.name for d in data.u_factors] == ["ba", "bba", "ba"]
-    assert [d.name for d in data.v_factors] == ["ba", "ba"]
-    assert {d.name for d in data.lambda_r} == {"ba", "bba"}
+    assert [spell(d) for d in data.u_factors] == ["ba", "bba", "ba"]
+    assert [spell(d) for d in data.v_factors] == ["ba", "ba"]
+    assert data.spellings == {"ba": word("ba"), "bba": word("bba")}
     C = data.compressed
     assert C.alphabet == ("ba", "bba")
     assert C.u == ("ba", "bba", "ba")
@@ -299,9 +213,9 @@ def test_compress_by_sof_word_worked_example():
 
 def test_compress_by_longest_word_worked_example():
     data = compress_step(big_example(), word("aba"))
-    assert [d.name for d in data.u_factors] == ["bbaba"]
-    assert [d.name for d in data.v_factors] == ["ba"]
-    assert {d.name for d in data.lambda_r} == {"ba", "bbaba"}
+    assert [spell(d) for d in data.u_factors] == ["bbaba"]
+    assert [spell(d) for d in data.v_factors] == ["ba"]
+    assert data.spellings == {"ba": word("ba"), "bbaba": word("bbaba")}
     C = data.compressed
     assert C.alphabet == ("ba", "bbaba")
     assert C.u == ("bbaba",)
@@ -333,14 +247,19 @@ def test_compress_step_factor_counts_shrink():
 
 
 def test_delta_letters_lie_in_ideal_of_shortest_compressing_word():
-    # every Delta-letter spelling used in the compressed relation ends with
-    # the self-overlap-free compressing word
-    for P in (big_example(), aba_aca()):
-        y = compressing_words(P)[0]
-        for r in compressing_words(P):
+    # spellings keys exactly the compressed alphabet, in its order, by
+    # spell() of each letter; every letter is an irreducible member of
+    # T(r) and ends with the self-overlap-free compressing word
+    fixtures = [parse_presentation(path.read_text()) for path in FIXTURES]
+    for P in [big_example(), aba_aca(), *fixtures]:
+        cands = compressing_words(P)
+        for r in cands:
             data = compress_step(P, r)
-            for d in data.lambda_r:
-                assert d.spelling[-len(y):] == y
+            assert tuple(data.spellings) == data.compressed.alphabet
+            for name, d in data.spellings.items():
+                assert name == spell(d)
+                assert in_delta(r, d), (P, r, d)
+                assert d[-len(cands[0]):] == cands[0], (P, r, d)
 
 
 # --------------------------------------------------------- compress_chain

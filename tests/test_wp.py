@@ -19,12 +19,7 @@ from hypothesis import strategies as st
 
 from ormkit import wp
 from ormkit.cli import parse_presentation
-from ormkit.compress import (
-    DeltaLetter,
-    compress_step,
-    left_canonical,
-    right_canonical,
-)
+from ormkit.compress import compress_step, delta_cuts
 from ormkit.words import (
     EMPTY,
     compressing_words,
@@ -55,7 +50,6 @@ from ormkit.wp import (
     closure,
     equal_bounded,
     equal_via_compression,
-    freeproduct_equal,
     is_complete,
     neighbors,
     normal_form,
@@ -667,26 +661,34 @@ def test_equal_via_compression_agrees_with_search():
 
 
 def composed_compression(P, w1, w2):
-    """equal_via_compression composed from the public factorizations:
-    right canonical, then left canonical, then the free product, and the
-    path lifted through the factorizations."""
+    """equal_via_compression specified by brute force: each word splits
+    as t r m z at the first and last occurrence of r, found by testing
+    every position; the z must agree, then the t, then the m, cut into
+    Delta_r letters by delta_cuts, in the free product; the path is
+    lifted by putting t r and z back around each m."""
     if w1 == w2:
         return Equal((w1,))
     cands = compressing_words(P)
     if not cands:
         return equal_bounded(P, w1, w2)
-    r = cands[-1]
-    (y1, z1), (y2, z2) = right_canonical(r, w1), right_canonical(r, w2)
-    if z1 != z2 or (not y1) != (not y2):
+    r, n = cands[-1], len(cands[-1])
+
+    def split(w):
+        at = [i for i in range(len(w) - n + 1) if w[i:i + n] == r]
+        if at:
+            return w[:at[0]], w[at[0] + n:at[-1] + n], w[at[-1] + n:]
+
+    s1, s2 = split(w1), split(w2)
+    if s1 is None or s2 is None or s1[2] != s2[2]:
         return Distinct(CERT_RIGHT_TAIL)
-    (t1, m1), (t2, m2) = left_canonical(r, y1), left_canonical(r, y2)
+    (t1, m1, z1), (t2, m2, _) = s1, s2
     if t1 != t2:
         return Distinct(CERT_LEFT_PREFIX)
-    verdict = freeproduct_equal(compress_step(P, r), m1, m2)
+    verdict = wp._free_product(compress_step(P, r), m1, delta_cuts(r, m1),
+                               m2, delta_cuts(r, m2), None)
     if not isinstance(verdict, Equal):
         return verdict
-    return Equal(tuple(t1 + r + tuple(x for d in m for x in d.spelling) + z1
-                       for m in verdict.path))
+    return Equal(tuple(t1 + r + m + z1 for m in verdict.path))
 
 
 def test_equal_via_compression_matches_the_composed_factorizations():
@@ -722,26 +724,18 @@ def test_normal_forms_first_keep_the_certificate_order():
 
 
 def test_freeproduct_equal_examples():
-    P = aba_aca()
-    C = compress_step(P, word("a"))
-    x = DeltaLetter(word("a"))          # outside the compressed alphabet
-    ba = DeltaLetter(word("ba"))
-    ca = DeltaLetter(word("ca"))
-    v = freeproduct_equal(C, (x, ba), (x, ca))
-    assert isinstance(v, Equal)
-    assert freeproduct_equal(C, (), ()) == Equal(((),))
+    # Delta_a letters a (outside the compressed alphabet), ba and ca
+    C = compress_step(aba_aca(), word("a"))
+
+    def free_product(w1, w2):
+        return wp._free_product(C, w1, delta_cuts(C.r, w1),
+                                w2, delta_cuts(C.r, w2), None)
+
+    assert free_product(word("aba"), word("aca")) == Equal((word("aba"),
+                                                            word("aca")))
+    assert free_product(EMPTY, EMPTY) == Equal(((),))
     # separator sequences must agree positionally
-    v = freeproduct_equal(C, (x, ba), (ba, x))
-    assert v == Distinct(CERT_SYLLABLE)
-
-
-def test_freeproduct_rejects_non_delta_letters():
-    P = aba_aca()
-    C = compress_step(P, word("a"))
-    with pytest.raises(ValueError):
-        freeproduct_equal(C, (DeltaLetter(word("b")),), ())
-    with pytest.raises(ValueError):
-        freeproduct_equal(C, (DeltaLetter(word("aba")),), ())
+    assert free_product(word("aba"), word("baa")) == Distinct(CERT_SYLLABLE)
 
 
 # ----------------------------------------------------------- replay path
