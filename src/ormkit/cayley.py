@@ -6,21 +6,16 @@ length at most r represents, and one builder makes it for every rule,
 breadth first: each new vertex is an earlier vertex followed by one
 letter, and each edge leads from a vertex w with letter x to the class
 of w·x.  When the rule u -> v is complete, the vertices are the
-irreducible words of length at most r, a prefix-closed set, and each
-edge target is a normal form.  Every vertex carries its state in the
-Knuth-Morris-Pratt automaton of u, so one table step says whether the
-vertex followed by a letter ends in u; every other such word is a new
-vertex or lies beyond the radius.  A word w·x that ends in u is w'·u,
-and its target, the normal form of w'·v, is read along the edges the
-ball has already built, from the ancestor w' of w along the letters of
-v; a complete rule computes no normal form and keeps no index of vertex
-words.  On every rule the budget's max_words bounds the number of
-vertices, and on an incomplete rule also each closure that places an
-edge, so a budget at the vertex count can leave the ball approximate
-or refuse it.  A vertex is found from any word by reading the word's
-letters along the edges from the empty word, and the one class
-placement loop is this builder: enumerate_classes assigns every word of
-length at most r that way.
+irreducible words of length at most r and each edge target is a normal
+form, read along edges the ball has already built, so a complete rule
+computes no normal form and keeps no index of vertex words; _ball says
+why that is sound.  On every rule the budget's max_words bounds the
+number of vertices, and on an incomplete rule also each closure that
+places an edge, so a budget at the vertex count can leave the ball
+approximate or refuse it.  A vertex is found from any word by reading
+the word's letters along the edges from the empty word, and the one
+class placement loop is this builder: enumerate_classes assigns every
+word of length at most r that way.
 
 Every other class lookup (w·x on an incomplete rule, and the keys of
 the structure checks) asks one Oracle per presentation: normal_form on
@@ -42,11 +37,11 @@ representative ends in the longest compressing word, tracing the
 relation with that word stripped from the front of both sides; a
 boundary is traced through one successor list per letter, which holds
 each vertex's edge index for that letter, from the bases that have an
-edge for each side's first letter.  A ball
-stores its vertices, edges and cells once: the boundary matrices d1 and
-d2, sparse integer dictionaries, and the interior mask are views derived
-from them on first read.  Vertex lengths never decrease along the
-vertex list, so the interior vertices are a prefix of it.  The 2-cycle
+edge for each side's first letter.  A ball stores its vertices, edges
+and cells once: the boundary matrices d1 and d2, sparse integer
+dictionaries, and the interior mask are views derived from them on
+first read.  Vertex lengths never decrease along the vertex list, so
+the interior vertices are a prefix of it.  The 2-cycle
 kernel reads the columns of the interior cells straight from their
 boundaries and eliminates over the integers, fraction-free; each kernel
 vector is primitive with its first nonzero entry positive.

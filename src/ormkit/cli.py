@@ -155,14 +155,6 @@ def parse_presentation(text: str) -> Presentation:
     return make_presentation(alphabet, relation[0], relation[1])
 
 
-def render_presentation(P: Presentation) -> str:
-    """The .orm text for a presentation; parses back to the same value."""
-    lhs = spell(P.u) if P.u else "1"
-    rhs = spell(P.v) if P.v else "1"
-    return (f"alphabet: {' '.join(P.alphabet)}\n"
-            f"relation: {lhs} = {rhs}\n")
-
-
 # ------------------------------------------------------------------ report
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
 
 from .words import (
     Presentation,
@@ -80,17 +79,11 @@ def delta_factorize(r: Word, w: Word) -> tuple[Word, ...]:
 class CompressionData:
     """Everything produced by one compression step.
 
-    u_factors and v_factors factorize the tails u' and v' over Delta_r,
-    each as a tuple of words.  Each letter of the compressed alphabet is
-    named by spell() of its Delta_r word, and spellings maps it back.
+    Each letter of the compressed alphabet is named by spell() of its
+    Delta_r word, and spellings maps it back.
     """
 
-    base: Presentation
     r: Word
-    u_prime: Word
-    v_prime: Word
-    u_factors: tuple[Word, ...]
-    v_factors: tuple[Word, ...]
     compressed: Presentation
     # each compressed letter's spelling over the base alphabet, by name
     spellings: dict[str, Word] = field(compare=False, repr=False)
@@ -125,16 +118,13 @@ def compress_step(P: Presentation, r: Word) -> CompressionData:
     """
     if not r or not (seals(r, P.u) and seals(r, P.v)):
         raise NotCompressing(f"{P.text(r)!r} does not seal both relation sides")
-    u_prime = P.u[len(r):]
-    v_prime = P.v[len(r):]
-    u_factors = delta_factorize(r, u_prime)
-    v_factors = delta_factorize(r, v_prime)
+    u_factors = delta_factorize(r, P.u[len(r):])
+    v_factors = delta_factorize(r, P.v[len(r):])
     letters = sorted({*u_factors, *v_factors}, key=P.shortlex_key)
     compressed = make_presentation(tuple(map(spell, letters)),
                                    tuple(map(spell, u_factors)),
                                    tuple(map(spell, v_factors)))
-    return CompressionData(P, r, u_prime, v_prime, u_factors, v_factors,
-                           compressed, {spell(d): d for d in letters})
+    return CompressionData(r, compressed, {spell(d): d for d in letters})
 
 
 class Strategy(enum.Enum):
@@ -165,27 +155,3 @@ def compress_chain(P: Presentation, strategy: Strategy) -> CompressionChain:
         step = compress_step(cur, pick)
         steps.append(step)
         cur = step.compressed
-
-
-def relabel_equivalent(P: Presentation, Q: Presentation) -> bool:
-    """True when some alphabet bijection carries P's relation onto Q's.
-
-    Alphabet sizes must match; the bijection may also swap the two sides
-    when they have equal lengths, since normalization order can differ
-    across labelings.
-    """
-    if len(P.alphabet) != len(Q.alphabet):
-        return False
-    targets = [(Q.u, Q.v)]
-    if len(Q.u) == len(Q.v):
-        targets.append((Q.v, Q.u))
-    for image in permutations(Q.alphabet):
-        phi = dict(zip(P.alphabet, image))
-
-        def apply(w: Word) -> Word:
-            return tuple(phi[x] for x in w)
-
-        for tu, tv in targets:
-            if apply(P.u) == tu and apply(P.v) == tv:
-                return True
-    return False

@@ -12,20 +12,11 @@ move by move.  With an empty side it is not: in <a b | ab = 1> one
 exchange turns the path (ab,-,ε) (ab,-,ab) (ab,+,ab) (ab,+,ε) (ε,+,ε),
 with three rightmost edges in the class of ε, into one with four.
 
-The walk keeps its path as integer edge ids beside the path apply_move
-returns: each distinct edge, its inverse, its target's insertions, its
-class key and each adjacent pair's swap are worked out once, in tables
-by id.  It keeps its move pools and its parity vector between steps,
-and each move kind updates them in a fixed shape around the position
-it moved.  Inserts and deletes cannot move the parity vector: the pair
-they put in or take out is an edge and its inverse, which share their
-left context and are both rightmost or neither, so their two flips
-cancel.  Only a swap changes which rightmost edges the path holds.
-With an empty side an edge and its inverse can still rewrite disjoint
-sites, so an inserted pair may swap: in <a b | ab = 1>, (ε,+,ε) (ε,-,ε)
-exchanges to (ab,-,ε) (ε,+,ab).  Drawing a move is all that still
-reads the whole pools.  parity_vector, and the reference walk the
-tests compare against, recompute the vector in full.
+The walk keeps its path as interned edge ids, and its move pools and
+parity vector between steps, updating them around the position each
+move changed; random_walk_check describes its tables and update shapes.
+parity_vector, and the reference walk the tests compare against,
+recompute the vector in full.
 """
 
 from __future__ import annotations
@@ -301,9 +292,12 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     Only a swap flips the parity vector, by the rightmost edges it took
     out and put in, and compares it with the start's.  An insert or a
     delete cannot move it: its pair is an edge and its inverse, which
-    share their left context and are both rightmost or neither.  With
-    an empty side such a pair can still swap, so the middle pair of an
-    insert goes through the swap memo like any other.
+    share their left context and are both rightmost or neither, so their
+    two flips cancel.  With an empty side such a pair can still rewrite
+    disjoint sites and swap, as (ε,+,ε) (ε,-,ε) exchanges to (ab,-,ε)
+    (ε,+,ab) in <a b | ab = 1>, so the middle pair of an insert goes
+    through the swap memo like any other.  Drawing a move is all that
+    reads the whole pools.
 
     An edge's class key is read from a memo by its left context the
     first time the edge is inserted or flipped, and class_of is asked

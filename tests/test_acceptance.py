@@ -9,8 +9,6 @@ and must not drift.
 from __future__ import annotations
 
 import time
-from itertools import product
-from pathlib import Path
 
 from ormkit.cayley import (
     CellVariant,
@@ -22,12 +20,7 @@ from ormkit.cayley import (
     two_cycle_basis,
 )
 from ormkit.classify import INF, Case, classify_full
-from ormkit.compress import (
-    compress_step,
-    delta_factorize,
-    relabel_equivalent,
-    t_membership,
-)
+from ormkit.compress import compress_step, delta_factorize, t_membership
 from ormkit.squier import SquierEdge, injectivity_harness, random_walk_check
 from ormkit.words import (
     EMPTY,
@@ -48,27 +41,7 @@ from ormkit.wp import (
     replay,
 )
 from ormkit.cli import dispatch
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def fx(name: str) -> str:
-    return str(FIXTURES / name)
-
-
-def aba_aca():
-    return make_presentation(("a", "b", "c"), word("aba"), word("aca"))
-
-
-def big_example():
-    return make_presentation(("a", "b"), word("ababbaba"), word("ababa"))
-
-
-def all_words(alphabet, max_len):
-    out = [()]
-    for n in range(1, max_len + 1):
-        out += [tuple(t) for t in product(alphabet, repeat=n)]
-    return out
+from support import aba_aca, all_words, big_example, fx
 
 
 def _done(n: int, t0: float, limit: float | None, detail: str):
@@ -99,7 +72,6 @@ def test_criterion_01_compression_fidelity():
     twice = compress_step(once.compressed, ("ba",))
     other = compress_step(P, word("aba"))
     assert twice.compressed == other.compressed
-    assert relabel_equivalent(twice.compressed, other.compressed)
     _done(1, t0, 1.0, "two compressions agree after recompression")
 
 

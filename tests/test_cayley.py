@@ -29,13 +29,10 @@ from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-import re
 
 import ormkit.cayley as cayley
 import ormkit.squier as squier
@@ -77,65 +74,24 @@ from ormkit.wp import (
     Unknown,
     equal_bounded,
     is_complete,
-    neighbors,
     normal_form,
     replay,
 )
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def aba_aca():
-    return make_presentation(("a", "b", "c"), word("aba"), word("aca"))
+from support import (
+    FIXTURES,
+    aba_aca,
+    all_words,
+    big_example,
+    brute_partition,
+    idempotent,
+)
 
 
 def commuting():
     return make_presentation(("a", "b"), word("ab"), word("ba"))
 
 
-def idempotent():
-    return make_presentation(("a",), word("aa"), word("a"))
-
-
-def big_example():
-    return make_presentation(("a", "b"), word("ababbaba"), word("ababa"))
-
-
 # ------------------------------------------------- independent oracles
-
-
-class UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def brute_partition(P, radius, reach=None):
-    """Union-find over the words of length at most reach (default radius).
-
-    Exact on the ball when congruent ball words are joined through words
-    of length at most reach, as they are with reach = radius for
-    length-preserving relations.
-    """
-    assert reach is not None or len(P.u) == len(P.v)
-    uf = UnionFind()
-    for n in range((radius if reach is None else reach) + 1):
-        for w in product(P.alphabet, repeat=n):
-            uf.find(w)
-            for m in neighbors(P, w):
-                uf.union(w, m)
-    return uf
 
 
 def brute_rank(columns):
@@ -191,8 +147,7 @@ def test_ball_matches_brute_partition():
     radius = 5
     ball = build_ball(P, radius)
     uf = brute_partition(P, radius)
-    words = [w for n in range(radius + 1)
-             for w in product(P.alphabet, repeat=n)]
+    words = all_words(P.alphabet, radius)
     roots = {uf.find(w) for w in words}
     assert len(ball.vertices) == len(roots)
     for w1 in words[:200]:
@@ -214,8 +169,7 @@ def test_incomplete_ball_matches_brute_partition(lhs, rhs, radius, reach,
     P = make_presentation(("a", "b"), word(lhs), word(rhs))
     ball = build_ball(P, radius)
     uf = brute_partition(P, radius, reach)
-    words = [w for n in range(radius + 1)
-             for w in product(P.alphabet, repeat=n)]
+    words = all_words(P.alphabet, radius)
     roots = {uf.find(w) for w in words}
     assert not ball.approximate
     assert len(ball.vertices) == len(roots) == size
@@ -238,7 +192,7 @@ def test_approximate_ball_merges_only_proven_pairs():
     ball = build_ball(P, 3)
     assert ball.approximate
     assert len(ball.vertices) == 14
-    for w in (w for n in range(4) for w in product(P.alphabet, repeat=n)):
+    for w in all_words(P.alphabet, 3):
         verdict = equal_bounded(P, w, ball.vertices[ball.vertex_of(w)])
         assert isinstance(verdict, Equal)
         assert replay(P, verdict.path)
@@ -250,10 +204,9 @@ def test_ball_edges_match_brute_edges():
     ball = build_ball(P, radius)
     uf = brute_partition(P, radius)
     expected = set()
-    for n in range(radius):
-        for w in product(P.alphabet, repeat=n):
-            for x in P.alphabet:
-                expected.add((uf.find(w), x, uf.find(w + (x,))))
+    for w in all_words(P.alphabet, radius - 1):
+        for x in P.alphabet:
+            expected.add((uf.find(w), x, uf.find(w + (x,))))
     got = {(uf.find(ball.vertices[s]), x, uf.find(ball.vertices[t]))
            for s, x, t in ball.edges}
     assert got == expected
@@ -323,9 +276,8 @@ def test_normal_form_ball_matches_enumerated_ball(P, monkeypatch):
         assert ball.interior_mask == enumerated.interior_mask
         assert ball.d1 == enumerated.d1
         index = {v: i for i, v in enumerate(ball.vertices)}
-        for n in range(radius + 1):
-            for w in product(P.alphabet, repeat=n):
-                assert ball.vertex_of(w) == index[normal_form(P, w)]
+        for w in all_words(P.alphabet, radius):
+            assert ball.vertex_of(w) == index[normal_form(P, w)]
         for w in product(P.alphabet, repeat=radius + 1):
             assert ball.vertex_of(w) is None
 
@@ -357,7 +309,7 @@ def test_classes_read_no_word_beyond_the_radius(P):
             assert vertices == reps == ball.vertices
             assert not approximate
             assert assign == {w: ball.vertex_of(w) for w in
-                              cayley._all_words(P.alphabet, radius)}
+                              all_words(P.alphabet, radius)}
 
 
 def test_idempotent_ball_is_exact_and_tiny():
@@ -370,7 +322,7 @@ def test_idempotent_ball_is_exact_and_tiny():
 def complete_small_relations(orders=(("a", "b"),)):
     # every two-letter relation with distinct sides of length at most 3
     # whose single rule is complete, in each alphabet order given
-    words = [w for n in range(4) for w in product("ab", repeat=n)]
+    words = all_words("ab", 3)
     for order in orders:
         for lhs, rhs in combinations(words, 2):
             P = make_presentation(order, lhs, rhs)
@@ -382,8 +334,7 @@ def test_exact_ball_has_one_vertex_per_normal_form():
     relations = list(complete_small_relations())
     assert len(relations) > 50
     for P in relations:
-        forms = {w: normal_form(P, w)
-                 for n in range(6) for w in product(P.alphabet, repeat=n)}
+        forms = {w: normal_form(P, w) for w in all_words(P.alphabet, 5)}
         for radius in range(6):
             ball = build_ball(P, radius)
             assert not ball.approximate
@@ -629,7 +580,7 @@ def reference_enumerate_classes(oracle, max_len):
     reps = []
     assign = {}
     approximate = False
-    for w in cayley._all_words(P.alphabet, max_len):
+    for w in all_words(P.alphabet, max_len):
         idx, unknown = reference_locate(oracle, w, assign, reps)
         approximate = approximate or unknown
         if idx is None:
@@ -927,7 +878,7 @@ def test_cell_pipeline_builds_no_boundary_matrix():
 def incomplete_length_preserving_relations():
     # every two-letter relation with distinct sides of one length at most
     # 3 whose single rule is not complete
-    words = [w for n in range(1, 4) for w in product("ab", repeat=n)]
+    words = all_words("ab", 3)[1:]
     for lhs, rhs in combinations(words, 2):
         P = make_presentation(("a", "b"), lhs, rhs)
         if len(lhs) == len(rhs) and not is_complete(P):
@@ -942,9 +893,8 @@ def test_incomplete_exact_ball_has_one_vertex_per_class():
     for P in relations:
         uf = brute_partition(P, 5)
         least = {}
-        for n in range(6):
-            for w in product(P.alphabet, repeat=n):
-                least.setdefault(uf.find(w), w)
+        for w in all_words(P.alphabet, 5):
+            least.setdefault(uf.find(w), w)
         for radius in range(6):
             ball = build_ball(P, radius)
             assert not ball.approximate
@@ -956,10 +906,9 @@ def test_incomplete_exact_ball_has_one_vertex_per_class():
             def vertex(w):
                 return index[least[uf.find(w)]]
 
-            for n in range(radius + 1):
-                for w in product(P.alphabet, repeat=n):
-                    assert ball.vertex_of(w) == vertex(w)
-                    assert ball.vertex_of(w + ("c",)) is None
+            for w in all_words(P.alphabet, radius):
+                assert ball.vertex_of(w) == vertex(w)
+                assert ball.vertex_of(w + ("c",)) is None
             expected = [(i, x, vertex(v + (x,)))
                         for i, v in enumerate(ball.vertices)
                         if len(v) < radius for x in P.alphabet]
@@ -1157,11 +1106,10 @@ def test_psi_examples():
 def test_psi_base_has_single_occurrence():
     P = big_example()
     for r in (word("a"), word("aba")):
-        for n in range(7):
-            for tup in product(P.alphabet, repeat=n):
-                img = psi_map(P, r, tup)
-                if isinstance(img, Pair):
-                    assert img.base[-len(r):] == r
+        for w in all_words(P.alphabet, 6):
+            img = psi_map(P, r, w)
+            if isinstance(img, Pair):
+                assert img.base[-len(r):] == r
 
 
 @pytest.mark.parametrize("P", [aba_aca(), big_example()])
@@ -1171,15 +1119,14 @@ def test_psi_map_is_the_canonical_composition(P):
     # factorization of what lies between the first and the last end, or
     # the star when r does not occur
     for r in compressing_words(P):
-        for n in range(7):
-            for w in product(P.alphabet, repeat=n):
-                ends = [e for e in range(len(r), len(w) + 1)
-                        if w[e - len(r):e] == r]
-                if not ends:
-                    assert psi_map(P, r, w) == Star()
-                    continue
-                assert psi_map(P, r, w) == Pair(
-                    w[:ends[0]], delta_factorize(r, w[ends[0]:ends[-1]]))
+        for w in all_words(P.alphabet, 6):
+            ends = [e for e in range(len(r), len(w) + 1)
+                    if w[e - len(r):e] == r]
+            if not ends:
+                assert psi_map(P, r, w) == Star()
+                continue
+            assert psi_map(P, r, w) == Pair(
+                w[:ends[0]], delta_factorize(r, w[ends[0]:ends[-1]]))
 
 
 # ------------------------------------------------------ structure checks
@@ -1247,8 +1194,8 @@ def reference_r_trivial(P, b, radius):
     oracle = cayley.Oracle(P, b)
     checked = skipped = 0
     failures: list[str] = []
-    for w in cayley._all_words(P.alphabet, radius - 1):
-        for extra in cayley._all_words(P.alphabet, radius - len(w)):
+    for w in all_words(P.alphabet, radius - 1):
+        for extra in all_words(P.alphabet, radius - len(w)):
             if not extra:
                 continue
             checked += 1
@@ -1474,7 +1421,7 @@ def reference_basis_freeness(P, b, radius):
     checked = skipped = 0
     failures: list[str] = []
     for r in cayley._compressing_words(P):
-        basis = [w for w in cayley._all_words(P.alphabet, radius)
+        basis = [w for w in all_words(P.alphabet, radius)
                  if cayley.find_occurrences(w + r, r) == [len(w)]]
         keyed = [(y, oracle.rep(y + r)) for y in basis]
         for i, (y1, k1) in enumerate(keyed):
@@ -1496,7 +1443,7 @@ def reference_local_divisor(P, b, radius):
     for r in cayley._compressing_words(P):
         C = cayley.compress_step(P, r)
         inner = cayley.Oracle(C.compressed, b)
-        members = [w for w in cayley._all_words(P.alphabet, radius)
+        members = [w for w in all_words(P.alphabet, radius)
                    if cayley.t_membership(r, w)]
         keyed = []
         for w in members:

@@ -11,7 +11,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,16 +26,9 @@ from ormkit.cli import (
     emit,
     main,
     parse_presentation,
-    render_presentation,
 )
 from ormkit.words import make_presentation, word
-
-ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "fixtures"
-
-
-def fx(name: str) -> str:
-    return str(FIXTURES / name)
+from support import FIXTURES, fx
 
 
 # ------------------------------------------------------------- parsing
@@ -88,17 +80,6 @@ def test_parse_empty_side_and_comments():
     text = "# title\n\nalphabet: a b\n# the relation\nrelation: ab = 1\n"
     P = parse_presentation(text)
     assert P == make_presentation(("a", "b"), word("ab"), ())
-
-
-def test_round_trip_all_fixtures():
-    for path in sorted(FIXTURES.glob("*.orm")):
-        P = parse_presentation(path.read_text())
-        assert parse_presentation(render_presentation(P)) == P
-
-
-def test_round_trip_empty_side():
-    P = make_presentation(("a", "b"), word("ab"), ())
-    assert parse_presentation(render_presentation(P)) == P
 
 
 # ----------------------------------------------------------- dispatch
@@ -640,7 +621,7 @@ def test_emit_json_deterministic_across_processes(tmp_path):
     outputs = []
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=str(ROOT / "src"))
+                   PYTHONPATH=str(FIXTURES.parent / "src"))
         done = subprocess.run(args, env=env, capture_output=True, check=True)
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]

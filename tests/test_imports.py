@@ -1,7 +1,8 @@
 """Every module uses each name it imports, no package module imports a
 sibling's private name, no package module catches a broad exception,
-and the package has one frontier loop and one ball builder, which is
-also its one class-placement loop.
+the package has one frontier loop and one ball builder, which is also
+its one class-placement loop, and it defines no public name that only
+the tests read.
 
 Package __init__ files re-export names and are left out.  A name counts
 as used when it appears as an identifier anywhere in the module, which
@@ -139,3 +140,45 @@ def test_one_ball_builder():
     assert sites == [("cayley.py", "_ball")]
     assert ("enumerate_classes" in
             [func for func, _ in call_sites(cayley, "_ball")])
+
+
+def public_definitions(source: str) -> list[str]:
+    """Public names that a module defines at its top level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every identifier a module reads, imports or looks up as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_library_keeps_only_what_it_runs():
+    """Every public top-level name of the package is exported from
+    ormkit or read somewhere besides its definition: in the package, a
+    script or the benchmark.  A name that only the tests call is not
+    library code."""
+    users = [*(ROOT / "src" / "ormkit").glob("*.py"),
+             *(ROOT / "scripts").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    read = set().union(*(referenced_names(p.read_text()) for p in users))
+    unread = [f"{p.stem}.{name}" for p in PACKAGE
+              for name in public_definitions(p.read_text())
+              if name not in read]
+    assert unread == []

@@ -15,8 +15,6 @@ for every singleton and sample.
 from __future__ import annotations
 
 import random
-from itertools import product
-from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -60,17 +58,7 @@ from ormkit.words import (
     word,
 )
 from ormkit.wp import BudgetTooShort, OracleBudget, normal_form
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def aba_aca():
-    return make_presentation(("a", "b", "c"), word("aba"), word("aca"))
-
-
-def idempotent():
-    return make_presentation(("a",), word("aa"), word("a"))
-
+from support import FIXTURES, aba_aca, all_words, brute_partition, idempotent
 
 E_TOP = SquierEdge(EMPTY, 1, EMPTY)
 E_DOWN = SquierEdge(EMPTY, -1, EMPTY)
@@ -79,39 +67,13 @@ E_DOWN = SquierEdge(EMPTY, -1, EMPTY)
 # ------------------------------------------------- independent oracle
 
 
-class UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-
 def brute_rep(P, w):
-    """Shortlex-least congruent word, by exhausting one length level.
-
-    Only valid when both relation sides have the same length.
+    """Shortlex-least congruent word, by exhausting the words up to w's
+    length.  Only valid when both relation sides have the same length.
     """
-    assert len(P.u) == len(P.v)
-    n = len(w)
-    uf = UnionFind()
-    for letters in product(P.alphabet, repeat=n):
-        x = tuple(letters)
-        for i in range(n - len(P.u) + 1):
-            if x[i:i + len(P.u)] == P.u:
-                uf.union(x, x[:i] + P.v + x[i + len(P.u):])
-    cls = [x for x in map(tuple, product(P.alphabet, repeat=n))
-           if uf.find(x) == uf.find(tuple(w))]
-    return min(cls, key=P.shortlex_key)
+    uf = brute_partition(P, len(w))
+    return min((x for x in all_words(P.alphabet, len(w))
+                if uf.find(x) == uf.find(w)), key=P.shortlex_key)
 
 
 def brute_parity(P, path):

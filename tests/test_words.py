@@ -7,8 +7,6 @@ any drift between implementation and oracle fails loudly.
 
 from __future__ import annotations
 
-from itertools import product
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,14 +22,9 @@ from ormkit.words import (
     seals,
     word,
 )
+from support import aba_aca, all_words, big_example
 
 # ---------------------------------------------------------------- oracles
-
-
-def all_words(alphabet: str, max_len: int):
-    for n in range(max_len + 1):
-        for tup in product(tuple(alphabet), repeat=n):
-            yield tup
 
 
 def brute_ovl(x, y):
@@ -43,12 +36,8 @@ def brute_ovl(x, y):
 
 def brute_compressing_words(P):
     """Search all nonempty words up to |v|, not only prefixes of v."""
-    out = []
-    for n in range(1, len(P.v) + 1):
-        for r in product(P.alphabet, repeat=n):
-            if seals(r, P.u) and seals(r, P.v):
-                out.append(r)
-    return out
+    return [r for r in all_words(P.alphabet, len(P.v))[1:]
+            if seals(r, P.u) and seals(r, P.v)]
 
 
 def brute_power_root(w):
@@ -101,14 +90,6 @@ def test_sealing_is_transitive(r, s, w):
 
 
 # ----------------------------------------------- compressing_words
-
-
-def aba_aca():
-    return make_presentation(("a", "b", "c"), word("aba"), word("aca"))
-
-
-def big_example():
-    return make_presentation(("a", "b"), word("ababbaba"), word("ababa"))
 
 
 def test_compressing_words_examples():

@@ -1,8 +1,8 @@
 """Word-problem oracle tests.
 
 The independent oracle for length-preserving relations is a union-find
-over all words of a fixed length with one-rewrite edges; that congruence
-is fully decidable, so every verdict of the search-based deciders can be
+over all words up to a fixed length with one-rewrite edges; that
+congruence is fully decidable, so every verdict of the search-based deciders can be
 checked against it exhaustively on small words.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 from itertools import permutations, product
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -55,17 +54,9 @@ from ormkit.wp import (
     normal_form,
     replay,
 )
+from support import FIXTURES, aba_aca, all_words, big_example, brute_partition
 
-FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures")
-                  .glob("*.orm"))
-
-
-def aba_aca():
-    return make_presentation(("a", "b", "c"), word("aba"), word("aca"))
-
-
-def big_example():
-    return make_presentation(("a", "b"), word("ababbaba"), word("ababa"))
+ORM_FILES = sorted(FIXTURES.glob("*.orm"))
 
 
 def incomplete():
@@ -73,43 +64,6 @@ def incomplete():
     bb -> ab leaves the critical pair of bbb unresolved: normal forms
     do not decide it and equal_bounded must search."""
     return make_presentation(("a", "b"), word("bb"), word("ab"))
-
-
-def all_words(alphabet, max_len):
-    for n in range(max_len + 1):
-        for tup in product(tuple(alphabet), repeat=n):
-            yield tup
-
-
-# ----------------------------------------------------- union-find oracle
-
-
-class UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def brute_partition(P, length):
-    """Exact congruence on words of one length, for |u| == |v| only."""
-    assert len(P.u) == len(P.v)
-    uf = UnionFind()
-    for w in product(P.alphabet, repeat=length):
-        uf.find(w)
-        for n in neighbors(P, w):
-            uf.union(w, n)
-    return uf
 
 
 # -------------------------------------------------------------- neighbors
@@ -176,8 +130,8 @@ def test_abelian_mismatch_matches_the_reference_loop():
     difference of sides up to length 3, and one word pair per count
     difference of words up to length 4, cover every case there."""
     for alphabet in (("a", "b"), ("a", "b", "c")):
-        sides = list(all_words(alphabet, 3))
-        words = list(all_words(alphabet, 4))
+        sides = all_words(alphabet, 3)
+        words = all_words(alphabet, 4)
         rels = {}
         for u, v in product(sides, repeat=2):
             if u != v:
@@ -240,8 +194,8 @@ def test_equal_bounded_unknown_names_the_cap():
 def test_equal_bounded_exhaustive_against_union_find():
     # aba-aca takes the normal-form path, the incomplete relation the search
     for P in (aba_aca(), incomplete()):
+        uf = brute_partition(P, 5)
         for length in (3, 4, 5):
-            uf = brute_partition(P, length)
             words = list(product(P.alphabet, repeat=length))
             for i, w1 in enumerate(words):
                 for w2 in words[i + 1:]:
@@ -361,7 +315,7 @@ def test_search_matches_the_reference_loops():
     """closure and equal_bounded's search, now one engine, give what the
     two loops gave: the verdict with its path or reason, and the
     saturated flag with the whole class map when it saturates."""
-    words = list(all_words("ab", 3))
+    words = all_words("ab", 3)
     for rel in INCOMPLETE:
         lhs, rhs = rel.split("=")
         P = make_presentation(("a", "b"), word(lhs), word(rhs))
@@ -392,7 +346,7 @@ def test_closure_budget_runs_out_on_the_last_frontier_word():
 
 
 def test_normal_form_on_every_fixture_and_alphabet_order():
-    for path in FIXTURES:
+    for path in ORM_FILES:
         P = parse_presentation(path.read_text())
         for order in permutations(P.alphabet):
             Q = make_presentation(order, P.u, P.v)
@@ -427,7 +381,7 @@ def test_normal_form_examples():
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_equal_bounded_agrees_with_saturated_classes(data):
-    P = parse_presentation(data.draw(st.sampled_from(FIXTURES)).read_text())
+    P = parse_presentation(data.draw(st.sampled_from(ORM_FILES)).read_text())
     letters = st.sampled_from(P.alphabet)
     w1 = data.draw(st.lists(letters, max_size=6).map(tuple))
     got = Oracle(P, OracleBudget(max_words=2000)).class_of(w1)
@@ -444,7 +398,7 @@ def test_equal_bounded_agrees_with_saturated_classes(data):
         assert replay(P, verdict.path)
 
 
-CROSS_CHECKED = [parse_presentation(p.read_text()) for p in FIXTURES] + [
+CROSS_CHECKED = [parse_presentation(p.read_text()) for p in ORM_FILES] + [
     incomplete(),
     make_presentation(("a", "b"), word("bbb"), word("bab")),
 ]
@@ -508,16 +462,13 @@ def test_oracle_class_of_none_for_growing_class():
 
 def test_oracle_rep_is_class_invariant_and_least():
     P = aba_aca()
-    for length in (4, 5):
-        uf = brute_partition(P, length)
-        reps = {}
-        for w in product(P.alphabet, repeat=length):
-            r = Oracle(P).rep(w)
-            root = uf.find(w)
-            reps.setdefault(root, set()).add(r)
-            assert P.shortlex_key(r) <= P.shortlex_key(w)
-        for made in reps.values():
-            assert len(made) == 1
+    uf = brute_partition(P, 5)
+    reps = {}
+    for w in all_words(P.alphabet, 5):
+        r = Oracle(P).rep(w)
+        reps.setdefault(uf.find(w), set()).add(r)
+        assert P.shortlex_key(r) <= P.shortlex_key(w)
+    assert all(len(made) == 1 for made in reps.values())
 
 
 # ----------------------------------------------------------------- Oracle
@@ -526,7 +477,7 @@ def test_oracle_rep_is_class_invariant_and_least():
 def test_oracle_agrees_with_pure_functions():
     P = aba_aca()
     oracle = Oracle(P)
-    words = [w for w in all_words("abc", 4)]
+    words = all_words("abc", 4)
     for w1 in words[:40]:
         for w2 in words[:40]:
             a = oracle.equal(w1, w2)
@@ -542,10 +493,10 @@ def test_oracle_equal_is_equal_bounded_on_complete_rules():
     # normal forms decide first, so the store is never read and even the
     # paths agree; a length cap below a word's length is a usage error,
     # for identical words too, on a complete and an incomplete rule
-    for P in [parse_presentation(p.read_text()) for p in FIXTURES]:
+    for P in [parse_presentation(p.read_text()) for p in ORM_FILES]:
         assert is_complete(P)
         oracle = Oracle(P)
-        words = list(all_words(P.alphabet, 3))
+        words = all_words(P.alphabet, 3)
         for w1, w2 in product(words, repeat=2):
             assert oracle.equal(w1, w2) == equal_bounded(P, w1, w2), (P, w1, w2)
     short = OracleBudget(max_len=2)
@@ -592,7 +543,7 @@ def test_oracle_store_agrees_with_search_on_an_incomplete_rule():
     # store, and every later pair in a stored class is a lookup
     P = incomplete()
     oracle = Oracle(P)
-    words = list(all_words("ab", 4))
+    words = all_words("ab", 4)
     assert len(words) ** 2 == 961
     for w1 in words:
         for w2 in words:
@@ -646,7 +597,7 @@ def test_equal_via_compression_distinct_certificates():
 
 def test_equal_via_compression_agrees_with_search():
     P = aba_aca()
-    words = [w for w in all_words("abc", 5)]
+    words = all_words("abc", 5)
     import random
     rng = random.Random(7)
     sample = rng.sample(words, 60)
@@ -692,9 +643,9 @@ def composed_compression(P, w1, w2):
 
 
 def test_equal_via_compression_matches_the_composed_factorizations():
-    for path in FIXTURES:
+    for path in ORM_FILES:
         P = parse_presentation(path.read_text())
-        words = list(all_words(P.alphabet, 4))
+        words = all_words(P.alphabet, 4)
         for w1 in words:
             for w2 in words:
                 assert (repr(equal_via_compression(P, w1, w2))
@@ -705,10 +656,10 @@ def test_normal_forms_first_keep_the_certificate_order():
     """On a complete rule equal_bounded decides by normal forms, and a
     Distinct names the first of the ideal, abelian and normal-form
     certificates that fires; no certificate fires on an Equal pair."""
-    for path in FIXTURES:
+    for path in ORM_FILES:
         P = parse_presentation(path.read_text())
         assert is_complete(P)
-        words = list(all_words(P.alphabet, 4))
+        words = all_words(P.alphabet, 4)
         for w1 in words:
             for w2 in words:
                 first = (_ideal_certificate(P, w1, w2)
@@ -772,7 +723,7 @@ def test_complete_rule_paths_spell_only_the_joined_chains():
         return chain
 
     pairs = 0
-    for path in FIXTURES:
+    for path in ORM_FILES:
         P = parse_presentation(path.read_text())
         if not is_complete(P):
             continue
