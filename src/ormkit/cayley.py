@@ -251,15 +251,14 @@ def _ball(oracle: Oracle, radius: int, sphere: bool,
     located, which leaves the vertex list as it is.
 
     On a complete rule the classes are normal forms and the oracle is
-    not consulted.  Each vertex carries its state in the KMP automaton
-    of u: the length of the longest suffix of w that is a proper prefix
-    of u.  One table step from that state says whether w·x ends in u.  A
+    not consulted.  w·x ends in u exactly when x is the last letter of u
+    and w ends in the rest of u, a suffix compare as in wp._reduce.  A
     vertex is irreducible, so w·x is irreducible exactly when it does
-    not; then it is a new vertex, or lies beyond the radius and is
-    dropped unbuilt.  Irreducible words are prefix-closed, and w is the
-    only vertex with a letter leading to w·x without a reduction, so w·x
-    has not been placed before.  The degenerate rule u = v rewrites
-    nothing, so its automaton never matches.
+    not end in u; then it is a new vertex, or lies beyond the radius and
+    is dropped unbuilt.  Irreducible words are prefix-closed, and w is
+    the only vertex with a letter leading to w·x without a reduction, so
+    w·x has not been placed before.  The degenerate rule u = v rewrites
+    nothing.
 
     Only when w·x ends in u is it reduced, and the target is read along
     edges the ball has built, with no normal form computed and no word
@@ -283,34 +282,22 @@ def _ball(oracle: Oracle, radius: int, sphere: bool,
     last vertex followed by a letter, cut to the radius with sphere
     False.
 
-    On any other rule the automaton has one state that always matches,
-    and every w·x is placed by _locate among the vertices so far, all
-    shortlex-less than w·x, through an index of the vertex words; an
-    Unknown verdict marks the ball approximate, and the oracle raises
-    BudgetTooShort on a word read beyond its length cap.  On every rule
-    max_words bounds the number of vertices.
+    On any other rule every w·x is placed by _locate among the vertices
+    so far, all shortlex-less than w·x, through an index of the vertex
+    words; an Unknown verdict marks the ball approximate, and the oracle
+    raises BudgetTooShort on a word read beyond its length cap.  On
+    every rule max_words bounds the number of vertices.
     """
     P, budget, alphabet = oracle.P, oracle.budget, oracle.P.alphabet
     complete = is_complete(P)
-    if not complete or P.u == P.v:
-        # one state, a match on every letter of an incomplete rule and on
-        # none of the degenerate rule
-        accept, step = int(complete), [[0] * len(alphabet)]
-    else:
-        # step[s][k]: state after letter k from state s; len(u) is a match
-        accept, step, restart = len(P.u), [], 0
-        for s, y in enumerate(P.u):
-            k = alphabet.index(y)
-            row = list(step[restart]) if s else [0] * len(alphabet)
-            row[k] = s + 1
-            step.append(row)
-            if s:
-                restart = step[restart][k]
+    # the degenerate rule u = v rewrites nothing: no letter matches
+    last = P.u[-1] if complete and P.u != P.v else None
+    head, climb = P.u[:-1], len(P.u) - 1
     stop = not sphere or complete and len(P.u) == len(P.v)
     m, max_words = len(alphabet), budget.max_words
-    climb, v_letters = len(P.u) - 1, [alphabet.index(y) for y in P.v]
+    v_letters = [alphabet.index(y) for y in P.v]
     vertices: list[Word] = [()]
-    states, parents = [0], [0]
+    parents = [0]
     # out[i·m + k]: target of the edge reading letter k out of vertex i,
     # -1 when it leaves the ball
     out: list[int] = []
@@ -321,10 +308,13 @@ def _ball(oracle: Oracle, radius: int, sphere: bool,
         inside = len(w) < radius
         if not inside and stop:
             break
-        for x, t in zip(alphabet, step[states[i]]):
-            if t != accept:
+        for x in alphabet:
+            if not complete:
+                j, unknown = _locate(oracle, w + (x,), index, vertices)
+                approximate = approximate or unknown
+            elif x != last or w[len(w) - climb:] != head:
                 j = None
-            elif complete:
+            else:
                 j = i
                 for _ in range(climb):
                     j = parents[j]
@@ -334,9 +324,6 @@ def _ball(oracle: Oracle, radius: int, sphere: bool,
                     if j < 0:
                         raise AssertionError("a reduced edge target is not "
                                              "built")
-            else:
-                j, unknown = _locate(oracle, w + (x,), index, vertices)
-                approximate = approximate or unknown
             if j is None:
                 if not inside:
                     out.append(-1)
@@ -349,7 +336,6 @@ def _ball(oracle: Oracle, radius: int, sphere: bool,
                 if index is not None:
                     index[target] = j
                 vertices.append(target)
-                states.append(t)
                 parents.append(i)
             out.append(j)
             edges.append((i, x, j))

@@ -117,7 +117,7 @@ def parse_presentation(text: str) -> Presentation:
             tokens = line[len("alphabet:"):].split()
             for tok in tokens:
                 if len(tok) != 1:
-                    col = line.index(tok) + 1
+                    col = line.index(tok, len("alphabet:")) + 1
                     raise PresentationSyntaxError(
                         f"letters are single characters, got {tok!r}",
                         line_no, col)
@@ -185,25 +185,19 @@ def _as_json_obj(report: Report) -> dict:
 
 def _text_lines(value, indent: str) -> list[str]:
     if isinstance(value, dict):
-        out = []
-        for k in sorted(value, key=str):
-            v = value[k]
-            if isinstance(v, (dict, list, tuple)) and v:
-                out.append(f"{indent}{k}:")
-                out.extend(_text_lines(v, indent + "  "))
-            else:
-                out.append(f"{indent}{k}: {_scalar(v)}")
-        return out
-    if isinstance(value, (list, tuple)):
-        out = []
-        for v in value:
-            if isinstance(v, (dict, list, tuple)) and v:
-                out.append(f"{indent}-")
-                out.extend(_text_lines(v, indent + "  "))
-            else:
-                out.append(f"{indent}- {_scalar(v)}")
-        return out
-    return [f"{indent}{_scalar(value)}"]
+        items = [(f"{k}:", value[k]) for k in sorted(value, key=str)]
+    elif isinstance(value, (list, tuple)):
+        items = [("-", v) for v in value]
+    else:
+        return [f"{indent}{_scalar(value)}"]
+    out = []
+    for label, v in items:
+        if isinstance(v, (dict, list, tuple)) and v:
+            out.append(f"{indent}{label}")
+            out.extend(_text_lines(v, indent + "  "))
+        else:
+            out.append(f"{indent}{label} {_scalar(v)}")
+    return out
 
 
 def _scalar(v) -> str:

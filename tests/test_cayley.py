@@ -7,18 +7,19 @@ breadth-first builder serves every rule.  Balls of complete rules,
 built over normal forms, are also compared with the balls the builder
 places through the Oracle when completeness is hidden from it, with the
 normal forms themselves, and with the loops that built them and
-attached their cells before the KMP automaton.  Balls of incomplete
-rules, and enumerate_classes, which reads every word along a ball's
-edges, are compared with the loops that enumerated every word of length
-at most the radius before the builder was shared.  The views d1, d2,
-the interior mask and the 2-cycle basis they feed are compared with the
-eager loops that computed them before they were derived from the edges
-and cells; vertex lengths never decrease, so the interior vertices are a
-prefix.  Kernel routines are checked against hand-computed matrices, an
-independent rank computation over exact rationals, and the elimination
-over rationals that the fraction-free one replaced.  RTrivial, which
-keys each word once by its normal form, is compared with the loop that
-asked Oracle.equal for every pair.
+attached their cells before the builder spotted u at each vertex
+(first through a KMP automaton of u, now by a suffix compare).  Balls
+of incomplete rules, and enumerate_classes, which reads every word
+along a ball's edges, are compared with the loops that enumerated every
+word of length at most the radius before the builder was shared.  The
+views d1, d2, the interior mask and the 2-cycle basis they feed are
+compared with the eager loops that computed them before they were
+derived from the edges and cells; vertex lengths never decrease, so the
+interior vertices are a prefix.  Kernel routines are checked against
+hand-computed matrices, an independent rank computation over exact
+rationals, and the elimination over rationals that the fraction-free
+one replaced.  RTrivial, which keys each word once by its normal form,
+is compared with the loop that asked Oracle.equal for every pair.
 """
 
 from __future__ import annotations
@@ -351,8 +352,9 @@ def test_exact_ball_has_one_vertex_per_normal_form():
 
 
 # The breadth-first ball and the cell attachment as they ran before
-# edges were located through the KMP automaton of u and cells traced
-# through per-letter successor lists, kept verbatim as the reference.
+# edges were located by spotting u at each vertex (first through a KMP
+# automaton of u, now by a suffix compare) and cells traced through
+# per-letter successor lists, kept verbatim as the reference.
 
 
 def reference_normal_form_ball(P, radius, budget):

@@ -49,9 +49,14 @@ def test_parse_undeclared_letter():
 
 
 def test_parse_error_positions():
-    with pytest.raises(PresentationSyntaxError) as info:
-        parse_presentation("alphabet: a\nrelation: xa = a")
-    assert (info.value.line, info.value.col) == (2, 11)
+    # an alphabet token is looked for after "alphabet:", not inside it
+    for text, position in [("alphabet: a\nrelation: xa = a", (2, 11)),
+                           ("alphabet: a ab\nrelation: a = a", (1, 13)),
+                           ("alphabet: a bet\nrelation: a = a", (1, 13)),
+                           ("alphabet:  ph\nrelation: a = a", (1, 12))]:
+        with pytest.raises(PresentationSyntaxError) as info:
+            parse_presentation(text)
+        assert (info.value.line, info.value.col) == position
 
 
 def test_parse_multiple_relations():
@@ -645,6 +650,28 @@ def test_emit_text_agrees_on_numbers():
     text = emit(report, "text").decode()
     assert f"basisSize: {report.payload['basisSize']}" in text
     assert f"verdict cycles: {report.verdict_counts['cycles']}" in text
+
+
+def test_emit_text_renders_the_readme_example():
+    raw = (FIXTURES / "aa-a.orm").read_bytes()
+    report = dispatch(["wp", fx("aa-a.orm"), "aaa", "a"])[1]
+    assert emit(report, "text").decode().splitlines() == [
+        "command: wp",
+        "input: sha256:" + hashlib.sha256(raw).hexdigest(),
+        "path:",
+        "  - aaa",
+        "  - aa",
+        "  - a",
+        "pathLength: 2",
+        "presentation: <a | aa = a>",
+        "verdict: Equal",
+        "w1: aaa",
+        "w2: a",
+        "verdict Equal: 1",
+        "budget maxLen: none",
+        "budget maxWords: 200000",
+        "approximate: false",
+    ]
 
 
 def test_emit_rejects_unsupported_format():

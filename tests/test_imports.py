@@ -1,8 +1,8 @@
-"""Every module uses each name it imports, no package module imports a
-sibling's private name, no package module catches a broad exception,
-the package has one frontier loop and one ball builder, which is also
-its one class-placement loop, and it defines no public name that only
-the tests read.
+"""Every module uses each name it imports and imports it once, no
+package module imports a sibling's private name, no package module
+catches a broad exception, the package has one frontier loop and one
+ball builder, which is also its one class-placement loop, and it
+defines no public name that only the tests read.
 
 Package __init__ files re-export names and are left out.  A name counts
 as used when it appears as an identifier anywhere in the module, which
@@ -23,6 +23,10 @@ MODULES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
+    """Imported names never read, and imports in the module body that
+    repeat an earlier one there: the same name bound to the same
+    target.  An import inside a function, or of a submodule beside its
+    package, is no repeat."""
     tree = ast.parse(source)
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
@@ -33,8 +37,42 @@ def unused_imports(source: str) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"line {line}: {name}" for name, line in sorted(imported.items())
-            if name not in used]
+    found = [f"line {line}: {name}" for name, line in sorted(imported.items())
+             if name not in used]
+    seen: dict[tuple, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            keys = [(a.asname or a.name.split(".")[0], a.name)
+                    for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            keys = [(a.asname or a.name, node.level, node.module, a.name)
+                    for a in node.names]
+        else:
+            continue
+        for key in keys:
+            if key in seen:
+                found.append(f"line {node.lineno}: {key[0]} repeats "
+                             f"line {seen[key]}")
+            else:
+                seen[key] = node.lineno
+    return found
+
+
+def test_unused_imports_flags_a_repeat_in_the_module_body():
+    assert unused_imports("import re\nimport os\nimport re\n"
+                          "re, os\n") == ["line 3: re repeats line 1"]
+    assert unused_imports("from a import b as c\nfrom a import b as c\n"
+                          "c\n") == ["line 2: c repeats line 1"]
+    legitimate = [
+        # a function imports what the module body imports
+        "import ormkit.cli as cli\n\ndef f():\n"
+        "    import ormkit.cli as cli\n    return cli\n\ncli, f\n",
+        # a package beside its submodule
+        "import importlib\nimport importlib.util\nimportlib\n",
+        # one name from two targets
+        "from a import b\nfrom c import b\nb\n",
+    ]
+    assert [unused_imports(source) for source in legitimate] == [[], [], []]
 
 
 @pytest.mark.parametrize("path", MODULES,
