@@ -186,10 +186,8 @@ def _as_json_obj(report: Report) -> dict:
 def _text_lines(value, indent: str) -> list[str]:
     if isinstance(value, dict):
         items = [(f"{k}:", value[k]) for k in sorted(value, key=str)]
-    elif isinstance(value, (list, tuple)):
-        items = [("-", v) for v in value]
     else:
-        return [f"{indent}{_scalar(value)}"]
+        items = [("-", v) for v in value]
     out = []
     for label, v in items:
         if isinstance(v, (dict, list, tuple)) and v:

@@ -12,9 +12,10 @@ move by move.  With an empty side it is not: in <a b | ab = 1> one
 exchange turns the path (ab,-,ε) (ab,-,ab) (ab,+,ab) (ab,+,ε) (ε,+,ε),
 with three rightmost edges in the class of ε, into one with four.
 
-The walk keeps its path as interned edge ids, and its move pools and
-parity vector between steps, updating them around the position each
-move changed; random_walk_check describes its tables and update shapes.
+The walk keeps its path as interned edge ids, and between steps its
+move pools by seam, the number of cancelling and of exchangeable pairs,
+and the parity vector, updating them around the position each move
+changed; random_walk_check describes its tables and update shapes.
 parity_vector, and the reference walk the tests compare against,
 recompute the vector in full.
 """
@@ -249,8 +250,9 @@ def _insertions(P: Presentation, w: Word) -> tuple[SquierEdge, ...]:
                  for i in find_occurrences(w, side))
 
 
-# the applicable move kinds, by which of the three pool totals are nonzero
-_KINDS = tuple(tuple(k for k in range(3) if m >> k & 1) for m in range(8))
+# the applicable move kinds, by which of the delete and swap pools are
+# nonempty; an insert always applies
+_KINDS = ((0,), (0, 1), (0, 2), (0, 1, 2))
 
 
 def random_walk_check(P: Presentation, start: SquierPath, steps: int,
@@ -269,15 +271,17 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     the first time it appears (start path, insertions of a seam word or
     result of a swap); its row holds the edge, its inverse id, the
     insertion ids of its target (the edges with that source, from
-    _insertions once per distinct word) and its class key.  Seam k is
-    the source of edge k, the last seam the target of the last edge.
-    The move pools are kept by seam between steps: the number of its
-    insertions, and the cancel flag, inv[a] == b, and swap flag of the
-    pair (a, b) of edges meeting there, the swap flag read from one
-    memo per ordered id pair that holds the ids _swap_disjoint exchanged
-    them to; the two end seams carry no pair.  The three pool sizes are
-    running totals, and which of them are nonzero picks the applicable
-    kinds from an 8-entry table.  Every kind is drawn alike, by
+    _insertions once per distinct word).  Seam k is the source of edge
+    k, the last seam the target of the last edge.  The move pools are
+    kept by seam between steps: the number of its insertions, and the
+    cancel flag, inv[a] == b, and swap flag of the pair (a, b) of edges
+    meeting there, the swap flag read from one memo per ordered id pair
+    that holds the ids _swap_disjoint exchanged them to; the two end
+    seams carry no pair.  An insert always applies: every seam word
+    contains the relation side its edge rewrites there (an empty side
+    matches at every position), and the empty path anchors on u.  A
+    delete or a swap applies when its pool holds a set flag, and the
+    walk counts the set flags of each.  Every kind is drawn alike, by
     bisecting the running sums of its pool; the move drawn is one object
     per (position, edge id) for an insert and per position for a delete
     or swap, built and described once, and goes through apply_move and
@@ -299,8 +303,8 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     through the swap memo like any other.  Drawing a move is all that
     reads the whole pools.
 
-    An edge's class key is read from a memo by its left context the
-    first time the edge is inserted or flipped, and class_of is asked
+    An edge's class key is read from a memo by its left context each
+    time the edge is inserted or flipped, and class_of is asked
     only for a context not seen before: a saturated class never changes,
     and an undecided one raises at the same step and with the same word
     as a full recompute would.  reference_walk in tests/test_squier.py
@@ -313,14 +317,12 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     path = tuple(start)
     log: list[str] = []
 
-    # one row per edge id: the edge, its inverse id, the insertion ids of
-    # its target (None until that is a seam) and its class key (False off
-    # the right end, None until the edge is first inserted or flipped)
+    # one row per edge id: the edge, its inverse id and the insertion ids
+    # of its target (None until that is a seam)
     ids: dict[SquierEdge, int] = {}
     edges: list[SquierEdge] = []
     inv: list[int] = []
     ins: list[tuple[int, ...] | None] = []
-    keys: list[Word | bool | None] = []
 
     def intern(e: SquierEdge) -> int:
         i = ids.get(e)
@@ -331,7 +333,6 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
                 edges.append(f)
                 inv.append(j)
                 ins.append(None)
-                keys.append(None if is_rightmost(f) else False)
         return i
 
     memo: dict[Word, tuple[int, ...]] = {}  # insertion ids per seam word
@@ -354,16 +355,15 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
 
     def key(i: int) -> Word | bool:
         """Class key of edge i, False off the right end."""
-        k = keys[i]
+        e = edges[i]
+        if e.w2:
+            return False
+        k = contexts.get(e.w1)
         if k is None:
-            w1 = edges[i].w1
-            k = contexts.get(w1)
-            if k is None:
-                got = oracle.class_of(w1)
-                if got is None:
-                    raise UndecidableClass(P.text(w1))
-                k = contexts[w1] = got[1]
-            keys[i] = k
+            got = oracle.class_of(e.w1)
+            if got is None:
+                raise UndecidableClass(P.text(e.w1))
+            k = contexts[e.w1] = got[1]
         return k
 
     def flip(stretch: list[int] | tuple[int, ...]) -> None:
@@ -406,18 +406,16 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
     flagged = [flags(k) for k in range(len(at) + 1)]
     cancels = [c for c, _ in flagged]
     swaps = [s for _, s in flagged]
-    n_ins, n_del, n_swp = sum(counts), sum(cancels), sum(swaps)
+    n_del, n_swp = sum(cancels), sum(swaps)
     pools = (counts, cancels, swaps)
     # (move, log line) by (p, edge id) for an insert, by (p, -1) for a
     # delete and by (p, -2) for a swap
     moves: dict[tuple[int, int], tuple[Move, str]] = {}
     for _ in range(steps):
-        kinds = _KINDS[(n_ins > 0) | (n_del > 0) << 1 | (n_swp > 0) << 2]
-        if not kinds:
-            break
+        kinds = _KINDS[(n_del > 0) | (n_swp > 0) << 1]
         kind = kinds[rng.randrange(len(kinds))]
-        j = rng.randrange((n_ins, n_del, n_swp)[kind])
         ends = list(accumulate(pools[kind]))
+        j = rng.randrange(ends[-1])
         p = bisect_right(ends, j)
         if kind == 0:
             i = seam_at(p)[j - ends[p] + counts[p]]
@@ -433,13 +431,10 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
         if kind == 0:
             # the parity stays; the key is read so that class_of is
             # asked at this step
-            if keys[i] is None:
-                key(i)
+            key(i)
             e = inv[i]
             at[p:p] = i, e
-            a, b = len(seam(i)), len(seam(e))
-            counts[p + 1:p + 1] = a, b
-            n_ins += a + b
+            counts[p + 1:p + 1] = len(seam(i)), len(seam(e))
             # the pair at seam p gives way to those at seams p..p+2
             (c0, s0), (c1, s1), (c2, s2) = flags(p), flags(p + 1), flags(p + 2)
             n_del += c0 + c1 + c2 - cancels[p]
@@ -450,7 +445,6 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
             # seams p+1 and p+2 go; the pairs at seams p..p+2 give way to
             # the one now meeting at seam p
             del at[p:p + 2]
-            n_ins -= counts[p + 1] + counts[p + 2]
             n_del -= cancels[p + 1] + cancels[p + 2]
             n_swp -= swaps[p + 1] + swaps[p + 2]
             del counts[p + 1:p + 3], cancels[p + 1:p + 3], swaps[p + 1:p + 3]
@@ -459,16 +453,14 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
             n_swp += s - swaps[p]
             cancels[p], swaps[p] = c, s
             if not at:
-                n_ins = counts[0] = len(insertions(P.u))
+                counts[0] = len(insertions(P.u))
         else:
             old = at[p:p + 2]
             at[p:p + 2] = swapped[old[0], old[1]]
             flip(old)
             flip(at[p:p + 2])
             # seam p+1 is the new first edge's target; p+2 is unchanged
-            n_ins -= counts[p + 1]
             counts[p + 1] = len(seam(at[p]))
-            n_ins += counts[p + 1]
             for k in range(p, p + 3):
                 c, s = flags(k)
                 n_del += c - cancels[k]

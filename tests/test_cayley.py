@@ -7,9 +7,8 @@ breadth-first builder serves every rule.  Balls of complete rules,
 built over normal forms, are also compared with the balls the builder
 places through the Oracle when completeness is hidden from it, with the
 normal forms themselves, and with the loops that built them and
-attached their cells before the builder spotted u at each vertex
-(first through a KMP automaton of u, now by a suffix compare).  Balls
-of incomplete rules, and enumerate_classes, which reads every word
+attached their cells before the builder spotted u at each vertex.
+Balls of incomplete rules, and enumerate_classes, which reads every word
 along a ball's edges, are compared with the loops that enumerated every
 word of length at most the radius before the builder was shared.  The
 views d1, d2, the interior mask and the 2-cycle basis they feed are
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
@@ -352,9 +351,8 @@ def test_exact_ball_has_one_vertex_per_normal_form():
 
 
 # The breadth-first ball and the cell attachment as they ran before
-# edges were located by spotting u at each vertex (first through a KMP
-# automaton of u, now by a suffix compare) and cells traced through
-# per-letter successor lists, kept verbatim as the reference.
+# edges were located by spotting u at each vertex and cells traced
+# through per-letter successor lists, kept verbatim as the reference.
 
 
 def reference_normal_form_ball(P, radius, budget):
@@ -1385,6 +1383,39 @@ def test_psi_injective_reports_collisions(monkeypatch):
     monkeypatch.setattr(cayley, "Oracle", CollapseCompressed)
     report = structure_checks(P, CheckKind.PSI_INJECTIVE_ON_IDEAL, radius=3)
     assert report.failures == ("a and aba collide",)
+
+
+def test_psi_well_defined_reports_each_failure(monkeypatch):
+    # Psi is well defined on every real relation, so each failure branch
+    # is reached by a fault: a compressed oracle that keeps every word
+    # apart, one that decides no word, and a psi_map that moves one base
+    P = aba_aca()
+
+    class Apart(Oracle):
+        def rep(self, w):
+            return tuple(w) if self.P != P else super().rep(w)
+
+    class Undecided(Oracle):
+        def rep(self, w):
+            return None if self.P != P else super().rep(w)
+
+    def check():
+        report = structure_checks(P, CheckKind.PSI_WELL_DEFINED, radius=3)
+        return report.checked, report.skipped, report.failures
+
+    monkeypatch.setattr(cayley, "Oracle", Apart)
+    assert check() == (1, 0, ("aba vs aca: tails differ",))
+    monkeypatch.setattr(cayley, "Oracle", Undecided)
+    assert check() == (1, 1, ())
+    monkeypatch.undo()
+    real = cayley.psi_map
+
+    def moved(P, r, w):
+        img = real(P, r, w)
+        return replace(img, base=word("c")) if w == word("aca") else img
+
+    monkeypatch.setattr(cayley, "psi_map", moved)
+    assert check() == (1, 0, ("aba vs aca: bases differ",))
 
 
 # The pair loops the three key-grouping checks ran before they counted

@@ -50,13 +50,21 @@ def test_parse_undeclared_letter():
 
 def test_parse_error_positions():
     # an alphabet token is looked for after "alphabet:", not inside it
-    for text, position in [("alphabet: a\nrelation: xa = a", (2, 11)),
-                           ("alphabet: a ab\nrelation: a = a", (1, 13)),
-                           ("alphabet: a bet\nrelation: a = a", (1, 13)),
-                           ("alphabet:  ph\nrelation: a = a", (1, 12))]:
+    single = "letters are single characters"
+    for text, position, message in [
+            ("alphabet: a\nrelation: xa = a", (2, 11), "undeclared letter"),
+            ("alphabet: a ab\nrelation: a = a", (1, 13), single),
+            ("alphabet: a bet\nrelation: a = a", (1, 13), single),
+            ("alphabet:  ph\nrelation: a = a", (1, 12), single),
+            ("alphabet: a\nalphabet: a\nrelation: a = a", (2, 1),
+             "more than one alphabet"),
+            ("alphabet:\nrelation: a = a", (1, 1), "empty alphabet"),
+            ("", (1, 1), "missing alphabet line"),
+            ("# c\n", (2, 1), "missing alphabet line")]:
         with pytest.raises(PresentationSyntaxError) as info:
             parse_presentation(text)
         assert (info.value.line, info.value.col) == position
+        assert message in str(info.value)
 
 
 def test_parse_multiple_relations():
@@ -428,7 +436,7 @@ def test_exit_2_negative_counts(args):
     assert "nonnegative" in report.payload["error"]
 
 
-def test_exit_3_budget_exhaustion():
+def test_exit_3_budget_exhaustion(tmp_path):
     code, report = dispatch(["ball", fx("aba-aca.orm"), "--radius", "9",
                              "--budget-words", "1000"])
     assert code == 3
@@ -438,6 +446,14 @@ def test_exit_3_budget_exhaustion():
     code, report = dispatch(["squier-check", fx("aa-a.orm"),
                              "--walk-steps", "10", "--seed", "0"])
     assert code == 3
+    # a wp search cut short is an Unknown verdict, not an error
+    path = tmp_path / "aba-ab.orm"
+    path.write_text("alphabet: a b\nrelation: aba = ab\n")
+    code, report = dispatch(["wp", str(path), "aab", "ab",
+                             "--budget-words", "3"])
+    assert code == 3
+    assert report.payload["verdict"] == "Unknown"
+    assert report.payload["reason"] == "word budget exhausted"
 
 
 def test_exit_3_names_the_empty_word_class():
@@ -480,6 +496,10 @@ def test_flags_are_spelled_in_full(capsysbinary):
     code = main(["classify", fx("aa-a.orm"), "--format", "text"])
     assert code == 0
     assert capsysbinary.readouterr().out.startswith(b"command: classify\n")
+    code = main(["squier-check", fx("aba-aca.orm"), "--walk-steps", "3",
+                 "--format", "text"])
+    assert code == 0
+    assert b"\nseeds: 0\n" in capsysbinary.readouterr().out
 
 
 @pytest.mark.parametrize("spell", [lambda f: ["--format", f],
@@ -692,6 +712,12 @@ def test_main_writes_report_and_returns_code(capsysbinary):
     assert code == 2
     obj = json.loads(capsysbinary.readouterr().out)
     assert "error" in obj["payload"]
+
+    # a format argparse rejects is reported in JSON, with its message
+    code = main(["classify", fx("aba-aca.orm"), "--format", "bogus"])
+    assert code == 2
+    obj = json.loads(capsysbinary.readouterr().out)
+    assert "invalid choice: 'bogus'" in obj["payload"]["error"]
 
 
 def test_report_is_plain_data():

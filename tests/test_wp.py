@@ -584,6 +584,16 @@ def test_equal_via_compression_examples():
     v = equal_via_compression(Q, word("ab"), word("ba"))
     assert isinstance(v, Equal) and v.path_length == 1
 
+    # an undecided run is the verdict: aba = aaa compresses to the
+    # incomplete <a ba | a a = ba>, whose search 4 words cut short
+    R = make_presentation(("a", "b"), word("aba"), word("aaa"))
+    with mock.patch.object(wp, "_free_product",
+                           wraps=wp._free_product) as free_product:
+        v = equal_via_compression(R, word("aaaaa"), word("abaaa"),
+                                  OracleBudget(max_words=4))
+    assert v == Unknown("word budget exhausted")
+    assert free_product.call_count == 1
+
 
 def test_equal_via_compression_distinct_certificates():
     P = aba_aca()
