@@ -78,10 +78,8 @@ from .words import (
 )
 from .wp import (
     DEFAULT_BUDGET,
-    Equal,
     Oracle,
     OracleBudget,
-    Unknown,
     is_complete,
     replay,
 )
@@ -232,11 +230,10 @@ def _locate(oracle: Oracle, w: Word, index: dict[Word, int],
         return index.get(rep), False
     unknown = False
     for i, r in enumerate(vertices):
-        verdict = oracle.equal(w, r)
-        if isinstance(verdict, Equal):
+        same = oracle.equal(w, r).congruent
+        if same:
             return i, unknown
-        if isinstance(verdict, Unknown):
-            unknown = True
+        unknown = unknown or same is None
     return None, unknown
 
 
@@ -766,15 +763,10 @@ def _check_r_trivial(P: Presentation, b: OracleBudget,
         for extra in extras:
             x = w + extra
             kx = None if kw is None else key[x]
-            if kx is None:
-                verdict = oracle.equal(w, x)
-                if isinstance(verdict, Unknown):
-                    skipped += 1
-                    continue
-                same = isinstance(verdict, Equal)
-            else:
-                same = kx == kw
-            if same:
+            same = oracle.equal(w, x).congruent if kx is None else kx == kw
+            if same is None:
+                skipped += 1
+            elif same:
                 failures.append(f"[{P.text(w)}] = [{P.text(x)}]")
     return CheckReport(CheckKind.R_TRIVIAL, checked, skipped, tuple(failures))
 

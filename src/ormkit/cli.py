@@ -16,6 +16,7 @@ error, 3 budget exhaustion.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import hashlib
 import json
@@ -93,7 +94,7 @@ def _parse_side(segment: str, line_no: int, base_col: int,
         return ()
     letters = []
     for off, ch in enumerate(segment):
-        if ch == " ":
+        if ch.isspace():
             continue
         if ch not in alphabet:
             raise UndeclaredLetter(ch, line_no, base_col + off)
@@ -260,6 +261,7 @@ def _budget(ns) -> OracleBudget:
 
 
 def _parse_file(raw: bytes) -> Presentation:
+    raw = raw.removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode()
     except UnicodeDecodeError as e:
@@ -274,7 +276,7 @@ def _parse_file(raw: bytes) -> Presentation:
 def _parse_word(text: str, P: Presentation) -> Word:
     if text == "1" and "1" not in P.alphabet:
         return ()
-    letters = tuple(ch for ch in text if ch != " ")
+    letters = tuple(ch for ch in text if not ch.isspace())
     for ch in letters:
         if ch not in P.alphabet:
             raise UsageError(f"undeclared letter {ch!r} in word {text!r}")

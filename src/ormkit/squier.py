@@ -36,7 +36,7 @@ from .words import (
     compressing_words,
     find_occurrences,
 )
-from .wp import Equal, Oracle, OracleBudget, Unknown
+from .wp import Oracle, OracleBudget
 
 
 class NonComposable(Exception):
@@ -533,15 +533,11 @@ def injectivity_harness(P: Presentation, samples: int, max_support: int,
     singleton_violations: list[str] = []
     for w in reps:
         key_u, key_v = rep_of(w, head_u), rep_of(w, head_v)
-        if key_u is None or key_v is None:
-            verdict = oracle.equal(w + head_u, w + head_v)
-            if isinstance(verdict, Unknown):
-                singleton_skipped += 1
-                continue
-            same = isinstance(verdict, Equal)
-        else:
-            same = key_u == key_v
-        if same:
+        same = (oracle.equal(w + head_u, w + head_v).congruent
+                if key_u is None or key_v is None else key_u == key_v)
+        if same is None:
+            singleton_skipped += 1
+        elif same:
             singleton_violations.append(P.text(w))
 
     def formal_sum(support: list[Word], weights: list[int],

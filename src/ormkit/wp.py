@@ -3,7 +3,9 @@
 Verdicts are three-valued and certified.  Equal always carries a
 concrete rewrite path (each consecutive pair differs by one application
 of the relation), so it can be replayed; Distinct always names a sound
-separation certificate; Unknown only ever means a budget ran out.
+separation certificate; Unknown only ever means a budget ran out.  A
+verdict's congruent attribute says which: True, False or None, so a
+caller that needs no certificate reads it instead of the class.
 
 Two independent deciders are provided.  equal_bounded walks the one
 decider order: identity; normal forms when the shortlex-oriented rule
@@ -64,6 +66,7 @@ class Equal:
     """Words are congruent; path is a concrete rewrite chain w1 .. w2."""
 
     path: tuple[Word, ...]
+    congruent = True
 
     @property
     def path_length(self) -> int:
@@ -73,11 +76,13 @@ class Equal:
 @dataclass(frozen=True)
 class Distinct:
     certificate: str
+    congruent = False
 
 
 @dataclass(frozen=True)
 class Unknown:
     reason: str
+    congruent = None
 
 
 Verdict = Equal | Distinct | Unknown
@@ -396,7 +401,8 @@ class Oracle:
     closure; rep answers from normal_form first, else from the store,
     which class_of alone reads on any rule.  Bulk callers key each word
     once by normal_form, compare keys where both are known, and ask
-    equal only for the other pairs.
+    equal only for the other pairs, reading the verdict's congruent:
+    True or False decides the pair, None leaves it undecided.
 
     The store memoizes closure: each saturated class is stored once, as
     its parent map and its shortlex-least member, and indexed by every

@@ -140,6 +140,10 @@ def test_ball_merges_the_relation():
     for w in ("", "a", "b", "c"):
         assert word(w) in ball.vertices
     assert not ball.approximate
+    # a word read along a missing edge has no vertex
+    cut = replace(ball, edges=tuple(e for e in ball.edges if e[:2] != (0, "b")))
+    assert cut.vertex_of(word("ba")) is None
+    assert cut.vertex_of(word("ab")) == ball.vertex_of(word("ab"))
 
 
 def test_ball_matches_brute_partition():

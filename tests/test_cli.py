@@ -39,6 +39,9 @@ def test_parse_examples():
     assert P == make_presentation(("a", "b", "c"), word("aba"), word("aca"))
     Q = parse_presentation("alphabet: a\nrelation: aa = a")
     assert Q == make_presentation(("a",), word("aa"), word("a"))
+    # letters are separated by any whitespace, tabs included
+    T = parse_presentation("alphabet:\ta\tb\nrelation: a\tb\t= ba")
+    assert T == make_presentation(("a", "b"), word("ab"), word("ba"))
 
 
 def test_parse_undeclared_letter():
@@ -114,6 +117,8 @@ def test_wp_command_equal():
     assert report.payload["verdict"] == "Equal"
     assert report.payload["pathLength"] == 1
     assert report.verdict_counts == {"Equal": 1}
+    code, report = dispatch(["wp", fx("aba-aca.orm"), "ab\taba", "abaca"])
+    assert (code, report.payload["verdict"]) == (0, "Equal")
 
 
 def test_wp_command_distinct():
@@ -486,6 +491,24 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, capsysbinary):
     assert obj["inputDigest"] == \
         "sha256:" + hashlib.sha256(bad.read_bytes()).hexdigest()
     assert obj["budgets"] == {"maxWords": 50, "maxLen": None}
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    """A leading UTF-8 byte-order mark is no part of the text: the file
+    parses, a bad byte is placed as if the mark were absent, and the
+    digest is still of the raw bytes."""
+    marked = tmp_path / "marked.orm"
+    marked.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "aba-aca.orm").read_bytes())
+    code, report = dispatch(["classify", str(marked)])
+    assert code == 0
+    assert report.payload["caseTag"] == "OneStepCompressibleNonSubspecial"
+    assert report.input_digest == \
+        "sha256:" + hashlib.sha256(marked.read_bytes()).hexdigest()
+    marked.write_bytes(b"\xef\xbb\xbfalphabet: a \xff\nrelation: a = a\n")
+    code, report = dispatch(["classify", str(marked)])
+    assert code == 2
+    assert report.payload["error"] == \
+        "line 1, column 13: invalid UTF-8 byte 0xff"
 
 
 def test_flags_are_spelled_in_full(capsysbinary):

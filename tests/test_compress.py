@@ -21,6 +21,7 @@ from ormkit.compress import (
     Strategy,
     compress_chain,
     compress_step,
+    delta_cuts,
     delta_factorize,
     t_membership,
 )
@@ -69,6 +70,9 @@ def test_t_membership_examples():
     assert t_membership(r2, word("ba"))
     assert t_membership(r2, word("bbaba"))
     assert not t_membership(r2, word("b"))
+    for f in (t_membership, delta_cuts):
+        with pytest.raises(ValueError, match="requires nonempty r"):
+            f(EMPTY, word("b"))
 
 
 @given(st.builds(tuple, st.lists(st.sampled_from("ab"), max_size=5)),

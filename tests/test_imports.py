@@ -1,8 +1,9 @@
 """Every module uses each name it imports and imports it once, no
 package module imports a sibling's private name, no package module
 catches a broad exception, the package has one frontier loop and one
-ball builder, which is also its one class-placement loop, and it
-defines no public name that only the tests read.
+ball builder, which is also its one class-placement loop, only wp and
+cli name the verdict classes, and the package defines no public name
+that only the tests read.
 
 Package __init__ files re-export names and are left out.  A name counts
 as used when it appears as an identifier anywhere in the module, which
@@ -178,6 +179,16 @@ def test_one_ball_builder():
     assert sites == [("cayley.py", "_ball")]
     assert ("enumerate_classes" in
             [func for func, _ in call_sites(cayley, "_ball")])
+
+
+def test_only_wp_and_cli_name_the_verdict_classes():
+    """wp makes verdicts and cli renders them; every other module reads
+    a verdict's congruent, so it neither imports nor names a verdict
+    class."""
+    verdicts = {"Equal", "Distinct", "Unknown"}
+    naming = [p.name for p in PACKAGE
+              if referenced_names(p.read_text()) & verdicts]
+    assert [name for name in naming if name not in ("wp.py", "cli.py")] == []
 
 
 def public_definitions(source: str) -> list[str]:

@@ -188,6 +188,13 @@ def test_swap_rejects_overlapping_sites():
     P = aba_aca()
     with pytest.raises(NotApplicable):
         apply_move(P, (E_TOP, E_DOWN), PullUpPushDown(0))
+    with pytest.raises(NotApplicable, match="swap position out of range"):
+        apply_move(P, (E_TOP,), PullUpPushDown(0))
+
+
+def test_apply_move_rejects_an_unknown_move():
+    with pytest.raises(NotApplicable, match="unknown move"):
+        apply_move(aba_aca(), (E_TOP, E_DOWN), object())
 
 
 # ------------------------------------------------------------- parity
@@ -575,9 +582,9 @@ def reference_harness(P, samples, max_support, seed, budget=None,
     singleton_violations = []
     for w in reps:
         verdict = oracle.equal(w + head_u, w + head_v)
-        if isinstance(verdict, squier.Unknown):
+        if isinstance(verdict, wp.Unknown):
             singleton_skipped += 1
-        elif isinstance(verdict, squier.Equal):
+        elif isinstance(verdict, wp.Equal):
             singleton_violations.append(P.text(w))
 
     def formal_sum(support, weights, head):

@@ -191,6 +191,8 @@ def test_presentation_rejects_bad_input():
         Presentation(("a",), word("ab"), word("a"))
     with pytest.raises(ValueError):
         Presentation(("a", "b"), word("ab"), word("ba"))  # not normalized
+    with pytest.raises(ValueError, match="letter 'b' not declared"):
+        make_presentation(("a",), word("b"), EMPTY)
 
 
 @given(words_ab, words_ab)

@@ -9,6 +9,7 @@ checked against it exhaustively on small words.
 from __future__ import annotations
 
 import heapq
+from dataclasses import fields
 from itertools import permutations, product
 from unittest import mock
 
@@ -101,6 +102,18 @@ def test_equal_bounded_examples():
 
     v = equal_bounded(P, word("ab"), word("abb"))
     assert v == Distinct(CERT_ABELIAN)
+
+
+def test_verdicts_say_whether_their_words_are_congruent():
+    """congruent is a class attribute, not a field, so equality, repr
+    and every render see only the path, certificate or reason."""
+    cases = [(Equal, True, ["path"]), (Distinct, False, ["certificate"]),
+             (Unknown, None, ["reason"])]
+    for cls, congruent, names in cases:
+        assert cls.congruent is congruent
+        assert [f.name for f in fields(cls)] == names
+    assert repr(Unknown("word budget exhausted")) == (
+        "Unknown(reason='word budget exhausted')")
 
 
 def reference_abelian_mismatch(P, w1, w2):
