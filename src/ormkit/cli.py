@@ -274,13 +274,10 @@ def _parse_file(raw: bytes) -> Presentation:
 
 
 def _parse_word(text: str, P: Presentation) -> Word:
-    if text == "1" and "1" not in P.alphabet:
-        return ()
-    letters = tuple(ch for ch in text if not ch.isspace())
-    for ch in letters:
-        if ch not in P.alphabet:
-            raise UsageError(f"undeclared letter {ch!r} in word {text!r}")
-    return letters
+    try:
+        return _parse_side(text, 1, 1, P.alphabet)
+    except UndeclaredLetter as e:
+        raise UsageError(f"undeclared letter {e.letter!r} in word {text!r}")
 
 
 def _step_dict(data) -> dict:

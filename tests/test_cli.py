@@ -22,6 +22,8 @@ from ormkit.cli import (
     Report,
     UndeclaredLetter,
     UsageError,
+    _parse_side,
+    _parse_word,
     dispatch,
     emit,
     main,
@@ -132,6 +134,26 @@ def test_wp_empty_word_spelled_as_one():
     code, report = dispatch(["wp", fx("aa-a.orm"), "1", "a"])
     assert code == 0
     assert report.payload["verdict"] == "Distinct"
+    # a command-line word follows the relation-side rule for `1`
+    for one in (" 1", "1 ", "\t1 "):
+        code, spaced = dispatch(["wp", fx("aa-a.orm"), one, "a"])
+        assert code == 0
+        assert emit(spaced, "json") == emit(report, "json")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(FIXTURES.glob("*.orm"))))
+def test_word_reads_as_a_relation_side(data, name):
+    P = parse_presentation(name.read_text())
+    text = data.draw(st.text(st.sampled_from([*P.alphabet, " ", "\t", "1"]),
+                             max_size=6))
+    try:
+        side = _parse_side(text, 1, 1, P.alphabet)
+    except UndeclaredLetter:
+        with pytest.raises(UsageError):
+            _parse_word(text, P)
+    else:
+        assert _parse_word(text, P) == side
 
 
 def test_wp_decides_infinite_classes_by_normal_forms():
@@ -359,11 +381,15 @@ def test_witness_checks_pass_under_any_budget(tmp_path, kind, notes, budget):
 def test_exit_2_usage_and_parse_errors(tmp_path):
     assert dispatch(["no-such-command"])[0] == 2
     assert dispatch(["classify", fx("missing.orm")])[0] == 2
-    assert dispatch(["wp", fx("aba-aca.orm"), "axa", "aca"])[0] == 2
-    assert dispatch(["compress", fx("aba-aca.orm"), "--by", "b"])[0] == 2
-    code, report = dispatch(["compress", fx("aba-aca.orm"), "--by", "1"])
+    code, report = dispatch(["wp", fx("aba-aca.orm"), "axa", "aca"])
     assert code == 2
-    assert report.payload["error"] == "'ε' does not seal both relation sides"
+    assert report.payload["error"] == "undeclared letter 'x' in word 'axa'"
+    assert dispatch(["compress", fx("aba-aca.orm"), "--by", "b"])[0] == 2
+    for one in ("1", " 1"):
+        code, report = dispatch(["compress", fx("aba-aca.orm"), "--by", one])
+        assert code == 2
+        assert report.payload["error"] == \
+            "'ε' does not seal both relation sides"
     assert dispatch(["structure-check", fx("aba-aca.orm"),
                      "RegularityWitness"])[0] == 2
     bad = tmp_path / "bad.orm"

@@ -113,7 +113,8 @@ def no_constant(name):
     raise ValueError(f"{name} in a benchmark result")
 
 
-@pytest.mark.parametrize("workload", ["wp-queries", "cli-checks"])
+@pytest.mark.parametrize("workload",
+                         ["wp-queries", "ball-ladder", "cli-checks"])
 def test_traced_benchmark_run_reports_every_layer(workload):
     """The traced run as the benchmark starts it: run.py imports ormkit
     itself, so a layer that `import ormkit` no longer loads shows up as
