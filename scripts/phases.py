@@ -24,12 +24,21 @@ repository root:
 On a shared host the minimum of one process does not survive load that
 drifts over minutes.  To compare two trees, import both into one
 process and interleave their rounds; do not time each tree in a process
-of its own and compare the figures.
+of its own and compare the figures.  --against-src does that:
+
+    python3 scripts/phases.py wp-queries --against-src ../parent/src
+
+imports PATH/ormkit as the package ormkit_base beside this tree's
+ormkit (every import inside the package is relative), alternates their
+rounds with the collector off, and prints this tree's table, the other
+tree's, and per row the ratio of this tree's minimum to the other's and
+the rounds in which this tree's row took less CPU time.
 """
 
 import argparse
 import gc
 import importlib
+import importlib.util
 import random
 import sys
 import time
@@ -99,19 +108,60 @@ def one_round(steps, workload, ops: list) -> Clock:
     return clock
 
 
-def print_table(phases, clocks: list[Clock]) -> None:
-    def line(phase: str, fixture: str, keep) -> None:
-        cpu, col = (min(sum(v for row, v in getattr(c, field).items()
-                            if keep(row)) for c in clocks) * 1e3
-                    for field in ("cpu", "gc"))
-        print(f"{phase:<24}{fixture:<18}{cpu:>10.3f}{col:>10.3f}")
-
-    print(f"{'phase':<24}{'fixture':<18}{'cpu_ms':>10}{'gc_ms':>10}")
+def table_rows(phases, clocks: list[Clock]):
+    """(phase, fixture, key) per row: each phase's fixtures and its
+    total, then the round's total.  A row sums the (phase, fixture)
+    rows of a Clock that start with its key."""
     for phase in phases:
         for fixture in sorted({f for p, f in clocks[0].cpu if p == phase}):
-            line(phase, fixture, lambda row: row == (phase, fixture))
-        line(phase, "total", lambda row: row[0] == phase)
-    line("total", "", lambda row: True)
+            yield phase, fixture, (phase, fixture)
+        yield phase, "total", (phase,)
+    yield "total", "", ()
+
+
+def row_sums(clocks: list[Clock], field: str, key: tuple) -> list[float]:
+    """Milliseconds of field in the rows that start with key, per round."""
+    return [sum(v for row, v in getattr(c, field).items()
+                if row[:len(key)] == key) * 1e3 for c in clocks]
+
+
+def print_table(phases, clocks: list[Clock]) -> None:
+    print(f"{'phase':<24}{'fixture':<18}{'cpu_ms':>10}{'gc_ms':>10}")
+    for phase, fixture, key in table_rows(phases, clocks):
+        cpu, col = (min(row_sums(clocks, f, key)) for f in ("cpu", "gc"))
+        print(f"{phase:<24}{fixture:<18}{cpu:>10.3f}{col:>10.3f}")
+
+
+def print_comparison(phases, mine: list[Clock], other: list[Clock]) -> None:
+    print(f"{'phase':<24}{'fixture':<18}{'ratio':>10}{'wins':>10}")
+    for phase, fixture, key in table_rows(phases, mine):
+        a, b = row_sums(mine, "cpu", key), row_sums(other, "cpu", key)
+        ratio = min(a) / min(b) if min(b) else float("nan")
+        wins = sum(x < y for x, y in zip(a, b))
+        print(f"{phase:<24}{fixture:<18}{ratio:>10.3f}{f'{wins}/{len(a)}':>10}")
+
+
+def import_base(src: Path):
+    """PATH/ormkit imported as the package ormkit_base."""
+    init = src / "ormkit" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no ormkit sources under {src}")
+    spec = importlib.util.spec_from_file_location(
+        "ormkit_base", init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules["ormkit_base"] = package
+    spec.loader.exec_module(package)
+    for sub in ("wp", "words", "cayley", "cli"):
+        importlib.import_module(f"ormkit_base.{sub}")
+    return package
+
+
+def build(name: str, package, seed: int):
+    """The workload over package and its round for seed."""
+    module, cls = WORKLOADS[name]
+    workload = getattr(importlib.import_module(module), cls)(
+        load_context(package), package)
+    return workload, workload.make_round(random.Random(seed))
 
 
 def main() -> int:
@@ -119,17 +169,39 @@ def main() -> int:
     p.add_argument("workload", choices=STEPS)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--against-src", type=Path, metavar="PATH",
+                   help="a directory holding another tree's ormkit package")
     a = p.parse_args()
-    ormkit = import_ormkit()
-    module, cls = WORKLOADS[a.workload]
-    workload = getattr(importlib.import_module(module), cls)(
-        load_context(ormkit), ormkit)
-    ops = workload.make_round(random.Random(a.seed))
     phases, steps = STEPS[a.workload]
-    clocks = [one_round(steps, workload, ops) for _ in range(max(1, a.repeats))]
-    print(f"seed {a.seed}, {len(ops)} {workload.op_name}, "
-          f"minimum of {len(clocks)} rounds")
-    print_table(phases, clocks)
+    repeats = max(1, a.repeats)
+    workload, ops = build(a.workload, import_ormkit(), a.seed)
+    if a.against_src is None:
+        clocks = [one_round(steps, workload, ops) for _ in range(repeats)]
+        print(f"seed {a.seed}, {len(ops)} {workload.op_name}, "
+              f"minimum of {len(clocks)} rounds")
+        print_table(phases, clocks)
+        return 0
+    base, base_ops = build(a.workload, import_base(a.against_src.resolve()),
+                           a.seed)
+    mine, other = [], []
+    sides = [(mine, workload, ops), (other, base, base_ops)]
+    gc.disable()
+    try:
+        for r in range(repeats):
+            # the trees take turns going first
+            for clocks, w, o in sides if r % 2 == 0 else sides[::-1]:
+                clocks.append(one_round(steps, w, o))
+    finally:
+        gc.enable()
+    print(f"seed {a.seed}, {len(ops)} {workload.op_name}, minimum of "
+          f"{repeats} alternated rounds per tree, collector off")
+    print(f"this tree ({ROOT / 'src'})")
+    print_table(phases, mine)
+    print(f"against ({a.against_src})")
+    print_table(phases, other)
+    print("ratio: this tree's minimum over the other's; wins: rounds this "
+          "tree took less")
+    print_comparison(phases, mine, other)
     return 0
 
 

@@ -249,7 +249,7 @@ def _ball(oracle: Oracle, radius: int, sphere: bool,
 
     On a complete rule the classes are normal forms and the oracle is
     not consulted.  w·x ends in u exactly when x is the last letter of u
-    and w ends in the rest of u, a suffix compare as in wp._reduce.  A
+    and w ends in the rest of u, which one suffix compare tests.  A
     vertex is irreducible, so w·x is irreducible exactly when it does
     not end in u; then it is a new vertex, or lies beyond the radius and
     is dropped unbuilt.  Irreducible words are prefix-closed, and w is

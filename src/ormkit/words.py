@@ -14,8 +14,9 @@ self-overlap-free, and they drive the whole compression calculus.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 Word = tuple[str, ...]
 
@@ -64,45 +65,72 @@ class Presentation:
     Normalized means |v| <= |u|, with the shortlex tie-break u >= v when
     the lengths agree.  Shortlex uses the alphabet declaration order.
     Construct through :func:`make_presentation` to get normalization for
-    free; the constructor itself rejects unnormalized input.
+    free; the constructor itself rejects unnormalized input.  It works
+    out its hash once, and a one-character code per letter, so that a
+    word can be spelled as a string: each letter as itself when every
+    letter is one character, else as a private-use code point.
     """
 
     alphabet: tuple[str, ...]
     u: Word
     v: Word
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+    _one_char: bool = field(init=False, repr=False, compare=False)
+    # a word as a string of one code per letter, and back
+    _spell: Callable[[Word], str] = field(init=False, repr=False, compare=False)
+    _word: Callable[[str], Word] = field(init=False, repr=False, compare=False)
+    # u and v spelled
+    _spelled: tuple[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate letters in alphabet")
-        object.__setattr__(self, "_index",
-                           {a: i for i, a in enumerate(self.alphabet)})
         used = set(self.u) | set(self.v)
         missing = used - set(self.alphabet)
         if missing:
             raise ValueError(f"letters not declared in alphabet: {sorted(missing)}")
+        init = partial(object.__setattr__, self)
+        init("_index", {a: i for i, a in enumerate(self.alphabet)})
+        init("_hash", hash((self.alphabet, self.u, self.v)))
+        init("_one_char", all(len(a) == 1 for a in self.alphabet))
+        if self._one_char:
+            init("_spell", "".join)
+            init("_word", tuple)
+        else:
+            codes = {a: chr(0xE000 + i) for i, a in enumerate(self.alphabet)}
+            init("_spell", partial(_translate, codes, "".join))
+            init("_word", partial(_translate, {c: a for a, c in codes.items()},
+                                  tuple))
+        init("_spelled", (self._spell(self.u), self._spell(self.v)))
         if self.shortlex_key(self.u) < self.shortlex_key(self.v):
             raise ValueError("presentation not normalized: need u >= v in shortlex")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def shortlex_key(self, w: Word) -> tuple:
         idx = self._index
         return (len(w), tuple(idx[x] for x in w))
 
     def letter_counts(self, w: Word) -> tuple[int, ...]:
-        return tuple(w.count(a) for a in self.alphabet)
+        return tuple(map(w.count, self.alphabet))
 
     def text(self, w: Word) -> str:
         """w for display; the empty word is ε."""
         if not w:
             return "ε"
         # multi-character letter names would be ambiguous when flattened
-        sep = "" if all(len(a) == 1 for a in self.alphabet) else " "
-        return sep.join(w)
+        return ("" if self._one_char else " ").join(w)
 
     def describe(self) -> str:
         lhs = self.text(self.u) if self.u else "1"
         rhs = self.text(self.v) if self.v else "1"
         return f"<{' '.join(self.alphabet)} | {lhs} = {rhs}>"
+
+
+def _translate(table: dict[str, str], build, items) -> str | Word:
+    return build(map(table.__getitem__, items))
 
 
 def make_presentation(alphabet: tuple[str, ...] | list[str],

@@ -158,29 +158,72 @@ def replay(P: Presentation, path: tuple[Word, ...]) -> bool:
 def _reduce(P: Presentation, w: Word, starts: list[int] | None = None) -> Word:
     """The irreducible descendant of w under the rule u -> v.
 
-    One left-to-right stack pass: letters move from the input to the
-    output, and whenever the output ends in u, u is popped and v pushed
-    back onto the input.  The output never contains u, so each new
-    occurrence ends at its top.  The rule is shortlex-decreasing, so the
-    pass terminates.  When starts is given, the position where each
-    rewrite replaces u by v in the word it rewrites is appended to it;
-    _rewrites spells the chain of words from them.
+    Each rewrite replaces the leftmost occurrence of u, which str.find
+    locates in w spelled one code per letter.  The rule is
+    shortlex-decreasing, so the rewriting terminates.  When starts is
+    given, the position where each rewrite replaces u by v in the word
+    it rewrites is appended to it; _rewrites spells the chain of words
+    from them.
+
+    Rewrites splice v into a window, so that none copies the whole
+    word; k = 64 + 2|u| sets the window's scale.  Text left of the
+    window holds no occurrence of u, and none starts left of position
+    at in the window: a rewrite at i leaves none before i - |u| + 1.
+    When that bound falls left of the window, the text there is handed
+    back, at most k letters at a time, and a window that grows past 3k
+    letters sends all but its next k letters from at back to be read
+    again.  Text right of the window is read k letters at a time once
+    the window holds no occurrence of u; the window keeps its last
+    |u| - 1 letters then, as they may begin one.
     """
-    u, v = P.u, P.v
-    if u == v:
+    u, v = P._spelled
+    n = len(u)
+    if u == v or len(w) < n:
         return tuple(w)
-    n, last = len(u), u[-1]
-    out: list[str] = []
-    todo = list(reversed(w))
-    while todo:
-        x = todo.pop()
-        out.append(x)
-        if x == last and len(out) >= n and tuple(out[-n:]) == u:
-            del out[-n:]
-            todo.extend(reversed(v))
+    s = P._spell(w)
+    k = 64 + 2 * n
+    win, read = s[:k], k
+    done: list[str] = []   # irreducible text left of the window
+    off = 0                # its length
+    back: list[str] = []   # text to read again before s[read:], next last
+    at = 0
+    while True:
+        if at < 0:
+            while at < 0 and done:
+                piece = done.pop()
+                if len(piece) > k:
+                    done.append(piece[:-k])
+                    piece = piece[-k:]
+                win = piece + win
+                off -= len(piece)
+                at += len(piece)
+            if at < 0:
+                at = 0
+            if len(win) > 3 * k:
+                back.append(win[at + k:])
+                win = win[:at + k]
+        i = win.find(u, at)
+        if i >= 0:
+            win = win[:i] + v + win[i + n:]
             if starts is not None:
-                starts.append(len(out))
-    return tuple(out)
+                starts.append(off + i)
+            at = i - n + 1
+            continue
+        if back:
+            piece = back.pop()
+        elif read < len(s):
+            piece = s[read:read + k]
+            read += k
+        else:
+            break
+        at = len(win) - n + 1
+        if at > 0:
+            done.append(win[:at])
+            off += at
+            win = win[at:]
+            at = 0
+        win += piece
+    return P._word("".join(done) + win if done else win)
 
 
 def _rewrites(P: Presentation, w: Word, starts: list[int]) -> list[Word]:
@@ -348,8 +391,10 @@ def _decide(P: Presentation, w1: Word, w2: Word, budget: OracleBudget,
     """The one decider order: identity; normal forms when u -> v is
     complete, the ideal and abelian certificates then only naming a
     Distinct; on any other rule those certificates, the class of w1 in
-    store when it saturates, and last the two-sided search."""
-    max_len = budget.cap_for(P, w1, w2)
+    store when it saturates, and last the two-sided search.  An explicit
+    length cap below an input word is refused before any of them."""
+    if budget.max_len is not None:
+        budget.cap_for(P, w1, w2)
     if w1 == w2:
         return Equal((w1,))
     complete = is_complete(P)
@@ -371,7 +416,8 @@ def _decide(P: Presentation, w1: Word, w2: Word, budget: OracleBudget,
             return Distinct(CERT_EXHAUSTED)
         # both chains run to the closure root
         return Equal(_join(_chain(parent, w1), _chain(parent, w2)))
-    (p1, p2), stop = _search(P, (w1, w2), max_len, budget.max_words)
+    (p1, p2), stop = _search(P, (w1, w2), budget.cap_for(P, w1, w2),
+                             budget.max_words)
     if stop is True:
         return Distinct(CERT_EXHAUSTED)
     if stop is False:

@@ -1,6 +1,7 @@
 """What the test modules share: the fixture directory, the running
 example presentations, a word enumerator written independently of the
-package's, and the union-find congruence oracle."""
+package's, the union-find congruence oracle, and a reference for the
+reduction by the single rule."""
 
 from __future__ import annotations
 
@@ -66,3 +67,30 @@ def brute_partition(P, radius, reach=None):
         for m in neighbors(P, w):
             uf.union(w, m)
     return uf
+
+
+def reference_reduce(P, w, starts=None):
+    """The irreducible descendant of w under u -> v by one left-to-right
+    stack pass, with the position of each rewrite appended to starts as
+    wp._reduce appends it.
+
+    Letters move from the input to the output, and whenever the output
+    ends in u, u is popped and v pushed back onto the input.  The output
+    never contains u, so each new occurrence ends at its top, and each
+    rewrite is at the leftmost occurrence of u.
+    """
+    u, v = P.u, P.v
+    if u == v:
+        return tuple(w)
+    n, last = len(u), u[-1]
+    out = []
+    todo = list(reversed(w))
+    while todo:
+        x = todo.pop()
+        out.append(x)
+        if x == last and len(out) >= n and tuple(out[-n:]) == u:
+            del out[-n:]
+            todo.extend(reversed(v))
+            if starts is not None:
+                starts.append(len(out))
+    return tuple(out)

@@ -1,5 +1,6 @@
-"""Every module uses each name it imports and imports it once, no
-package module imports a sibling's private name, no package module
+"""Every module uses each name it imports and imports it once, the
+package imports its own modules by relative paths only, no package
+module imports a sibling's private name, no package module
 catches a broad exception, the package has one frontier loop and one
 ball builder, which is also its one class-placement loop, only wp and
 cli name the verdict classes, and the package defines no public name
@@ -100,6 +101,29 @@ def private_sibling_imports(source: str) -> list[str]:
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_private_sibling_imports(path):
     assert private_sibling_imports(path.read_text()) == []
+
+
+def absolute_package_imports(source: str) -> list[str]:
+    """Imports that name the package ormkit instead of a relative path."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] == "ormkit"]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "ormkit").glob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_itself_relatively(path):
+    # scripts/phases.py --against-src imports a second tree's package
+    # under another name, which only relative imports follow
+    assert absolute_package_imports(path.read_text()) == []
 
 
 BROAD = {"ValueError", "Exception", "BaseException"}

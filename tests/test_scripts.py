@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -54,9 +55,15 @@ PHASES = {
 }
 
 
+def phase_rows(workload: str) -> list[list[str]]:
+    """Each phase's fixtures and its total, then the round's total."""
+    return [[phase, f] for phase, fs in PHASES[workload][1].items()
+            for f in [*fs, "total"]] + [["total"]]
+
+
 @pytest.mark.parametrize("workload", PHASES)
 def test_phases_prints_every_phase_and_fixture(workload):
-    header, fixtures = PHASES[workload]
+    header = PHASES[workload][0]
     done = subprocess.run([sys.executable, "scripts/phases.py", workload,
                            "--seed", "1", "--repeats", "1"],
                           cwd=ROOT, capture_output=True, text=True,
@@ -65,12 +72,37 @@ def test_phases_prints_every_phase_and_fixture(workload):
     assert lines[0] == f"seed 1, {header}, minimum of 1 rounds"
     assert lines[1].split() == ["phase", "fixture", "cpu_ms", "gc_ms"]
     rows = [line.split() for line in lines[2:]]
-    # each phase's fixtures and its total, then the round's total
-    assert [r[:-2] for r in rows] == [
-        [phase, f] for phase, fs in fixtures.items()
-        for f in [*fs, "total"]] + [["total"]]
+    assert [r[:-2] for r in rows] == phase_rows(workload)
     for r in rows:
         assert all(float(ms) >= 0 for ms in r[-2:])
+
+
+@pytest.mark.parametrize("workload", PHASES)
+def test_phases_against_a_copy_prints_both_tables(workload, tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    done = subprocess.run([sys.executable, "scripts/phases.py", workload,
+                           "--seed", "1", "--repeats", "1",
+                           "--against-src", str(tmp_path / "src")],
+                          cwd=ROOT, capture_output=True, text=True,
+                          check=True)
+    # each table: its header, then rows up to the round's total
+    tables, table = [], None
+    for line in done.stdout.splitlines():
+        cells = line.split()
+        if cells[:2] == ["phase", "fixture"]:
+            table = []
+            tables.append((cells[2:], table))
+        elif table is not None:
+            table.append(cells)
+            if cells[0] == "total" and len(cells) == 3:
+                table = None
+    assert [head for head, _ in tables] == [
+        ["cpu_ms", "gc_ms"], ["cpu_ms", "gc_ms"], ["ratio", "wins"]]
+    mine, other, compared = ([r[:-2] for r in rows] for _, rows in tables)
+    assert mine == other == compared
+    assert mine == phase_rows(workload)
+    assert all(r[-1] in ("0/1", "1/1") for r in tables[2][1])
 
 
 def load_tracer():

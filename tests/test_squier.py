@@ -57,7 +57,16 @@ from ormkit.words import (
     make_presentation,
     word,
 )
-from ormkit.wp import BudgetTooShort, OracleBudget, normal_form
+from ormkit.wp import (
+    CERT_NORMAL_FORM,
+    BudgetTooShort,
+    Distinct,
+    Equal,
+    OracleBudget,
+    equal_bounded,
+    normal_form,
+    replay,
+)
 from support import FIXTURES, aba_aca, all_words, brute_partition, idempotent
 
 E_TOP = SquierEdge(EMPTY, 1, EMPTY)
@@ -533,6 +542,20 @@ def test_harness_running_example():
     assert report.pre_incompressible is False
     assert report.pre_shared_last_letter is True
     assert report.pre_aspherical is False
+
+
+def test_a_passing_harness_is_no_proof_of_injectivity():
+    """Criterion 7's harness passes on aba-aca, but right multiplication
+    by h = ac - ab, the relation's heads, is not injective there:
+    x = [ab] - [ac] has x·h = 0, since ab·ac = ac·ac and ab·ab = ac·ab in
+    the monoid, while ab and ac are distinct."""
+    P = aba_aca()
+    assert (P.u[:-1], P.v[:-1]) == (word("ac"), word("ab"))
+    for w1, w2 in (("abac", "acac"), ("abab", "acab")):
+        verdict = equal_bounded(P, word(w1), word(w2))
+        assert isinstance(verdict, Equal) and replay(P, verdict.path)
+    assert (equal_bounded(P, word("ab"), word("ac"))
+            == Distinct(CERT_NORMAL_FORM))
 
 
 class LastLetterReps(squier.Oracle):

@@ -55,7 +55,14 @@ from ormkit.wp import (
     normal_form,
     replay,
 )
-from support import FIXTURES, aba_aca, all_words, big_example, brute_partition
+from support import (
+    FIXTURES,
+    aba_aca,
+    all_words,
+    big_example,
+    brute_partition,
+    reference_reduce,
+)
 
 ORM_FILES = sorted(FIXTURES.glob("*.orm"))
 
@@ -389,6 +396,62 @@ def test_normal_form_examples():
     assert normal_form(bicyclic, word("aabbba")) == word("ba")
     assert normal_form(bicyclic, word("bbbaaa")) == word("bbbaaa")
     assert normal_form(aba_aca(), word("acaca")) == word("ababa")
+
+
+@st.composite
+def rule_and_word(draw):
+    """A single-rule presentation, its letters one character long or
+    not, and a word of up to a few hundred letters built from pieces of
+    its relation sides, so that it holds occurrences of u."""
+    size = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        alphabet = tuple("abc"[:size])
+    else:
+        # names as compression makes them, some longer than one character
+        alphabet = tuple(draw(st.lists(st.text("ab", min_size=1, max_size=3),
+                                       min_size=size, max_size=size,
+                                       unique=True)))
+    letters = st.sampled_from(alphabet)
+    lhs = tuple(draw(st.lists(letters, min_size=1, max_size=5)))
+    rhs = draw(st.one_of(st.just(()), st.just(lhs),
+                         st.lists(letters, max_size=len(lhs)).map(tuple)))
+    P = make_presentation(alphabet, lhs, rhs)
+    pieces = st.one_of(st.just(P.u), st.just(P.v), letters.map(lambda x: (x,)),
+                       st.lists(letters, max_size=8).map(tuple))
+    repeat = draw(st.integers(1, 40))
+    w = sum(draw(st.lists(pieces, max_size=12)), ()) * repeat
+    return P, w[:draw(st.integers(0, 400))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_and_word())
+def test_reduce_matches_the_reference_stack_pass(case):
+    P, w = case
+    got, want = [], []
+    assert _reduce(P, w, got) == reference_reduce(P, w, want)
+    assert got == want
+
+
+@pytest.mark.parametrize("lhs, rhs, runs", [
+    ("aa", "a", "a*5000"),
+    ("aa", "a", "b*2500 a*2500"),
+    ("abab", "ab", "ab*2500"),
+    ("bab", "b", "ba*2500 b*1"),
+    ("ba", "a", "b*5000 a*1"),
+    ("ba", "ab", "b*5000 a*1"),
+    ("bba", "abb", "b*4980 a*20"),
+    ("ba", "ab", "b*4990 a*10"),
+])
+def test_reduce_long_words_match_the_reference(lhs, rhs, runs):
+    """Words far longer than the window: the rewrites run into the text
+    left of it, which is handed back, and leftward cascades grow it until
+    its right end is pushed back to be read again."""
+    P = make_presentation(("a", "b"), word(lhs), word(rhs))
+    w = word("".join(piece * int(n) for piece, n in
+                     (run.split("*") for run in runs.split())))
+    got, want = [], []
+    assert _reduce(P, w, got) == reference_reduce(P, w, want)
+    assert got == want
 
 
 @settings(max_examples=80, deadline=None)
