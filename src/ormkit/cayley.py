@@ -52,7 +52,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, combinations, product
@@ -67,6 +66,7 @@ from .compress import (
     syllables,
     t_membership,
 )
+from .records import record
 from .words import (
     PreconditionError,
     Presentation,
@@ -99,28 +99,20 @@ class CellVariant(str, Enum):
     COMPRESSED_IDEAL = "CompressedIdeal"
 
 
-@dataclass(frozen=True)
-class TwoCell:
+class TwoCell(record("TwoCell", "base_vertex variant boundary_edges")):
     """A 2-cell: boundary reads one relation side out of the base vertex
-    and the other side back, as a signed edge sequence."""
+    and the other side back, as a signed edge sequence of (edge, sign)
+    pairs."""
 
-    base_vertex: int
-    variant: CellVariant
-    boundary_edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CayleyBall:
-    """A finite piece of the Cayley complex.  It stores its vertices,
-    edges and cells; the boundary matrices d1 and d2 and the interior
-    mask are views derived from them on first read."""
-
-    presentation: Presentation
-    radius: int
-    vertices: tuple[Word, ...]
-    edges: tuple[tuple[int, str, int], ...]
-    cells: tuple[TwoCell, ...]
-    approximate: bool
+class CayleyBall(record("CayleyBall", "presentation radius vertices edges "
+                        "cells approximate")):
+    """A finite piece of the Cayley complex.  It stores its vertices
+    (words), edges (source, letter, target) and cells; the boundary
+    matrices d1 and d2 and the interior mask are views derived from them
+    on first read, and kept in the instance dict."""
 
     @cached_property
     def d1(self) -> dict[tuple[int, int], int]:
@@ -423,7 +415,7 @@ def attach_cells(ball: CayleyBall, variant: CellVariant) -> CayleyBall:
             raise AssertionError("boundary paths disagree in an exact ball")
         v_edges.reverse()
         cells.append(TwoCell(base, variant, tuple(u_edges + v_edges)))
-    return replace(ball, cells=tuple(cells))
+    return ball._replace(cells=tuple(cells))
 
 
 def _column(cell: TwoCell) -> dict[int, int]:
@@ -510,19 +502,22 @@ def two_cycle_basis(ball: CayleyBall) -> list[dict[int, int]]:
 # --------------------------------------------------- compression map psi
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(record("Star", "")):
     """Image of every vertex whose words avoid the compressing word."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Pair:
+    def __bool__(self) -> bool:
+        # a point, not an empty tuple
+        return True
+
+
+class Pair(record("Pair", "base tail")):
     """Image of a vertex inside the ideal: the prefix through the first
     occurrence of the compressing word, and the rest up to the end of the
     last occurrence as its Delta_r factorization, a tuple of words."""
 
-    base: Word
-    tail: tuple[Word, ...]
+    __slots__ = ()
 
 
 PsiImage = Star | Pair
@@ -555,16 +550,12 @@ class CheckKind(str, Enum):
     KERNEL_INCLUSION = "KernelInclusion"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(record("CheckReport", "kind checked skipped failures notes",
+                         defaults=((), ()))):
     """One structure check's outcome; it passes when it lists no
     failure, and undecided pairs count as skipped, never as failures."""
 
-    kind: CheckKind
-    checked: int
-    skipped: int
-    failures: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -16,11 +16,10 @@ Bounds are reported as intervals and never as unproven exact values.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from .records import record
 from .words import (
     Presentation,
-    Word,
     compressing_words,
     ends_with,
     proper_power_root,
@@ -45,21 +44,20 @@ class Asphericity(str, enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class DimBound:
+class DimBound(record("DimBound", "lower upper")):
     """A closed interval of extended naturals; upper = inf means no
     finite upper bound is proven, lower = upper = inf means proven
     infinite."""
 
-    lower: float
-    upper: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for x in (self.lower, self.upper):
+    def __new__(cls, lower: float, upper: float) -> DimBound:
+        for x in (lower, upper):
             if x != INF and (x != int(x) or x < 0):
                 raise ValueError("bounds are naturals or inf")
-        if self.lower > self.upper:
+        if lower > upper:
             raise ValueError("lower bound exceeds upper bound")
+        return tuple.__new__(cls, (lower, upper))
 
     def as_pair(self) -> tuple[str, str]:
         def show(x: float) -> str:
@@ -67,16 +65,14 @@ class DimBound:
         return show(self.lower), show(self.upper)
 
 
-@dataclass(frozen=True)
-class Classification:
-    case: Case
-    torsion: bool
-    compressing: tuple[Word, ...]
-    cd_left: DimBound
-    cd_right: DimBound
-    gd_left: DimBound
-    gd_right: DimBound
-    asphericity: Asphericity
+class Classification(record(
+        "Classification", "case torsion compressing cd_left cd_right gd_left "
+        "gd_right asphericity")):
+    """A presentation's Case, whether it has torsion, its compressing
+    words, the DimBound of each of its left and right cohomological (cd)
+    and geometric (gd) dimensions, and its Asphericity."""
+
+    __slots__ = ()
 
 
 def is_subspecial(P: Presentation) -> bool:

@@ -21,7 +21,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .cayley import (
     BudgetExceeded,
@@ -38,6 +38,7 @@ from .cayley import (
 )
 from .classify import classify_full
 from .compress import Strategy, compress_chain, compress_step
+from .records import record
 from .squier import (
     UndecidableClass,
     injectivity_harness,
@@ -159,17 +160,13 @@ def parse_presentation(text: str) -> Presentation:
 # ------------------------------------------------------------------ report
 
 
-@dataclass(frozen=True)
-class Report:
-    command: str
-    input_digest: str
-    payload: dict
-    verdict_counts: dict[str, int]
-    seeds: tuple[int, ...]
-    budgets: dict
-    approximate: bool
-    renders: dict[str, str] = field(default_factory=dict, repr=False,
-                                    compare=False)
+class Report(record("Report", "command input_digest payload verdict_counts "
+                    "seeds budgets approximate renders",
+                    defaults=(MappingProxyType({}),), hidden=1)):
+    """One command's outcome.  renders holds the formats only this
+    command can render, by name; equality and the repr leave it out."""
+
+    __slots__ = ()
 
 
 def _as_json_obj(report: Report) -> dict:

@@ -23,9 +23,9 @@ letters in play form a prefix code and so decode uniquely.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .records import record
 from .words import (
     Presentation,
     PreconditionError,
@@ -75,18 +75,17 @@ def delta_factorize(r: Word, w: Word) -> tuple[Word, ...]:
     return tuple(w[a:b] for a, b in zip(cuts, cuts[1:]))
 
 
-@dataclass(frozen=True)
-class CompressionData:
-    """Everything produced by one compression step.
+class CompressionData(record("CompressionData", "r compressed spellings",
+                             hidden=1)):
+    """Everything produced by one compression step: the sealing word r
+    and the compressed presentation.
 
     Each letter of the compressed alphabet is named by spell() of its
-    Delta_r word, and spellings maps it back.
+    Delta_r word, and spellings, which equality and the repr leave out,
+    maps each name back to its spelling over the base alphabet.
     """
 
-    r: Word
-    compressed: Presentation
-    # each compressed letter's spelling over the base alphabet, by name
-    spellings: dict[str, Word] = field(compare=False, repr=False)
+    __slots__ = ()
 
 
 def syllables(C: CompressionData, w: Word, ends: list[int]) -> tuple[list, list]:
@@ -132,10 +131,8 @@ class Strategy(enum.Enum):
     LONGEST_FIRST = "longest-first"
 
 
-@dataclass(frozen=True)
-class CompressionChain:
-    steps: tuple[CompressionData, ...]
-    terminal: Presentation
+class CompressionChain(record("CompressionChain", "steps terminal")):
+    __slots__ = ()
 
 
 def compress_chain(P: Presentation, strategy: Strategy) -> CompressionChain:

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .cayley import ball_vertices
 from .classify import Asphericity, asphericity_certificate
+from .records import record
 from .words import (
     PreconditionError,
     Presentation,
@@ -51,21 +51,19 @@ class UndecidableClass(Exception):
     """A parity key class could not be saturated within budget."""
 
 
-@dataclass(frozen=True)
-class SquierEdge:
+class SquierEdge(record("SquierEdge", "w1 sign w2")):
     """One relation application: left context, direction, right context.
 
     sign +1 replaces the first relation side by the second, -1 the
     reverse.
     """
 
-    w1: Word
-    sign: int
-    w2: Word
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __new__(cls, w1: Word, sign: int, w2: Word) -> SquierEdge:
+        if sign not in (1, -1):
             raise ValueError("sign is +1 or -1")
+        return tuple.__new__(cls, (w1, sign, w2))
 
 
 def _side(P: Presentation, sign: int) -> Word:
@@ -113,20 +111,16 @@ def validate_path(P: Presentation,
 # ----------------------------------------------------------------- moves
 
 
-@dataclass(frozen=True)
-class InsertCancelPair:
-    pos: int
-    edge: SquierEdge
+class InsertCancelPair(record("InsertCancelPair", "pos edge")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DeleteCancelPair:
-    pos: int
+class DeleteCancelPair(record("DeleteCancelPair", "pos")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PullUpPushDown:
-    pos: int
+class PullUpPushDown(record("PullUpPushDown", "pos")):
+    __slots__ = ()
 
 
 Move = InsertCancelPair | DeleteCancelPair | PullUpPushDown
@@ -221,14 +215,10 @@ def parity_vector(P: Presentation, path: SquierPath,
 # ----------------------------------------------------------- random walk
 
 
-@dataclass(frozen=True)
-class WalkReport:
-    seed: int
-    requested: int
-    applied: int
-    passed: bool
-    log: tuple[str, ...]
-    violation: str | None = None
+class WalkReport(record("WalkReport",
+                        "seed requested applied passed log violation",
+                        defaults=(None,))):
+    __slots__ = ()
 
 
 def _describe(P: Presentation, move: Move) -> str:
@@ -475,17 +465,11 @@ def random_walk_check(P: Presentation, start: SquierPath, steps: int,
 # -------------------------------------------------- injectivity sampling
 
 
-@dataclass(frozen=True)
-class HarnessReport:
-    samples: int
-    skipped: int
-    violations: tuple[str, ...]
-    singleton_checked: int
-    singleton_skipped: int
-    singleton_violations: tuple[str, ...]
-    pre_incompressible: bool
-    pre_shared_last_letter: bool
-    pre_aspherical: bool
+class HarnessReport(record(
+        "HarnessReport", "samples skipped violations singleton_checked "
+        "singleton_skipped singleton_violations pre_incompressible "
+        "pre_shared_last_letter pre_aspherical")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

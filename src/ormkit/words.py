@@ -14,8 +14,6 @@ self-overlap-free, and they drive the whole compression calculus.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 Word = tuple[str, ...]
@@ -58,7 +56,6 @@ def find_occurrences(haystack: Word, needle: Word) -> list[int]:
     return [i for i in range(len(haystack) - n + 1) if haystack[i:i + n] == needle]
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A normalized one-relator presentation <alphabet | u = v>.
 
@@ -68,46 +65,61 @@ class Presentation:
     free; the constructor itself rejects unnormalized input.  It works
     out its hash once, and a one-character code per letter, so that a
     word can be spelled as a string: each letter as itself when every
-    letter is one character, else as a private-use code point.
+    letter is one character, else as a private-use code point.  Setting
+    an attribute raises AttributeError; equality and the repr see only
+    alphabet, u and v.
     """
 
-    alphabet: tuple[str, ...]
-    u: Word
-    v: Word
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-    _one_char: bool = field(init=False, repr=False, compare=False)
-    # a word as a string of one code per letter, and back
-    _spell: Callable[[Word], str] = field(init=False, repr=False, compare=False)
-    _word: Callable[[str], Word] = field(init=False, repr=False, compare=False)
-    # u and v spelled
-    _spelled: tuple[str, str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("alphabet", "u", "v", "_index", "_hash",
+                 # the code of each letter and the letter of each code,
+                 # None when every letter is one character
+                 "_codes", "_letters",
+                 # u and v spelled
+                 "_spelled")
 
-    def __post_init__(self) -> None:
-        if len(set(self.alphabet)) != len(self.alphabet):
+    def __init__(self, alphabet: tuple[str, ...], u: Word, v: Word) -> None:
+        if len(set(alphabet)) != len(alphabet):
             raise ValueError("duplicate letters in alphabet")
-        used = set(self.u) | set(self.v)
-        missing = used - set(self.alphabet)
+        missing = (set(u) | set(v)) - set(alphabet)
         if missing:
             raise ValueError(f"letters not declared in alphabet: {sorted(missing)}")
+        codes = letters = None
+        if any(len(a) != 1 for a in alphabet):
+            codes = {a: chr(0xE000 + i) for i, a in enumerate(alphabet)}
+            letters = {c: a for a, c in codes.items()}
         init = partial(object.__setattr__, self)
-        init("_index", {a: i for i, a in enumerate(self.alphabet)})
-        init("_hash", hash((self.alphabet, self.u, self.v)))
-        init("_one_char", all(len(a) == 1 for a in self.alphabet))
-        if self._one_char:
-            init("_spell", "".join)
-            init("_word", tuple)
-        else:
-            codes = {a: chr(0xE000 + i) for i, a in enumerate(self.alphabet)}
-            init("_spell", partial(_translate, codes, "".join))
-            init("_word", partial(_translate, {c: a for a, c in codes.items()},
-                                  tuple))
-        init("_spelled", (self._spell(self.u), self._spell(self.v)))
-        if self.shortlex_key(self.u) < self.shortlex_key(self.v):
+        init("alphabet", alphabet)
+        init("u", u)
+        init("v", v)
+        init("_index", {a: i for i, a in enumerate(alphabet)})
+        init("_hash", hash((alphabet, u, v)))
+        init("_codes", codes)
+        init("_letters", letters)
+        init("_spelled", tuple(
+            "".join(w if codes is None else map(codes.__getitem__, w))
+            for w in (u, v)))
+        if self.shortlex_key(u) < self.shortlex_key(v):
             raise ValueError("presentation not normalized: need u >= v in shortlex")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Presentation:
+            return NotImplemented
+        return (self.alphabet, self.u, self.v) == (other.alphabet, other.u, other.v)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Presentation(alphabet={self.alphabet!r}, u={self.u!r}, v={self.v!r})"
+
+    def __reduce__(self):
+        return Presentation, (self.alphabet, self.u, self.v)
 
     def shortlex_key(self, w: Word) -> tuple:
         idx = self._index
@@ -121,16 +133,12 @@ class Presentation:
         if not w:
             return "ε"
         # multi-character letter names would be ambiguous when flattened
-        return ("" if self._one_char else " ").join(w)
+        return ("" if self._codes is None else " ").join(w)
 
     def describe(self) -> str:
         lhs = self.text(self.u) if self.u else "1"
         rhs = self.text(self.v) if self.v else "1"
         return f"<{' '.join(self.alphabet)} | {lhs} = {rhs}>"
-
-
-def _translate(table: dict[str, str], build, items) -> str | Word:
-    return build(map(table.__getitem__, items))
 
 
 def make_presentation(alphabet: tuple[str, ...] | list[str],

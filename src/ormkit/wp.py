@@ -34,7 +34,6 @@ ask Oracle, the one class interface.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .compress import (
@@ -42,6 +41,7 @@ from .compress import (
     compress_step,
     syllables,
 )
+from .records import record
 from .words import (
     Presentation,
     Word,
@@ -61,11 +61,10 @@ CERT_SYLLABLE = "SyllableMismatch"
 CERT_NORMAL_FORM = "NormalFormMismatch"
 
 
-@dataclass(frozen=True)
-class Equal:
+class Equal(record("Equal", "path")):
     """Words are congruent; path is a concrete rewrite chain w1 .. w2."""
 
-    path: tuple[Word, ...]
+    __slots__ = ()
     congruent = True
 
     @property
@@ -73,15 +72,13 @@ class Equal:
         return len(self.path) - 1
 
 
-@dataclass(frozen=True)
-class Distinct:
-    certificate: str
+class Distinct(record("Distinct", "certificate")):
+    __slots__ = ()
     congruent = False
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str
+class Unknown(record("Unknown", "reason")):
+    __slots__ = ()
     congruent = None
 
 
@@ -92,8 +89,8 @@ class BudgetTooShort(ValueError):
     """A length cap is below the length of a word the query must explore."""
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(record("OracleBudget", "max_words max_len",
+                          defaults=(200_000, None))):
     """Exploration caps.  max_len defaults per query to
     |w1| + |w2| + 4 max(|u|, |v|).  max_words caps the words of each
     closure and search; a Cayley ball also takes it as its vertex cap.
@@ -102,8 +99,7 @@ class OracleBudget:
     aa = b at radius 3 has 7 vertices, is refused at max_words 7, comes
     out approximate at 8 and exact at 15."""
 
-    max_words: int = 200_000
-    max_len: int | None = None
+    __slots__ = ()
 
     def cap_for(self, P: Presentation, *ws: Word) -> int:
         if self.max_len is not None:
@@ -180,7 +176,8 @@ def _reduce(P: Presentation, w: Word, starts: list[int] | None = None) -> Word:
     n = len(u)
     if u == v or len(w) < n:
         return tuple(w)
-    s = P._spell(w)
+    codes = P._codes
+    s = "".join(w if codes is None else map(codes.__getitem__, w))
     k = 64 + 2 * n
     win, read = s[:k], k
     done: list[str] = []   # irreducible text left of the window
@@ -223,7 +220,8 @@ def _reduce(P: Presentation, w: Word, starts: list[int] | None = None) -> Word:
             win = win[at:]
             at = 0
         win += piece
-    return P._word("".join(done) + win if done else win)
+    s = "".join(done) + win if done else win
+    return tuple(s if codes is None else map(P._letters.__getitem__, s))
 
 
 def _rewrites(P: Presentation, w: Word, starts: list[int]) -> list[Word]:

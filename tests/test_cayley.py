@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
@@ -141,7 +140,7 @@ def test_ball_merges_the_relation():
         assert word(w) in ball.vertices
     assert not ball.approximate
     # a word read along a missing edge has no vertex
-    cut = replace(ball, edges=tuple(e for e in ball.edges if e[:2] != (0, "b")))
+    cut = ball._replace(edges=tuple(e for e in ball.edges if e[:2] != (0, "b")))
     assert cut.vertex_of(word("ba")) is None
     assert cut.vertex_of(word("ab")) == ball.vertex_of(word("ab"))
 
@@ -427,7 +426,7 @@ def reference_attach_cells(ball, variant):
                 d2[(e, col)] = val
             else:
                 d2.pop((e, col), None)
-    return cayley.replace(ball, cells=tuple(cells)), d2
+    return ball._replace(cells=tuple(cells)), d2
 
 
 # The boundary matrix d1, the interior mask and the 2-cycle kernel as
@@ -493,9 +492,9 @@ def assert_same_views(got, want, want_d2):
     # with the cells reversed, a selection that assumed them in base
     # order would pick the wrong ones
     last = len(want.cells) - 1
-    assert two_cycle_basis(cayley.replace(got, cells=got.cells[::-1])) == (
+    assert two_cycle_basis(got._replace(cells=got.cells[::-1])) == (
         reference_two_cycle_basis(
-            cayley.replace(want, cells=want.cells[::-1]),
+            want._replace(cells=want.cells[::-1]),
             {(e, last - c): v for (e, c), v in want_d2.items()}))
 
 
@@ -871,7 +870,7 @@ def test_incomplete_ball_views_match_the_reference_loops():
 def test_cell_pipeline_builds_no_boundary_matrix():
     # the fields are what a ball cannot derive; build, attach and the
     # kernel never build d1 or d2, which exist only once read
-    assert [f.name for f in fields(CayleyBall)] == [
+    assert list(CayleyBall._fields) == [
         "presentation", "radius", "vertices", "edges", "cells", "approximate"]
     ball = attach_cells(build_ball(aba_aca(), 6), CellVariant.FULL_RELATION)
     assert two_cycle_basis(ball)
@@ -1416,7 +1415,7 @@ def test_psi_well_defined_reports_each_failure(monkeypatch):
 
     def moved(P, r, w):
         img = real(P, r, w)
-        return replace(img, base=word("c")) if w == word("aca") else img
+        return img._replace(base=word("c")) if w == word("aca") else img
 
     monkeypatch.setattr(cayley, "psi_map", moved)
     assert check() == (1, 0, ("aba vs aca: bases differ",))

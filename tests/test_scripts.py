@@ -105,6 +105,30 @@ def test_phases_against_a_copy_prints_both_tables(workload, tmp_path):
     assert all(r[-1] in ("0/1", "1/1") for r in tables[2][1])
 
 
+def test_startup_against_a_copy_prints_both_trees(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    done = subprocess.run([sys.executable, "scripts/startup.py",
+                           "--repeats", "1",
+                           "--against-src", str(tmp_path / "src")],
+                          cwd=ROOT, capture_output=True, text=True,
+                          check=True)
+    header, table, *rows, ratio = done.stdout.splitlines()
+    assert header == ("set-up child, 1 runs per tree, each in a fresh "
+                      "interpreter, 10 fixtures")
+    assert table.split() == ["tree", "median_ms", "q1_ms", "q3_ms",
+                             "pycache", "src"]
+    assert [r.split()[0] for r in rows] == ["this", "against"]
+    assert rows[1].split()[-1] == str(tmp_path / "src")
+    for r in rows:
+        median, q1, q3 = map(float, r.split()[1:4])
+        assert 0 < q1 == median == q3
+    # the copy was made without a bytecode cache
+    assert rows[1].split()[4].startswith("0/")
+    assert re.fullmatch(r"ratio \d+\.\d{3} \(this tree's median over the "
+                        r"other's\), this tree faster in [01]/1 rounds", ratio)
+
+
 def load_tracer():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
