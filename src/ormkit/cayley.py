@@ -765,13 +765,14 @@ def _check_r_trivial(P: Presentation, b: OracleBudget,
 def _check_kernel_inclusion(P: Presentation, b: OracleBudget,
                             radius: int) -> CheckReport:
     """[head_u·sof] = [head_v·sof] for the shortest compressing word sof,
-    witnessed by one step: the two words are u and v themselves."""
+    witnessed by the one step from u to v, or by u alone when u = v."""
     sof = _compressing_words(P)[0]
     head_u = P.u[:len(P.u) - len(sof)]
     head_v = P.v[:len(P.v) - len(sof)]
     note = (f"[{P.text(head_u)}·{P.text(sof)}] = "
             f"[{P.text(head_v)}·{P.text(sof)}]",)
-    passed = replay(P, (head_u + sof, head_v + sof))
+    x, y = head_u + sof, head_v + sof
+    passed = replay(P, (x,) if x == y else (x, y))
     return CheckReport(CheckKind.KERNEL_INCLUSION, 1, 0,
                        () if passed else note, note if passed else ())
 

@@ -131,21 +131,12 @@ def neighbors(P: Presentation, w: Word) -> set[Word]:
     return out
 
 
-def is_single_application(P: Presentation, x: Word, y: Word) -> bool:
-    """True when y arises from x by one application of u = v."""
-    for src, dst in ((P.u, P.v), (P.v, P.u)):
-        n = len(src)
-        for i in find_occurrences(x, src):
-            if y == x[:i] + dst + x[i + n:]:
-                return True
-    return False
-
-
 def replay(P: Presentation, path: tuple[Word, ...]) -> bool:
-    """Check a rewrite path step by step."""
+    """Check a rewrite path step by step: each word is a neighbor of the
+    one before it."""
     if not path:
         return False
-    return all(is_single_application(P, a, b) for a, b in zip(path, path[1:]))
+    return all(b in neighbors(P, a) for a, b in zip(path, path[1:]))
 
 
 # --------------------------------------------------------- normal forms

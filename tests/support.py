@@ -1,7 +1,9 @@
 """What the test modules share: the fixture directory, the running
 example presentations, a word enumerator written independently of the
-package's, the union-find congruence oracle, and a reference for the
-reduction by the single rule."""
+package's, a one-step rewriter and the union-find congruence oracle
+built on it, both apart from wp.neighbors, which decides replay and
+grows every closure, and a reference for the reduction by the single
+rule."""
 
 from __future__ import annotations
 
@@ -9,7 +11,6 @@ from itertools import product
 from pathlib import Path
 
 from ormkit.words import make_presentation, word
-from ormkit.wp import neighbors
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -53,6 +54,21 @@ class UnionFind:
             self.parent[ra] = rb
 
 
+def one_step(P, w) -> set[tuple[str, ...]]:
+    """Every word one application of u = v away from w: each slice of w
+    that spells a side, replaced by the other side.  An empty side is
+    the empty slice at every position; u = v gives no step."""
+    out = set()
+    if P.u == P.v:
+        return out
+    for src, dst in ((P.u, P.v), (P.v, P.u)):
+        n = len(src)
+        for i in range(len(w) - n + 1):
+            if w[i:i + n] == src:
+                out.add(w[:i] + dst + w[i + n:])
+    return out
+
+
 def brute_partition(P, radius, reach=None):
     """Union-find over the words of length at most reach (default radius).
 
@@ -64,7 +80,7 @@ def brute_partition(P, radius, reach=None):
     uf = UnionFind()
     for w in all_words(P.alphabet, radius if reach is None else reach):
         uf.find(w)
-        for m in neighbors(P, w):
+        for m in one_step(P, w):
             uf.union(w, m)
     return uf
 

@@ -184,6 +184,17 @@ def test_make_presentation_orders_sides():
     assert Q2 == Q
 
 
+def test_presentation_equality_sees_only_presentations():
+    """A Presentation is not equal to the tuple of its fields, from
+    either side, and two built alike are equal."""
+    P = make_presentation(("a", "b"), word("aba"), word("ab"))
+    fields = (P.alphabet, P.u, P.v)
+    assert not P == fields and not fields == P
+    assert P != fields and fields != P
+    Q = make_presentation(("a", "b"), word("ab"), word("aba"))
+    assert P == Q and not P != Q
+
+
 def test_presentation_rejects_bad_input():
     with pytest.raises(ValueError):
         Presentation(("a", "a"), word("a"), EMPTY)

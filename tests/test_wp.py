@@ -61,6 +61,7 @@ from support import (
     all_words,
     big_example,
     brute_partition,
+    one_step,
     reference_reduce,
 )
 
@@ -87,6 +88,15 @@ def test_neighbors_examples():
     assert neighbors(special, word("a")) == {EMPTY, word("aa")}
     degenerate = make_presentation(("a", "b"), word("ab"), word("ab"))
     assert neighbors(degenerate, word("ab")) == set()
+
+
+def test_neighbors_match_the_oracles_one_step_rewriter():
+    """brute_partition joins words through support.one_step, written
+    apart from neighbors; the two agree on every fixture."""
+    for path in ORM_FILES:
+        P = parse_presentation(path.read_text())
+        for w in all_words(P.alphabet, 5):
+            assert neighbors(P, w) == one_step(P, w), (path.name, w)
 
 
 # ---------------------------------------------------------- equal_bounded
@@ -820,6 +830,21 @@ def test_replay_rejects_fake_paths():
     assert not replay(P, (word("ab"), word("ac")))
     assert replay(P, (word("aba"), word("aca")))
     assert not replay(P, ())
+
+
+def test_replay_steps_are_exactly_neighbors():
+    """A step replays exactly when neighbors lists it: under ab = ab a
+    word is no step from itself, so only the one-word path replays."""
+    degenerate = make_presentation(("a", "b"), word("ab"), word("ab"))
+    assert replay(degenerate, (word("ab"),))
+    assert not replay(degenerate, (word("ab"), word("ab")))
+    for path in ORM_FILES:
+        P = parse_presentation(path.read_text())
+        words = all_words(P.alphabet, 4)
+        for x in words:
+            near = neighbors(P, x)
+            for y in words:
+                assert replay(P, (x, y)) == (y in near), (path.name, x, y)
 
 
 @settings(max_examples=60)
