@@ -34,14 +34,11 @@ rounds with the collector off, and prints this tree's table, the other
 tree's, and per row the ratio of this tree's minimum to the other's,
 the ratio of the medians, and the rounds in which this tree's row took
 less CPU time.  On sub-millisecond rows one lucky round sets the
-minimum, so read the median ratio and the wins beside it.  --against
-takes a git revision instead of a directory:
+minimum, so read the median ratio and the wins beside it.  To compare
+against a git revision, write its src/ormkit to a directory first:
 
-    python3 scripts/phases.py wp-queries --against HEAD~1
-
-writes REV's src/ormkit, from the repository of the working directory,
-into a temporary directory with git archive and compares against it as
---against-src does.
+    mkdir -p ../rev && git archive HEAD~1 src/ormkit | tar -x -C ../rev
+    python3 scripts/phases.py wp-queries --against-src ../rev/src
 """
 
 import argparse
@@ -49,9 +46,7 @@ import gc
 import importlib
 import importlib.util
 import random
-import subprocess
 import sys
-import tempfile
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -171,18 +166,6 @@ def import_base(src: Path):
     return package
 
 
-def archive_src(rev: str, dest: Path) -> Path:
-    """REV's src/ormkit written under dest by git archive; returns
-    dest/src."""
-    done = subprocess.run(["git", "archive", rev, "src/ormkit"],
-                          capture_output=True)
-    if done.returncode:
-        raise SystemExit(done.stderr.decode().strip())
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=done.stdout,
-                   check=True)
-    return dest / "src"
-
-
 def build(name: str, package, seed: int):
     """The workload over package and its round for seed."""
     module, cls = WORKLOADS[name]
@@ -196,41 +179,35 @@ def main() -> int:
     p.add_argument("workload", choices=STEPS)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--repeats", type=int, default=5)
-    against = p.add_mutually_exclusive_group()
-    against.add_argument("--against-src", type=Path, metavar="PATH",
-                         help="a directory holding another tree's ormkit "
-                              "package")
-    against.add_argument("--against", metavar="REV",
-                         help="a git revision whose src/ormkit to compare "
-                              "against")
+    p.add_argument("--against-src", type=Path, metavar="PATH",
+                   help="a directory holding another tree's ormkit package")
     a = p.parse_args()
     phases, steps = STEPS[a.workload]
     repeats = max(1, a.repeats)
     workload, ops = build(a.workload, import_ormkit(), a.seed)
-    if a.against_src is None and a.against is None:
+    if a.against_src is None:
         clocks = [one_round(steps, workload, ops) for _ in range(repeats)]
         print(f"seed {a.seed}, {len(ops)} {workload.op_name}, "
               f"minimum of {len(clocks)} rounds")
         print_table(phases, clocks)
         return 0
-    with tempfile.TemporaryDirectory() as tmp:
-        src = a.against_src or archive_src(a.against, Path(tmp))
-        base, base_ops = build(a.workload, import_base(src.resolve()), a.seed)
-        mine, other = [], []
-        sides = [(mine, workload, ops), (other, base, base_ops)]
-        gc.disable()
-        try:
-            for r in range(repeats):
-                # the trees take turns going first
-                for clocks, w, o in sides if r % 2 == 0 else sides[::-1]:
-                    clocks.append(one_round(steps, w, o))
-        finally:
-            gc.enable()
+    base, base_ops = build(a.workload, import_base(a.against_src.resolve()),
+                           a.seed)
+    mine, other = [], []
+    sides = [(mine, workload, ops), (other, base, base_ops)]
+    gc.disable()
+    try:
+        for r in range(repeats):
+            # the trees take turns going first
+            for clocks, w, o in sides if r % 2 == 0 else sides[::-1]:
+                clocks.append(one_round(steps, w, o))
+    finally:
+        gc.enable()
     print(f"seed {a.seed}, {len(ops)} {workload.op_name}, minimum of "
           f"{repeats} alternated rounds per tree, collector off")
     print(f"this tree ({ROOT / 'src'})")
     print_table(phases, mine)
-    print(f"against ({a.against or a.against_src})")
+    print(f"against ({a.against_src})")
     print_table(phases, other)
     print("ratio: this tree's minimum over the other's; med_ratio: its "
           "median over the other's; wins: rounds this tree took less")

@@ -77,11 +77,18 @@ def test_phases_prints_every_phase_and_fixture(workload):
         assert all(float(ms) >= 0 for ms in r[-2:])
 
 
-def assert_two_tables(stdout: str, workload: str) -> None:
-    """Both trees' tables and the comparison, over the same rows."""
+@pytest.mark.parametrize("workload", PHASES)
+def test_phases_against_a_copy_prints_both_tables(workload, tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    done = subprocess.run([sys.executable, "scripts/phases.py", workload,
+                           "--seed", "1", "--repeats", "1",
+                           "--against-src", str(tmp_path / "src")],
+                          cwd=ROOT, capture_output=True, text=True,
+                          check=True)
     # each table: its header, then rows up to the round's total
     tables, table = [], None
-    for line in stdout.splitlines():
+    for line in done.stdout.splitlines():
         cells = line.split()
         if cells[:2] == ["phase", "fixture"]:
             table = []
@@ -98,37 +105,6 @@ def assert_two_tables(stdout: str, workload: str) -> None:
     assert mine == other == compared
     assert mine == phase_rows(workload)
     assert all(r[-1] in ("0/1", "1/1") for r in tables[2][1])
-
-
-@pytest.mark.parametrize("workload", PHASES)
-def test_phases_against_a_copy_prints_both_tables(workload, tmp_path):
-    shutil.copytree(ROOT / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    done = subprocess.run([sys.executable, "scripts/phases.py", workload,
-                           "--seed", "1", "--repeats", "1",
-                           "--against-src", str(tmp_path / "src")],
-                          cwd=ROOT, capture_output=True, text=True,
-                          check=True)
-    assert_two_tables(done.stdout, workload)
-
-
-def test_phases_against_a_revision_prints_both_tables(tmp_path):
-    """--against archives the revision from the repository of the
-    working directory: here a throwaway one holding a copy of src/."""
-    shutil.copytree(ROOT / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    git = ["git", "-c", "user.name=test", "-c", "user.email=test@example.com",
-           "-c", "commit.gpgsign=false"]
-    for args in (["init", "-q"], ["add", "src"], ["commit", "-q", "-m", "src"]):
-        subprocess.run(git + args, cwd=tmp_path, check=True,
-                       capture_output=True)
-    done = subprocess.run([sys.executable, str(ROOT / "scripts/phases.py"),
-                           "wp-queries", "--seed", "1", "--repeats", "1",
-                           "--against", "HEAD"],
-                          cwd=tmp_path, capture_output=True, text=True,
-                          check=True)
-    assert "against (HEAD)" in done.stdout.splitlines()
-    assert_two_tables(done.stdout, "wp-queries")
 
 
 def test_startup_against_a_copy_prints_both_trees(tmp_path):
