@@ -34,8 +34,12 @@ rounds with the collector off, and prints this tree's table, the other
 tree's, and per row the ratio of this tree's minimum to the other's,
 the ratio of the medians, and the rounds in which this tree's row took
 less CPU time.  On sub-millisecond rows one lucky round sets the
-minimum, so read the median ratio and the wins beside it.  To compare
-against a git revision, write its src/ormkit to a directory first:
+minimum, so read the median ratio and the wins beside it.  A ratio
+within about 8% of 1 is noise on a 2-core host: rows whose code is
+identical in both trees read up to 1.08 in A/A runs over 11 and 21
+rounds, so read such a ratio with the wins column, never alone.  To
+compare against a git revision, write its src/ormkit to a directory
+first:
 
     mkdir -p ../rev && git archive HEAD~1 src/ormkit | tar -x -C ../rev
     python3 scripts/phases.py wp-queries --against-src ../rev/src

@@ -8,9 +8,12 @@ relation:
 
 Blank lines and lines starting with # are ignored.  A relation side
 written as 1 is the empty word (unless 1 is a declared letter).  Every
-command prints one Report; --format picks the rendering.  Exit codes:
-0 success, 1 property violation found, 2 usage, parse or precondition
-error, 3 budget exhaustion.
+command prints one Report; --format picks the rendering.  A ball or
+homology report keeps the complex it built, and renders it as DOT or
+CSV only when asked.  Exit codes: 0 success, 1 property violation
+found, 2 usage, parse or precondition error, 3 budget exhaustion; an
+error report renders as JSON under --format dot or csv and keeps its
+exit code.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import functools
 import hashlib
 import json
 import sys
-from types import MappingProxyType
 
 from .cayley import (
     BudgetExceeded,
@@ -161,10 +163,10 @@ def parse_presentation(text: str) -> Presentation:
 
 
 class Report(record("Report", "command input_digest payload verdict_counts "
-                    "seeds budgets approximate renders",
-                    defaults=(MappingProxyType({}),), hidden=1)):
-    """One command's outcome.  renders holds the formats only this
-    command can render, by name; equality and the repr leave it out."""
+                    "budgets seeds approximate complex",
+                    defaults=((), False, None))):
+    """One command's outcome.  complex is the CayleyBall that ball or
+    homology built, which emit renders as dot or csv on request."""
 
     __slots__ = ()
 
@@ -207,8 +209,8 @@ def _scalar(v) -> str:
 
 
 def emit(report: Report, fmt: str = "json") -> bytes:
-    """Render a report deterministically; raises UsageError on a format
-    the command did not produce."""
+    """Render a report deterministically; dot and csv render its
+    complex, and raise UsageError on a report without one."""
     if fmt == "json":
         text = json.dumps(_as_json_obj(report), sort_keys=True, indent=2,
                           ensure_ascii=False)
@@ -225,8 +227,9 @@ def emit(report: Report, fmt: str = "json") -> bytes:
             lines.append(f"budget {k}: {_scalar(report.budgets[k])}")
         lines.append(f"approximate: {_scalar(report.approximate)}")
         return ("\n".join(lines) + "\n").encode()
-    if fmt in report.renders:
-        return report.renders[fmt].encode()
+    if fmt in ("dot", "csv") and report.complex is not None:
+        render = to_dot if fmt == "dot" else matrices_csv
+        return render(report.complex).encode()
     if fmt in FORMATS:
         raise UsageError(f"format {fmt!r} not supported for {report.command}")
     raise UsageError(f"unknown format {fmt!r}")
@@ -360,8 +363,7 @@ def _cmd_ball(ns, P, b):
     counts = {"vertices": len(ball.vertices), "edges": len(ball.edges),
               "cells": len(ball.cells)}
     return 0, payload, counts, {"approximate": ball.approximate,
-                                "renders": {"dot": to_dot(ball),
-                                            "csv": matrices_csv(ball)}}
+                                "complex": ball}
 
 
 def _cmd_homology(ns, P, b):
@@ -383,8 +385,7 @@ def _cmd_homology(ns, P, b):
         "basis": rendered,
     }
     return 0, payload, {"cycles": len(basis)}, {
-        "approximate": ball.approximate,
-        "renders": {"csv": matrices_csv(ball)}}
+        "approximate": ball.approximate, "complex": ball}
 
 
 def _cmd_squier_check(ns, P, b):
@@ -520,8 +521,7 @@ def _parser() -> _Parser:
 
 def _error_report(command: str, message: str, digest: str,
                   budgets: dict) -> Report:
-    return Report(command, digest, {"error": message}, {"error": 1}, (),
-                  budgets, False)
+    return Report(command, digest, {"error": message}, {"error": 1}, budgets)
 
 
 def dispatch(argv: list[str]) -> tuple[int, Report]:
@@ -556,9 +556,7 @@ def dispatch(argv: list[str]) -> tuple[int, Report]:
                                 digest, budgets)
     return code, Report(command, digest,
                         {"presentation": P.describe(), **payload}, counts,
-                        extra.get("seeds", ()), budgets,
-                        extra.get("approximate", False),
-                        extra.get("renders", {}))
+                        budgets, **extra)
 
 
 def _requested_format(argv: list[str]) -> str:
@@ -578,15 +576,16 @@ def _requested_format(argv: list[str]) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     code, report = dispatch(args)
-    fmt = _requested_format(args)
-    if fmt not in FORMATS:
-        fmt = "json"
     try:
-        out = emit(report, fmt)
+        out = emit(report, _requested_format(args))
     except UsageError as e:
-        out = emit(_error_report(report.command, str(e),
-                                 report.input_digest, report.budgets))
-        code = 2
+        # an error report keeps dispatch's message and exit code, in
+        # JSON; any other report the format cannot render is a usage error
+        if "error" not in report.verdict_counts:
+            code, report = 2, _error_report(report.command, str(e),
+                                            report.input_digest,
+                                            report.budgets)
+        out = emit(report)
     sys.stdout.buffer.write(out)
     sys.stdout.buffer.flush()
     return code

@@ -75,14 +75,13 @@ def delta_factorize(r: Word, w: Word) -> tuple[Word, ...]:
     return tuple(w[a:b] for a, b in zip(cuts, cuts[1:]))
 
 
-class CompressionData(record("CompressionData", "r compressed spellings",
-                             hidden=1)):
+class CompressionData(record("CompressionData", "r compressed spellings")):
     """Everything produced by one compression step: the sealing word r
     and the compressed presentation.
 
     Each letter of the compressed alphabet is named by spell() of its
-    Delta_r word, and spellings, which equality and the repr leave out,
-    maps each name back to its spelling over the base alphabet.
+    Delta_r word, and spellings maps each name back to its spelling
+    over the base alphabet.
     """
 
     __slots__ = ()

@@ -16,7 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ormkit.cli as cli
+from ormkit.cayley import CayleyBall, to_dot
 from ormkit.cli import (
+    FORMATS,
     MultipleRelations,
     PresentationSyntaxError,
     Report,
@@ -201,12 +204,15 @@ def test_homology_contains_sphere_vector():
 
 
 def test_ball_command_and_renders():
+    # the report carries the complex it built, and renders it on request
     code, report = dispatch(["ball", fx("aa-a.orm"), "--radius", "3",
                              "--cells", "ideal"])
     assert code == 0
     assert report.verdict_counts["vertices"] == 2
-    assert "dot" in report.renders and "csv" in report.renders
-    assert report.renders["csv"].startswith("matrix,row,col,value\n")
+    assert isinstance(report.complex, CayleyBall)
+    assert len(report.complex.vertices) == 2 and report.complex.cells
+    assert emit(report, "dot") == to_dot(report.complex).encode()
+    assert emit(report, "csv").startswith(b"matrix,row,col,value\n")
 
 
 def test_ball_is_exact_on_a_complete_relation():
@@ -582,8 +588,6 @@ def test_format_after_double_dash_is_a_word(capsysbinary):
 def test_commands_in_a_row_share_one_parser():
     # the parser is built once per process; no flag value, default or
     # mutually exclusive choice of one call may reach the next
-    import ormkit.cli as cli
-
     name = fx("aba-aca.orm")
     runs = [
         ["compress", name, "--by", "a"],
@@ -671,6 +675,12 @@ def test_dispatch_never_raises(input_paths, name, invocation):
     code, report = dispatch([command, input_paths[name], *args])
     assert code in (0, 1, 2, 3)
     json.loads(emit(report, "json"))
+    for fmt in FORMATS:
+        try:
+            emit(report, fmt)
+        except UsageError:
+            # only a report without a complex cannot render a graph
+            assert fmt in ("dot", "csv") and report.complex is None
 
 
 # ------------------------------------------------------------ emission
@@ -711,6 +721,31 @@ def test_emit_dot_and_csv_deterministic():
     assert a == b
     assert a.startswith(b"digraph")
     assert emit(dispatch(args)[1], "csv").startswith(b"matrix,row,col,value")
+
+
+def test_json_and_text_never_render_the_complex(monkeypatch):
+    def refuse(ball):
+        raise AssertionError("rendered a graph that was not requested")
+
+    monkeypatch.setattr(cli, "to_dot", refuse)
+    monkeypatch.setattr(cli, "matrices_csv", refuse)
+    for command in ("ball", "homology"):
+        report = dispatch([command, fx("aba-aca.orm"), "--radius", "4",
+                           "--cells", "full"])[1]
+        assert report.complex is not None
+        json.loads(emit(report, "json"))
+        assert emit(report, "text").startswith(f"command: {command}".encode())
+        with pytest.raises(AssertionError, match="not requested"):
+            emit(report, "dot")
+
+
+def test_homology_renders_the_ball_it_built():
+    for fmt in ("dot", "csv"):
+        homology = emit(dispatch(["homology", fx("aba-aca.orm"),
+                                  "--radius", "4"])[1], fmt)
+        ball = emit(dispatch(["ball", fx("aba-aca.orm"), "--radius", "4",
+                              "--cells", "full"])[1], fmt)
+        assert homology == ball
 
 
 def test_emit_text_agrees_on_numbers():
@@ -767,6 +802,25 @@ def test_main_writes_report_and_returns_code(capsysbinary):
     assert code == 2
     obj = json.loads(capsysbinary.readouterr().out)
     assert "invalid choice: 'bogus'" in obj["payload"]["error"]
+
+
+def test_main_keeps_the_error_of_a_report_under_dot_and_csv(capsysbinary):
+    # an error report renders as JSON, with dispatch's message and code
+    cases = [
+        (["classify", fx("nonexistent.orm"), "--format", "dot"], 2,
+         "No such file"),
+        (["ball", fx("ab-c.orm"), "--cells", "ideal", "--format", "csv"], 2,
+         "has no compressing word"),
+        (["ball", fx("aba-aca.orm"), "--radius", "9", "--budget-words", "10",
+          "--format", "dot"], 3, "budget exhausted"),
+        # a report that cannot render a graph is a usage error
+        (["classify", fx("aba-aca.orm"), "--format", "dot"], 2,
+         "format 'dot' not supported for classify"),
+    ]
+    for argv, code, message in cases:
+        assert main(argv) == code
+        obj = json.loads(capsysbinary.readouterr().out)
+        assert message in obj["payload"]["error"]
 
 
 def test_report_is_plain_data():

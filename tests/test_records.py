@@ -2,7 +2,7 @@
 
 Importing the package loads neither dataclasses nor inspect.  A record
 is equal only to a record of its own class, equal records hash alike,
-fields cannot be set, fields left out of equality stay out of the repr,
+fields cannot be set, every field takes part in equality and the repr,
 and validating constructors still raise.
 """
 
@@ -66,11 +66,14 @@ def test_equal_records_hash_alike():
     P = aba_aca()
     assert P == aba_aca() and hash(P) == hash(aba_aca())
     assert P != make_presentation(("a", "b", "c"), word("aba"), word("aa"))
-    # spellings take no part in equality or hashing
+    # spellings take part in equality, and a dict field leaves the
+    # record unhashable
     C = compress_step(P, word("a"))
-    other = CompressionData(C.r, C.compressed, {})
-    assert other == C and hash(other) == hash(C)
+    assert C == CompressionData(C.r, C.compressed, dict(C.spellings))
+    assert C != CompressionData(C.r, C.compressed, {})
     assert C != CompressionData(word("ab"), C.compressed, C.spellings)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(C)
 
 
 def test_pickling_and_copying_keep_the_value():
@@ -93,16 +96,18 @@ def test_fields_cannot_be_set():
         del P.v
 
 
-def test_repr_leaves_out_excluded_fields():
+def test_repr_shows_every_field():
     C = compress_step(aba_aca(), word("a"))
     assert repr(C) == (
         "CompressionData(r=('a',), compressed=Presentation("
-        "alphabet=('ba', 'ca'), u=('ca',), v=('ba',)))")
-    report = Report("wp", "", {}, {}, (), {}, False, {"dot": "graph"})
+        "alphabet=('ba', 'ca'), u=('ca',), v=('ba',)), "
+        "spellings={'ba': ('b', 'a'), 'ca': ('c', 'a')})")
+    report = Report("wp", "", {}, {}, {})
     assert repr(report) == (
         "Report(command='wp', input_digest='', payload={}, "
-        "verdict_counts={}, seeds=(), budgets={}, approximate=False)")
-    assert report == report._replace(renders={})
+        "verdict_counts={}, budgets={}, seeds=(), approximate=False, "
+        "complex=None)")
+    assert report != report._replace(complex=build_ball(aba_aca(), 1))
 
 
 def test_squier_edge_sign_is_checked():
