@@ -820,14 +820,15 @@ def to_dot(ball: CayleyBall) -> str:
 
 
 def to_json_dict(ball: CayleyBall) -> dict:
-    """JSON-ready view with boundary matrices as sorted COO triples."""
+    """JSON-ready view of the vertices, edges and cells, of which the first
+    interiorCount vertices are interior; d1 and d2 are matrices_csv's."""
     P = ball.presentation
     return {
         "radius": ball.radius,
         "approximate": ball.approximate,
         "vertices": [P.text(w) if w else "" for w in ball.vertices],
         "edges": [[s, x, t] for s, x, t in ball.edges],
-        "interior": list(ball.interior_mask),
+        "interiorCount": _interior_count(ball),
         "cells": [
             {
                 "base": c.base_vertex,
@@ -836,8 +837,6 @@ def to_json_dict(ball: CayleyBall) -> dict:
             }
             for c in ball.cells
         ],
-        "d1": [[r, c, v] for (r, c), v in sorted(ball.d1.items())],
-        "d2": [[r, c, v] for (r, c), v in sorted(ball.d2.items())],
     }
 
 

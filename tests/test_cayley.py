@@ -1617,10 +1617,17 @@ def test_json_export_shape():
     data = to_json_dict(ball)
     assert data["radius"] == 3
     assert data["vertices"][0] == ""
-    assert all(len(t) == 3 for t in data["d1"])
-    assert all(len(t) == 3 for t in data["d2"])
     assert data["cells"]
     assert data["approximate"] is False
+    # each fact once: the derived matrices and mask are not in the JSON
+    assert not {"d1", "d2", "interior"} & data.keys()
+    assert data["interiorCount"] == sum(ball.interior_mask)
+    # d1 and d2 render as CSV, entry for entry
+    csv = {"d1": {}, "d2": {}}
+    for line in matrices_csv(ball).splitlines()[1:]:
+        name, r, c, v = line.split(",")
+        csv[name][int(r), int(c)] = int(v)
+    assert csv == {"d1": ball.d1, "d2": ball.d2}
 
 
 def test_matrices_csv_shape():

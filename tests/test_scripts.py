@@ -35,7 +35,7 @@ def test_render_digest_prints_one_sha256():
     # the renders are byte-identical across hash seeds; a change that
     # alters any render updates this value and says why in CHANGES.md
     assert done.stdout == (
-        "568702ce6061321b14ad28e83651a56e62aaf9310a1591174f8b45bcca08be8b\n")
+        "d7f639e24164315b6d740e00fb8898f3e413a888ac62a68156a2bf7fc553cced\n")
 
 
 TEN = ["aa-a", "ab-ba", "ab-c", "aba-aca", "abab-ab", "ababbaba-ababa",
@@ -43,22 +43,30 @@ TEN = ["aa-a", "ab-ba", "ab-c", "aba-aca", "abab-ab", "ababbaba-ababa",
 LADDER = ["ab-c", "aba-aca", "ababbaba-ababa", "babab-b", "special-ab"]
 
 
-# per workload at seed 1: the header's count, and each phase's fixtures
+# per view at seed 1: the header's count, each phase's fixtures, and
+# the parts each phase has a row for
 PHASES = {
     "ball-ladder": ("13 rungs", {p: LADDER for p in (
-        "build", "successors", "attach", "kernel")}),
+        "build", "successors", "attach", "kernel")}, []),
     "cli-checks": ("61 commands", {
         "classify": TEN, "compress": TEN, "inject-check": ["aba-aca"],
-        "squier-check": TEN, "structure-check": TEN}),
+        "squier-check": TEN, "structure-check": TEN}, []),
+    "commands": ("171 commands", {
+        **{kind: TEN for kind in (
+            "classify", "compress", "wp", "ball", "homology",
+            "structure-check", "inject-check", "squier-check")},
+        "ball-r9-full": ["aba-aca"]}, ["dispatch", "emit"]),
     "wp-queries": ("40 queries", {
-        "equal_bounded": TEN, "equal_via_compression": TEN}),
+        "equal_bounded": TEN, "equal_via_compression": TEN}, []),
 }
 
 
 def phase_rows(workload: str) -> list[list[str]]:
-    """Each phase's fixtures and its total, then the round's total."""
-    return [[phase, f] for phase, fs in PHASES[workload][1].items()
-            for f in [*fs, "total"]] + [["total"]]
+    """Each phase's fixtures, its parts and its total, then the round's
+    total."""
+    _, phases, parts = PHASES[workload]
+    return [[phase, f] for phase, fs in phases.items()
+            for f in [*fs, *parts, "total"]] + [["total"]]
 
 
 @pytest.mark.parametrize("workload", PHASES)
@@ -107,10 +115,10 @@ def test_phases_against_a_copy_prints_both_tables(workload, tmp_path):
     assert all(r[-1] in ("0/1", "1/1") for r in tables[2][1])
 
 
-def test_startup_against_a_copy_prints_both_trees(tmp_path):
+def test_phases_setup_against_a_copy_prints_both_trees(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    done = subprocess.run([sys.executable, "scripts/startup.py",
+    done = subprocess.run([sys.executable, "scripts/phases.py", "setup",
                            "--repeats", "1",
                            "--against-src", str(tmp_path / "src")],
                           cwd=ROOT, capture_output=True, text=True,
