@@ -8,12 +8,12 @@ relation:
 
 Blank lines and lines starting with # are ignored.  A relation side
 written as 1 is the empty word (unless 1 is a declared letter).  Every
-command prints one Report; --format picks the rendering.  A ball or
-homology report keeps the complex it built, and renders it as DOT or
-CSV only when asked.  Exit codes: 0 success, 1 property violation
-found, 2 usage, parse or precondition error, 3 budget exhaustion; an
-error report renders as JSON under --format dot or csv and keeps its
-exit code.
+command prints one Report; --format picks the rendering: json or text
+on every command, and dot or csv on ball and homology, whose reports
+keep the complex they built and render it only when asked.  Exit codes:
+0 success, 1 property violation found, 2 usage, parse or precondition
+error, 3 budget exhaustion; an error report renders as JSON under
+--format dot or csv and keeps its exit code.
 """
 
 from __future__ import annotations
@@ -210,7 +210,8 @@ def _scalar(v) -> str:
 
 def emit(report: Report, fmt: str = "json") -> bytes:
     """Render a report deterministically; dot and csv render its
-    complex, and raise UsageError on a report without one."""
+    complex.  Raises UsageError for any format the report cannot
+    render."""
     if fmt == "json":
         text = json.dumps(_as_json_obj(report), sort_keys=True, indent=2,
                           ensure_ascii=False)
@@ -230,9 +231,7 @@ def emit(report: Report, fmt: str = "json") -> bytes:
     if fmt in ("dot", "csv") and report.complex is not None:
         render = to_dot if fmt == "dot" else matrices_csv
         return render(report.complex).encode()
-    if fmt in FORMATS:
-        raise UsageError(f"format {fmt!r} not supported for {report.command}")
-    raise UsageError(f"unknown format {fmt!r}")
+    raise UsageError(f"format {fmt!r} not supported for {report.command}")
 
 
 # ------------------------------------------------------------- dispatch
@@ -252,12 +251,9 @@ def _nonnegative(text: str) -> int:
 
 
 def _budget(ns) -> OracleBudget:
-    kwargs = {"max_len": ns.budget_len}
-    if ns.budget_words is not None:
-        if ns.budget_words < 1:
-            raise UsageError("--budget-words must be positive")
-        kwargs["max_words"] = ns.budget_words
-    return OracleBudget(**kwargs)
+    if ns.budget_words < 1:
+        raise UsageError("--budget-words must be positive")
+    return OracleBudget(ns.budget_words, ns.budget_len)
 
 
 def _parse_file(raw: bytes) -> Presentation:
@@ -465,12 +461,15 @@ def _parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_Parser)
 
-    def add(name: str, handler, **kwargs):
+    def add(name: str, handler, formats=("json", "text"), **kwargs):
         sp = sub.add_parser(name, allow_abbrev=False, **kwargs)
         sp.set_defaults(handler=handler)
         sp.add_argument("file", help="presentation file (.orm)")
-        sp.add_argument("--format", choices=FORMATS, default="json")
-        sp.add_argument("--budget-words", type=int, default=None)
+        sp.add_argument("--format", choices=formats, default="json")
+        sp.add_argument("--budget-words", type=int, metavar="N",
+                        default=OracleBudget().max_words,
+                        help="cap on the words of each search and on "
+                             "ball vertices (default %(default)s)")
         sp.add_argument("--budget-len", type=_nonnegative, default=None)
         return sp
 
@@ -488,12 +487,12 @@ def _parser() -> _Parser:
     sp.add_argument("w1")
     sp.add_argument("w2")
 
-    sp = add("ball", _cmd_ball,
+    sp = add("ball", _cmd_ball, FORMATS,
              help="Cayley graph ball, optionally with 2-cells")
     sp.add_argument("--radius", type=_nonnegative, default=4)
     sp.add_argument("--cells", choices=["full", "ideal"], default=None)
 
-    sp = add("homology", _cmd_homology,
+    sp = add("homology", _cmd_homology, FORMATS,
              help="interior 2-cycle basis of the complex")
     sp.add_argument("--radius", type=_nonnegative, default=4)
     sp.add_argument("--cells", choices=["full", "ideal"], default="full")
@@ -559,32 +558,15 @@ def dispatch(argv: list[str]) -> tuple[int, Report]:
                         budgets, **extra)
 
 
-def _requested_format(argv: list[str]) -> str:
-    """The last --format value in argv, the one argparse keeps; after
-    the first "--" every argument is positional."""
-    fmt = "json"
-    for i, arg in enumerate(argv):
-        if arg == "--":
-            break
-        if arg == "--format" and i + 1 < len(argv):
-            fmt = argv[i + 1]
-        elif arg.startswith("--format="):
-            fmt = arg.split("=", 1)[1]
-    return fmt
-
-
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     code, report = dispatch(args)
     try:
-        out = emit(report, _requested_format(args))
-    except UsageError as e:
-        # an error report keeps dispatch's message and exit code, in
-        # JSON; any other report the format cannot render is a usage error
-        if "error" not in report.verdict_counts:
-            code, report = 2, _error_report(report.command, str(e),
-                                            report.input_digest,
-                                            report.budgets)
+        # argparse admits dot and csv only where the report keeps a
+        # complex, so only an error report (or argv that does not parse)
+        # falls back to JSON, keeping dispatch's message and exit code
+        out = emit(report, _parser().parse_args(args).format)
+    except UsageError:
         out = emit(report)
     sys.stdout.buffer.write(out)
     sys.stdout.buffer.flush()

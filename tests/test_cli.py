@@ -6,6 +6,7 @@ the tests stay valid when fixture whitespace changes.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -437,7 +438,6 @@ def test_exit_2_unmet_precondition(args, message):
 def test_dispatch_propagates_plain_value_errors(monkeypatch, name, command):
     # only a PreconditionError means "does not apply"; any other
     # ValueError is a defect, never an inapplicable check or exit 2
-    import ormkit.cli as cli
 
     def defect(*args, **kwargs):
         raise ValueError("defect")
@@ -500,7 +500,6 @@ def test_exit_3_names_the_empty_word_class():
 
 
 def test_exit_1_property_violation(tmp_path, monkeypatch):
-    import ormkit.cli as cli
     from ormkit.squier import WalkReport
 
     def fake_walk(P, start, steps, seed, budget=None):
@@ -563,7 +562,6 @@ def test_flags_are_spelled_in_full(capsysbinary):
 def test_repeated_format_renders_the_last(spell, capsysbinary):
     # argparse keeps the last value of a repeated flag; the rendering
     # must follow the parsed value, not the first one written
-    import ormkit.cli as cli
 
     for first, last in (("text", "json"), ("json", "text")):
         argv = ["classify", fx("ab-ba.orm"), *spell(first), *spell(last)]
@@ -807,20 +805,41 @@ def test_main_writes_report_and_returns_code(capsysbinary):
 def test_main_keeps_the_error_of_a_report_under_dot_and_csv(capsysbinary):
     # an error report renders as JSON, with dispatch's message and code
     cases = [
-        (["classify", fx("nonexistent.orm"), "--format", "dot"], 2,
+        (["ball", fx("nonexistent.orm"), "--format", "dot"], 2,
          "No such file"),
         (["ball", fx("ab-c.orm"), "--cells", "ideal", "--format", "csv"], 2,
          "has no compressing word"),
         (["ball", fx("aba-aca.orm"), "--radius", "9", "--budget-words", "10",
           "--format", "dot"], 3, "budget exhausted"),
-        # a report that cannot render a graph is a usage error
+        # a command that builds no graph offers no graph format
         (["classify", fx("aba-aca.orm"), "--format", "dot"], 2,
-         "format 'dot' not supported for classify"),
+         "invalid choice: 'dot'"),
     ]
     for argv, code, message in cases:
         assert main(argv) == code
         obj = json.loads(capsysbinary.readouterr().out)
         assert message in obj["payload"]["error"]
+
+
+def test_format_choices_are_the_formats_a_command_renders():
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 8
+    for name, sp in sub.choices.items():
+        fmt = next(a for a in sp._actions if a.dest == "format")
+        graph = ("dot", "csv") if name in ("ball", "homology") else ()
+        assert tuple(fmt.choices) == ("json", "text", *graph), name
+
+
+def test_unrenderable_format_is_refused_before_any_work(monkeypatch,
+                                                        capsysbinary):
+    def refuse(P):
+        raise AssertionError("classified under a format it cannot render")
+
+    monkeypatch.setattr(cli, "classify_full", refuse)
+    assert main(["classify", fx("aba-aca.orm"), "--format", "dot"]) == 2
+    obj = json.loads(capsysbinary.readouterr().out)
+    assert "invalid choice: 'dot'" in obj["payload"]["error"]
 
 
 def test_report_is_plain_data():
